@@ -32,7 +32,6 @@ from .evaluation import (
     error_scaling,
     ratio_curve_error,
     support_curve,
-    support_curve_threshold_sweep,
     support_metrics,
     true_gaussian_log_ratio,
 )
@@ -47,7 +46,6 @@ from .ratio_model import (
     feature_map_from_name,
     featurize,
     log_normalizer,
-    log_ratio,
     log_ratios,
     median_pairwise_distance,
     softmax_weights,
@@ -58,10 +56,8 @@ from .synthetic import (
     gen_outlier_1d,
     gen_truncation_1d,
     inject_outliers,
-    inverse_normal_cdf,
     sample_gaussian,
     sample_truncated_gaussian,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -22,7 +22,12 @@ unconstrained KLIEP fit, exposed as ``fit_kliep``.
 Regularizers: "none", "l1" (R = sum |delta_i|), "l2sq" (R = sum delta_i^2).
 The l1 step is proximal (soft-thresholding after the gradient step) so
 coefficients reach exact zeros; the other two fold the regularizer's
-(sub)gradient into the step.
+gradient into the step ("none" has the zero gradient).
+
+The loop, the oracles (objective, gradient, assign_weights) and
+kkt_check all evaluate delta through one kernel, _evaluate, and rank
+through one helper, _trim, so the oracles check the loop's own
+arithmetic.
 """
 
 from __future__ import annotations
@@ -44,9 +49,8 @@ class TrimConfig:
     nu is the kept-weight budget (1 = no trimming), lam scales the
     regularizer, eta0 the base step size. The loop stops at max_iter or
     once the best objective improves by less than tol over a 50-iteration
-    window. l1_ball_radius, when set, projects delta onto an l1 ball of
-    that radius after every step (off by default). seed is carried along
-    for provenance in serialized results; the fit itself is deterministic.
+    window. seed is carried along for provenance in serialized results;
+    the fit itself is deterministic.
     """
 
     nu: float = 1.0
@@ -56,7 +60,6 @@ class TrimConfig:
     max_iter: int = 5000
     tol: float = 1e-7
     seed: int = 42
-    l1_ball_radius: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.nu <= 1.0):
@@ -69,10 +72,8 @@ class TrimConfig:
             raise ValueError(f"eta0 must be a positive real, got {self.eta0}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be a positive real, got {self.tol}")
-        if self.l1_ball_radius is not None and self.l1_ball_radius <= 0.0:
-            raise ValueError(f"l1_ball_radius must be positive when set, got {self.l1_ball_radius}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"tol must be a finite positive real, got {self.tol}")
 
 
 class FitDivergedError(RuntimeError):
@@ -118,6 +119,30 @@ def keep_count(nu: float, n_p: int) -> int:
     return min(k, n_p)
 
 
+def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the k smallest log-ratios, in ascending order (stable
+    sort, so ties go to the lower index), and the weights 1/n_p on them."""
+    kept = np.argsort(lr, kind="stable")[:k]
+    w = np.zeros(lr.size)
+    w[kept] = 1.0 / lr.size
+    return kept, w
+
+
+def _evaluate(
+    delta: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """log rhat(x_p_i; delta) for every row of PhiP, and softmax(PhiQ delta)."""
+    logN, sm = _log_mean_exp_and_softmax(PhiQ @ delta)
+    return PhiP @ delta - logN, sm
+
+
+def _data_gradient(
+    PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float
+) -> np.ndarray:
+    """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio sum."""
+    return PhiP.T @ w - nu * (PhiQ.T @ sm)
+
+
 def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
     """Inner-minimizing weights: 1/n_p on the k_keep smallest log-ratios.
 
@@ -127,11 +152,7 @@ def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
     lr = np.asarray(log_ratio_values, dtype=float)
     if lr.ndim != 1 or lr.size < 1:
         raise ValueError("log_ratio_values must be a nonempty vector")
-    n_p = lr.size
-    k = keep_count(nu, n_p)
-    order = np.argsort(lr, kind="stable")
-    w = np.zeros(n_p)
-    w[order[:k]] = 1.0 / n_p
+    _, w = _trim(lr, keep_count(nu, lr.size))
     return w
 
 
@@ -151,9 +172,9 @@ def objective(
     """sum_i w_i * log rhat(x_p_i; delta) - lam * R(delta)."""
     delta = np.asarray(delta, dtype=float)
     w = np.asarray(w, dtype=float)
-    logN, _ = _log_mean_exp_and_softmax(PhiQ @ delta)
+    lr, _ = _evaluate(delta, PhiP, PhiQ)
     reg_val, _ = reg_value_and_subgradient(delta, cfg)
-    return float(w @ (PhiP @ delta) - np.sum(w) * logN - cfg.lam * reg_val)
+    return float(w @ lr - cfg.lam * reg_val)
 
 
 def gradient(delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
@@ -164,28 +185,13 @@ def gradient(delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarra
     """
     delta = np.asarray(delta, dtype=float)
     w = np.asarray(w, dtype=float)
-    _, sm = _log_mean_exp_and_softmax(PhiQ @ delta)
-    return PhiP.T @ w - float(np.sum(w)) * (PhiQ.T @ sm)
+    _, sm = _evaluate(delta, PhiP, PhiQ)
+    return _data_gradient(PhiP, PhiQ, w, sm, float(np.sum(w)))
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     """Componentwise sign(v) * max(|v| - t, 0)."""
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of v onto {u : sum |u_i| <= radius}."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return np.array(v, dtype=float)
-    # Sort-based simplex projection of |v|.
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    rho = np.nonzero(u * np.arange(1, v.size + 1) > css - radius)[0][-1]
-    theta = (css[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
 
 
 def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
@@ -209,13 +215,8 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     iterations = 0
 
     for it in range(cfg.max_iter):
-        logN, sm = _log_mean_exp_and_softmax(PhiQ @ delta)
-        lr = PhiP @ delta - logN
-        order = np.argsort(lr, kind="stable")
-        kept = order[:k]
-        w = np.zeros(n_p)
-        w[kept] = 1.0 / n_p
-
+        lr, sm = _evaluate(delta, PhiP, PhiQ)
+        kept, w = _trim(lr, k)
         reg_val, reg_sub = reg_value_and_subgradient(delta, cfg)
         obj = float(np.sum(lr[kept]) / n_p - cfg.lam * reg_val)
         if not np.isfinite(obj):
@@ -226,7 +227,7 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
             best_obj = obj
             delta_best = delta.copy()
             w_best = w
-            t_hat = float(lr[order[k - 1]])
+            t_hat = float(lr[kept[-1]])
         best_hist[it] = best_obj
         iterations = it + 1
         if it >= 50 and best_hist[it] - best_hist[it - 50] < cfg.tol:
@@ -234,15 +235,12 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
             break
 
         eta = cfg.eta0 / math.sqrt(it + 1.0)
-        g = PhiP.T @ w - nu_eff * (PhiQ.T @ sm)
+        # nu_eff = k / n_p, not sum(w): the two can differ in the last bit.
+        g = _data_gradient(PhiP, PhiQ, w, sm, nu_eff)
         if cfg.regularizer == "l1":
             delta = soft_threshold(delta + eta * g, eta * cfg.lam)
-        elif cfg.regularizer == "l2sq":
-            delta = delta + eta * (g - cfg.lam * reg_sub)
         else:
-            delta = delta + eta * g
-        if cfg.l1_ball_radius is not None:
-            delta = project_l1_ball(delta, cfg.l1_ball_radius)
+            delta = delta + eta * (g - cfg.lam * reg_sub)
 
     return FitResult(
         delta_best=delta_best,
@@ -305,8 +303,7 @@ def kkt_check(
     delta = result.delta_best
     w = np.asarray(result.w_best, dtype=float)
     n_p = PhiP.shape[0]
-    logN, _ = _log_mean_exp_and_softmax(PhiQ @ delta)
-    lr = PhiP @ delta - logN
+    lr, sm = _evaluate(delta, PhiP, PhiQ)
 
     cap = 1.0 / n_p
     must_keep = lr < result.t_hat - ratio_tol
@@ -320,18 +317,13 @@ def kkt_check(
     weight_ok = max_viol <= 1e-12
     first_bad = int(np.argmax(viol > 1e-12)) if not weight_ok else None
 
-    g = gradient(delta, w, PhiP, PhiQ)
+    g = _data_gradient(PhiP, PhiQ, w, sm, float(np.sum(w)))
+    _, reg_sub = reg_value_and_subgradient(delta, cfg)
+    per_coord = np.abs(g - cfg.lam * reg_sub)
     if cfg.regularizer == "l1":
-        per_coord = np.where(
-            delta != 0.0,
-            np.abs(g - cfg.lam * np.sign(delta)),
-            np.maximum(np.abs(g) - cfg.lam, 0.0),
-        )
-        stationarity = float(np.max(per_coord))
-    elif cfg.regularizer == "l2sq":
-        stationarity = float(np.max(np.abs(g - cfg.lam * 2.0 * delta)))
-    else:
-        stationarity = float(np.max(np.abs(g)))
+        # At a zero coordinate the subdifferential is [-lam, lam].
+        per_coord = np.where(delta != 0.0, per_coord, np.maximum(np.abs(g) - cfg.lam, 0.0))
+    stationarity = float(np.max(per_coord))
 
     return KKTReport(
         weight_ok=weight_ok,
@@ -362,6 +354,5 @@ def fit_result_to_dict(result: FitResult, cfg: TrimConfig) -> dict:
             "max_iter": cfg.max_iter,
             "tol": cfg.tol,
             "seed": cfg.seed,
-            "l1_ball_radius": cfg.l1_ball_radius,
         },
     }

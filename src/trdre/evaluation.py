@@ -77,11 +77,10 @@ def auc_tnr_tpr(points) -> float:
 
 @dataclass(frozen=True)
 class SupportCurve:
-    """Sweep results: one (tnr, tpr, swept value) triple per grid point."""
+    """Sweep results: one (tnr, tpr, lambda) triple per grid point."""
 
     points: tuple[tuple[float, float, float], ...]
     auc: float
-    sweep: str = "lambda"
 
 
 def support_curve(
@@ -117,37 +116,7 @@ def support_curve(
         dh = differential_precision_matrix(res.delta_best, d)
         tpr, tnr = support_metrics(dh, delta_star, threshold)
         points.append((tnr, tpr, lam))
-    return SupportCurve(
-        points=tuple(points), auc=auc_tnr_tpr([(t, p) for t, p, _ in points]), sweep="lambda"
-    )
-
-
-def support_curve_threshold_sweep(
-    Xp,
-    Xq,
-    delta_star: np.ndarray,
-    nu: float,
-    lam: float,
-    thresholds,
-    cfg: TrimConfig,
-) -> SupportCurve:
-    """Alternate mode: one fit at fixed lambda, sweep the detection threshold."""
-    thr = [float(v) for v in thresholds]
-    if not thr or any(v < 0.0 for v in thr) or sorted(thr) != thr:
-        raise ValueError("thresholds must be nonempty, nonnegative, and ascending")
-    fmap = PairwiseQuadraticFeatures()
-    res = fit_featurized(
-        featurize(Xp, fmap), featurize(Xq, fmap), replace(cfg, nu=nu, lam=lam, regularizer="l1")
-    )
-    d = np.asarray(delta_star).shape[0]
-    dh = differential_precision_matrix(res.delta_best, d)
-    points = []
-    for t in thr:
-        tpr, tnr = support_metrics(dh, delta_star, t)
-        points.append((tnr, tpr, t))
-    return SupportCurve(
-        points=tuple(points), auc=auc_tnr_tpr([(t, p) for t, p, _ in points]), sweep="threshold"
-    )
+    return SupportCurve(points=tuple(points), auc=auc_tnr_tpr([(t, p) for t, p, _ in points]))
 
 
 def ratio_curve_error(model: RatioModel, truth, grid, norm: str = "sup") -> float:

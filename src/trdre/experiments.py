@@ -26,13 +26,7 @@ from .evaluation import (
     support_curve,
     true_gaussian_log_ratio,
 )
-from .ratio_model import (
-    LinearFeatures,
-    PairwiseQuadraticFeatures,
-    RatioModel,
-    featurize,
-    log_normalizer,
-)
+from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, build_ratio_model, featurize
 from .storage import write_csv, write_json, write_matrix_csv
 from .synthetic import (
     gen_gaussian_mn_pair,
@@ -73,12 +67,6 @@ def _config_comment(cfg: dict) -> str:
     return " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
 
 
-def _model_1d(delta: float, Xq) -> RatioModel:
-    fmap = LinearFeatures()
-    d = np.asarray([delta], dtype=float)
-    return RatioModel(delta=d, features=fmap, log_norm=log_normalizer(d, featurize(Xq, fmap)))
-
-
 def run_truncation1d(
     out_dir,
     n: int = 5000,
@@ -101,7 +89,7 @@ def run_truncation1d(
     res = fit_featurized(PhiP, PhiQ, cfg)
     report = kkt_check(res, PhiP, PhiQ, cfg)
 
-    model = _model_1d(float(res.delta_best[0]), xq)
+    model = build_ratio_model(np.array([res.delta_best[0]]), fmap, xq)
     truth = lambda x: true_gaussian_log_ratio(x, 0.0, -0.5)
     band = CURVE_GRID[np.abs(CURVE_GRID) <= ERROR_BAND]
     summary = {
@@ -168,7 +156,7 @@ def run_outlier1d(
         plain = fit_featurized(PhiP, PhiQ, replace(base, nu=1.0))
         row = {"b": b}
         for tag, res in (("trdre", trimmed), ("kliep", plain)):
-            model = _model_1d(float(res.delta_best[0]), xq)
+            model = build_ratio_model(np.array([res.delta_best[0]]), fmap, xq)
             row[f"delta_{tag}"] = float(res.delta_best[0])
             row[f"err_sup_{tag}"] = ratio_curve_error(model, truth, band, "sup")
             row[f"err_l2_{tag}"] = ratio_curve_error(model, truth, band, "l2")

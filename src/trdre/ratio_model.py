@@ -52,9 +52,6 @@ class LinearFeatures:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return np.array(X, dtype=float)
 
-    def feature_names(self, d: int) -> list[str]:
-        return [f"x{i + 1}" for i in range(d)]
-
 
 @dataclass(frozen=True)
 class PairwiseQuadraticFeatures:
@@ -71,10 +68,6 @@ class PairwiseQuadraticFeatures:
         d = X.shape[1]
         rows, cols = np.triu_indices(d)
         return X[:, rows] * X[:, cols]
-
-    def feature_names(self, d: int) -> list[str]:
-        rows, cols = np.triu_indices(d)
-        return [f"x{i + 1}*x{j + 1}" for i, j in zip(rows, cols)]
 
 
 def median_pairwise_distance(points: np.ndarray) -> float:
@@ -130,9 +123,6 @@ class GaussianKernelFeatures:
         )
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-sq / (2.0 * self.bandwidth**2))
-
-    def feature_names(self, d: int) -> list[str]:
-        return [f"k(b{k + 1},.)" for k in range(self.basis.shape[0])]
 
 
 FeatureMap = LinearFeatures | PairwiseQuadraticFeatures | GaussianKernelFeatures
@@ -229,8 +219,3 @@ def build_ratio_model(delta: np.ndarray, feature_map: FeatureMap, Xq) -> RatioMo
     delta = np.asarray(delta, dtype=float)
     PhiQ = featurize(Xq, feature_map)
     return RatioModel(delta=delta.copy(), features=feature_map, log_norm=log_normalizer(delta, PhiQ))
-
-
-def log_ratio(model: RatioModel, phi: np.ndarray) -> np.ndarray | float:
-    """Functional form of RatioModel.log_ratio."""
-    return model.log_ratio(phi)

@@ -68,14 +68,6 @@ def write_matrix_csv(path, M, comment: str | None = None) -> None:
     write_csv(path, np.asarray(M, dtype=float), header=None, comment=comment)
 
 
-def write_feature_csv(path, Phi, names: list[str], comment: str | None = None) -> None:
-    """Feature matrix with one named column per feature."""
-    Phi = np.asarray(Phi, dtype=float)
-    if Phi.ndim != 2 or Phi.shape[1] != len(names):
-        raise ValueError(f"feature matrix shape {Phi.shape} does not match {len(names)} names")
-    write_csv(path, Phi, header=names, comment=comment)
-
-
 def read_numeric_csv(path) -> np.ndarray:
     """Read a numeric CSV into a 2-D array, skipping leading header lines.
 

@@ -17,18 +17,6 @@ from .ratio_model import as_sample_matrix
 _MAX_PD_TRIES = 100
 
 
-def inverse_normal_cdf(p):
-    """Quantile function of the standard normal, |error| < 1e-9.
-
-    Accepts a scalar or array with every entry in the open interval (0, 1).
-    """
-    arr = np.asarray(p, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("p must lie strictly inside (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class GaussianMNPair:
     """A pair of Gaussian MN precision matrices differing on a few edges.
@@ -178,6 +166,6 @@ def gen_truncation_1d(
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1) for a proper truncation, got {nu}")
     xp = np.random.default_rng(seed).standard_normal(n)[:, None]
-    upper = inverse_normal_cdf(nu)
+    upper = float(ndtri(nu))
     xq = sample_truncated_gaussian(mu_q, 1.0, upper, n, seed + 1)
     return xp, xq

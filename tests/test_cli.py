@@ -91,6 +91,14 @@ class TestFitCommand:
         assert rc == 2
         assert "nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_2(self, sample_csvs, tmp_path, capsys, tol):
+        xp, xq = sample_csvs
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--tol", tol,
+                    "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "tol" in capsys.readouterr().err
+
     def test_diverged_fit_exits_3(self, tmp_path, capsys):
         rng = np.random.default_rng(2)
         xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"

@@ -21,7 +21,6 @@ from trdre.estimator import (
     keep_count,
     kkt_check,
     objective,
-    project_l1_ball,
     reg_value_and_subgradient,
     soft_threshold,
 )
@@ -64,7 +63,8 @@ class TestTrimConfig:
         "kwargs",
         [
             {"nu": 0.0}, {"nu": 1.5}, {"lam": -0.1}, {"regularizer": "ridge"},
-            {"eta0": 0.0}, {"max_iter": 0}, {"tol": 0.0}, {"l1_ball_radius": -1.0},
+            {"eta0": 0.0}, {"max_iter": 0}, {"tol": 0.0}, {"tol": float("nan")},
+            {"tol": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -207,19 +207,6 @@ class TestRegularizer:
 class TestProx:
     def test_soft_threshold(self):
         assert np.array_equal(soft_threshold(np.array([3.0, -0.5, 0.2]), 1.0), [2.0, 0.0, 0.0])
-
-    def test_l1_projection_inside_is_identity(self):
-        v = np.array([0.3, -0.2])
-        assert np.array_equal(project_l1_ball(v, 1.0), v)
-
-    def test_l1_projection_on_boundary(self):
-        p = project_l1_ball(np.array([3.0, 4.0]), 1.0)
-        assert abs(np.abs(p).sum() - 1.0) < 1e-12
-        assert p[1] > p[0] >= 0.0
-
-    def test_l1_projection_bad_radius(self):
-        with pytest.raises(ValueError):
-            project_l1_ball(np.ones(2), 0.0)
 
 
 class TestFit:
@@ -370,6 +357,53 @@ class TestKKT:
         assert not report.weight_ok
         assert report.first_bad_index is not None
         assert report.max_weight_violation >= 1.0 / 6.0 - 1e-12
+
+
+def straight_line_stationarity(delta, w, PhiP, PhiQ, lam, regularizer):
+    """Plain-Python sup-norm KKT residual of the outer problem at delta."""
+    z = [math.fsum(d * v for d, v in zip(delta, row)) for row in PhiQ]
+    zmax = max(z)
+    e = [math.exp(v - zmax) for v in z]
+    total = math.fsum(e)
+    sm = [v / total for v in e]
+    nu = math.fsum(w)
+    residual = 0.0
+    for k, dk in enumerate(delta):
+        gk = math.fsum(wi * row[k] for wi, row in zip(w, PhiP)) - nu * math.fsum(
+            s * row[k] for s, row in zip(sm, PhiQ)
+        )
+        if regularizer == "l1":
+            rk = abs(gk - lam * math.copysign(1.0, dk)) if dk != 0.0 else max(abs(gk) - lam, 0.0)
+        elif regularizer == "l2sq":
+            rk = abs(gk - 2.0 * lam * dk)
+        else:
+            rk = abs(gk)
+        residual = max(residual, rk)
+    return residual
+
+
+class TestSharedKernel:
+    """The oracles and kkt_check evaluate the loop's own iterate the same way."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(27)
+        PhiP = rng.standard_normal((60, 3)) + np.array([0.8, 0.0, 0.0])
+        PhiP[:5] += 4.0
+        PhiQ = rng.standard_normal((70, 3))
+        return PhiP, PhiQ
+
+    @pytest.mark.parametrize("regularizer,lam", [("none", 0.0), ("l1", 0.1), ("l2sq", 0.05)])
+    def test_objective_and_stationarity_match_fit(self, data, regularizer, lam):
+        PhiP, PhiQ = data
+        cfg = TrimConfig(nu=0.8, lam=lam, regularizer=regularizer)
+        res = fit_featurized(PhiP, PhiQ, cfg)
+        delta = res.delta_best
+        if regularizer == "l1":
+            assert np.any(delta == 0.0) and np.any(delta != 0.0)
+        assert abs(objective(delta, res.w_best, PhiP, PhiQ, cfg) - res.objective_best) < 1e-12
+        expected = straight_line_stationarity(delta, res.w_best, PhiP, PhiQ, lam, regularizer)
+        assert abs(kkt_check(res, PhiP, PhiQ, cfg).stationarity - expected) < 1e-10
 
 
 class TestSerialization:

@@ -9,7 +9,6 @@ from trdre.evaluation import (
     error_scaling,
     ratio_curve_error,
     support_curve,
-    support_curve_threshold_sweep,
     support_metrics,
     true_gaussian_log_ratio,
 )
@@ -158,25 +157,12 @@ class TestSupportCurve:
         cfg = TrimConfig(eta0=0.1, max_iter=400)
         curve = support_curve(Xp, Xq, pair.delta_star, nu=1.0,
                               lambda_grid=[1e-3, 1e-1, 10.0], cfg=cfg)
-        assert curve.sweep == "lambda"
         assert len(curve.points) == 3
         assert [lam for _, _, lam in curve.points] == [1e-3, 1e-1, 10.0]
         # a crushing penalty zeroes delta: nothing detected
         tnr, tpr, _ = curve.points[-1]
         assert (tnr, tpr) == (1.0, 0.0)
         assert 0.0 <= curve.auc <= 1.0
-
-    def test_threshold_sweep(self, mn_data):
-        pair, Xp, Xq = mn_data
-        cfg = TrimConfig(eta0=0.1, max_iter=400)
-        curve = support_curve_threshold_sweep(
-            Xp, Xq, pair.delta_star, nu=1.0, lam=0.05,
-            thresholds=[0.0, 0.05, 1e6], cfg=cfg)
-        assert curve.sweep == "threshold"
-        # an infinite threshold detects nothing
-        assert curve.points[-1][:2] == (1.0, 0.0)
-        # threshold 0 detects every nonzero coefficient, so TPR is maximal
-        assert curve.points[0][1] >= curve.points[1][1]
 
     def test_grid_validation(self, mn_data):
         pair, Xp, Xq = mn_data
@@ -185,8 +171,6 @@ class TestSupportCurve:
             support_curve(Xp, Xq, pair.delta_star, 1.0, [], cfg)
         with pytest.raises(ValueError):
             support_curve(Xp, Xq, pair.delta_star, 1.0, [0.1, 0.01], cfg)
-        with pytest.raises(ValueError):
-            support_curve_threshold_sweep(Xp, Xq, pair.delta_star, 1.0, 0.1, [-1.0], cfg)
 
 
 class TestRatioCurveError:

@@ -5,7 +5,6 @@ from trdre.storage import (
     CsvParseError,
     read_numeric_csv,
     write_csv,
-    write_feature_csv,
     write_json,
     write_matrix_csv,
     write_text_atomic,
@@ -71,13 +70,6 @@ class TestCsvRoundTrip:
         M = np.arange(6.0).reshape(2, 3)
         write_matrix_csv(p, M, comment="d=3")
         assert np.array_equal(read_numeric_csv(p), M)
-
-    def test_feature_csv_names(self, tmp_path):
-        p = tmp_path / "phi.csv"
-        write_feature_csv(p, np.ones((2, 2)), names=["x1*x1", "x1*x2"])
-        assert p.read_text().splitlines()[0] == "x1*x1,x1*x2"
-        with pytest.raises(ValueError):
-            write_feature_csv(p, np.ones((2, 3)), names=["a", "b"])
 
 
 class TestReadErrors:

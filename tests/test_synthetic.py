@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from trdre.synthetic import (
     GaussianMNPair,
@@ -10,35 +8,18 @@ from trdre.synthetic import (
     gen_outlier_1d,
     gen_truncation_1d,
     inject_outliers,
-    inverse_normal_cdf,
     sample_gaussian,
     sample_truncated_gaussian,
 )
 
 
 class TestInverseNormalCdf:
-    def test_known_quantiles(self):
-        assert inverse_normal_cdf(0.5) == 0.0
-        assert abs(inverse_normal_cdf(0.975) - 1.959963985) < 1e-8
-        assert abs(inverse_normal_cdf(0.841344746) - 1.0) < 1e-8
-
-    def test_symmetry(self):
-        assert abs(inverse_normal_cdf(0.3) + inverse_normal_cdf(0.7)) < 1e-12
-
-    def test_array_input(self):
-        out = inverse_normal_cdf(np.array([0.25, 0.5, 0.75]))
-        assert out.shape == (3,)
-        assert out[1] == 0.0 and out[2] == -out[0]
-
+    # The normal quantile is scipy's ndtri, which returns +-inf or nan outside
+    # (0, 1) instead of raising; gen_truncation_1d guards its only call.
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, float("nan")])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
-            inverse_normal_cdf(p)
-
-    @given(st.floats(1e-8, 1.0 - 1e-8))
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip_with_cdf(self, p):
-        assert abs(float(ndtr(inverse_normal_cdf(p))) - p) < 1e-9
+            gen_truncation_1d(100, p, seed=0)
 
 
 class TestGaussianMNPair:
@@ -192,7 +173,7 @@ class TestGenTruncation1d:
     def test_shapes_and_cut_point(self):
         xp, xq = gen_truncation_1d(5000, 0.5, seed=0)
         assert xp.shape == (5000, 1) and xq.shape == (5000, 1)
-        assert float(xq.max()) <= inverse_normal_cdf(0.5)
+        assert float(xq.max()) <= ndtri(0.5)
 
     def test_numerator_is_standard_normal(self):
         xp, _ = gen_truncation_1d(100_000, 0.3, seed=4)
