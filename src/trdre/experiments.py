@@ -239,10 +239,10 @@ def run_mnchange(
             ("dre_gold", xp_clean, 1.0),
         ]
         write_matrix_csv(out / f"delta_star_d{d}.csv", pair.delta_star, comment=comment)
+        PhiQ = featurize(xq, fmap)
 
         def one(xp, cond_nu):
-            PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
-            heat = fit_featurized(PhiP, PhiQ, replace(base, nu=cond_nu))
+            heat = fit_featurized(featurize(xp, fmap), PhiQ, replace(base, nu=cond_nu))
             curve = support_curve(xp, xq, pair.delta_star, cond_nu, grid, base, threshold)
             return heat, curve
 

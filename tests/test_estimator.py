@@ -12,6 +12,7 @@ from trdre.estimator import (
     FitDivergedError,
     FitResult,
     TrimConfig,
+    _trim,
     assign_weights,
     fit,
     fit_featurized,
@@ -100,6 +101,11 @@ class TestAssignWeights:
         with pytest.raises(ValueError):
             assign_weights(np.array([1.0, 2.0]), 0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            assign_weights(np.array([0.5, bad, -1.0]), 0.5)
+
     @given(
         arrays(float, st.integers(1, 9).map(lambda n: (n,)),
                elements=st.floats(-50, 50, allow_nan=False)),
@@ -133,6 +139,42 @@ class TestAssignWeights:
                 continue
             values = [float(v @ lr) for v in enumerate_weight_vertices(n_p, nu)]
             assert float(w @ lr) <= min(values) + 1e-12
+
+
+def stable_argsort_trim(lr, k):
+    """Reference ranking: the first k indices of a stable argsort."""
+    kept = np.argsort(lr, kind="stable")[:k]
+    w = np.zeros(lr.size)
+    w[kept] = 1.0 / lr.size
+    return w, lr[kept]
+
+
+def assert_trim_matches_reference(lr):
+    for k in range(1, lr.size + 1):
+        w, low = _trim(lr, k)
+        ref_w, ref_low = stable_argsort_trim(lr, k)
+        assert w.tobytes() == ref_w.tobytes()
+        assert low.tobytes() == ref_low.tobytes()
+        # t_hat, including the sign of a zero threshold.
+        assert np.float64(low[-1]).tobytes() == np.float64(ref_low[-1]).tobytes()
+
+
+class TestTrim:
+    """_trim ranks by a value sort; it must select what a stable argsort selects."""
+
+    @given(
+        arrays(float, st.integers(1, 40).map(lambda n: (n,)),
+               elements=st.sampled_from([-np.inf, -0.0, 0.0, np.inf])
+               | st.integers(-3, 3).map(float)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, lr):
+        assert_trim_matches_reference(lr)
+
+    def test_signed_zeros_at_scale(self):
+        rng = np.random.default_rng(28)
+        lr = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=300)
+        assert_trim_matches_reference(lr)
 
 
 class TestObjective:

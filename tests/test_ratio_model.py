@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from trdre.estimator import _data_gradient
 from trdre.ratio_model import (
     GaussianKernelFeatures,
     LinearFeatures,
@@ -201,6 +202,40 @@ class TestSoftmax:
         w = softmax_weights(delta, PhiQ)
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
+
+
+class TestSubnormalFlush:
+    """Weights that underflow below the smallest normal double become 0."""
+
+    TINY = np.finfo(float).tiny
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # Exponents 0 .. -800 in steps of about 20.5: some weights are
+        # normal, two are subnormal, the rest underflow to 0.
+        rng = np.random.default_rng(7)
+        PhiQ = np.column_stack([-np.linspace(0.0, 800.0, 40), 1.0 + rng.uniform(size=40)])
+        PhiP = rng.uniform(size=(30, 2))
+        delta = np.array([1.0, 0.0])
+        z = PhiQ @ delta
+        e = np.exp(z - np.max(z))
+        unflushed = e / np.sum(e)
+        unflushed /= unflushed.sum()
+        assert np.any((unflushed > 0.0) & (unflushed < self.TINY))
+        return PhiP, PhiQ, delta, unflushed
+
+    def test_no_subnormal_weights(self, case):
+        _, PhiQ, delta, _ = case
+        w = softmax_weights(delta, PhiQ)
+        assert not np.any((w > 0.0) & (w < self.TINY))
+        assert abs(w.sum() - 1.0) <= 1e-12
+
+    def test_gradient_unchanged_bitwise(self, case):
+        PhiP, PhiQ, delta, unflushed = case
+        w_p = np.full(PhiP.shape[0], 1.0 / PhiP.shape[0])
+        expected = PhiP.T @ w_p - 1.0 * (PhiQ.T @ unflushed)
+        got = _data_gradient(PhiP, PhiQ, w_p, softmax_weights(delta, PhiQ), 1.0)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSelfNormalization:
