@@ -18,15 +18,9 @@ import numpy as np
 
 from . import experiments
 from .baselines import brute_force_maxmin_1d
-from .estimator import (
-    FitDivergedError,
-    TrimConfig,
-    fit_featurized,
-    fit_result_to_dict,
-    kkt_check,
-)
+from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, kkt_check
 from .ratio_model import feature_map_from_name, featurize, log_normalizer
-from .storage import CsvParseError, read_numeric_csv, write_csv, write_json
+from .storage import read_numeric_csv, write_csv, write_json
 from .synthetic import (
     gen_gaussian_mn_pair,
     gen_outlier_1d,
@@ -246,7 +240,10 @@ def cmd_gen(args) -> int:
     elif args.generator == "mnsamples":
         with open(args.pair, encoding="utf-8") as fh:
             pair = json.load(fh)
-        theta = np.asarray(pair["theta_p" if args.which == "p" else "theta_q"], dtype=float)
+        key = "theta_p" if args.which == "p" else "theta_q"
+        if not isinstance(pair, dict) or key not in pair:
+            raise ValueError(f"{args.pair}: missing key {key!r}")
+        theta = np.asarray(pair[key], dtype=float)
         X = sample_gaussian(theta, args.n, args.seed)
         write_csv(args.out, X, comment=f"which={args.which} n={args.n} seed={args.seed}")
     elif args.generator == "gaussian":
@@ -283,15 +280,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CsvParseError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FitDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -83,6 +83,15 @@ class SupportCurve:
     auc: float
 
 
+def validate_lambda_grid(lambda_grid) -> list[float]:
+    """The penalty grid as floats; raises ValueError unless it is
+    nonempty, positive and ascending."""
+    grid = [float(v) for v in lambda_grid]
+    if not grid or any(v <= 0.0 for v in grid) or sorted(grid) != grid:
+        raise ValueError("lambda_grid must be nonempty, positive, and ascending")
+    return grid
+
+
 def support_curve(
     Xp,
     Xq,
@@ -99,9 +108,7 @@ def support_curve(
     detection threshold. Fit failures are re-raised annotated with the
     lambda at which they occurred.
     """
-    grid = [float(v) for v in lambda_grid]
-    if not grid or any(v <= 0.0 for v in grid) or sorted(grid) != grid:
-        raise ValueError("lambda_grid must be nonempty, positive, and ascending")
+    grid = validate_lambda_grid(lambda_grid)
     fmap = PairwiseQuadraticFeatures()
     PhiP = featurize(Xp, fmap)
     PhiQ = featurize(Xq, fmap)

@@ -4,16 +4,10 @@ Each runner writes plot-ready CSVs plus a summary JSON into an output
 directory and returns the summary dict. Every file embeds the resolved
 configuration (JSON as an object, CSV as a leading '#' comment line), and
 reruns with identical arguments produce byte-identical files.
-
-Independent fits inside a sweep can run on a small thread pool; set the
-environment variable TRDRE_THREADS (default 1). Results are assembled in
-grid order, so the thread count never changes the output.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,6 +19,7 @@ from .evaluation import (
     ratio_curve_error,
     support_curve,
     true_gaussian_log_ratio,
+    validate_lambda_grid,
 )
 from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, build_ratio_model, featurize
 from .storage import write_csv, write_json, write_matrix_csv
@@ -38,24 +33,6 @@ from .synthetic import (
 
 CURVE_GRID = np.linspace(-3.0, 3.0, 401)
 ERROR_BAND = 2.0  # curve errors are reported on |x| <= ERROR_BAND
-
-
-def thread_count() -> int:
-    raw = os.environ.get("TRDRE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_indexed(tasks):
-    """Evaluate a list of thunks, possibly on a thread pool, in order."""
-    workers = thread_count()
-    if workers == 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def _child_seeds(seed: int, count: int) -> list[int]:
@@ -149,7 +126,8 @@ def run_outlier1d(
     truth = lambda x: true_gaussian_log_ratio(x, 0.0, -0.75)
     band = CURVE_GRID[np.abs(CURVE_GRID) <= ERROR_BAND]
 
-    def one(b: float, s: int):
+    rows = []
+    for b, s in zip(bs, seeds):
         xp, xq = gen_outlier_1d(n_good, n_out, b, seed=s, n_q=n_q)
         PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
         trimmed = fit_featurized(PhiP, PhiQ, base)
@@ -161,9 +139,7 @@ def run_outlier1d(
             row[f"err_sup_{tag}"] = ratio_curve_error(model, truth, band, "sup")
             row[f"err_l2_{tag}"] = ratio_curve_error(model, truth, band, "l2")
         row["t_hat_trdre"] = trimmed.t_hat
-        return row
-
-    rows = _run_indexed([lambda b=b, s=s: one(b, s) for b, s in zip(bs, seeds)])
+        rows.append(row)
     cols = [
         "b", "delta_trdre", "delta_kliep", "t_hat_trdre",
         "err_sup_trdre", "err_l2_trdre", "err_sup_kliep", "err_l2_kliep",
@@ -213,7 +189,7 @@ def run_mnchange(
     """
     out = Path(out_dir)
     ds = [int(d) for d in d_values]
-    grid = [float(v) for v in lambda_grid]
+    grid = validate_lambda_grid(lambda_grid)
     config = {
         "experiment": "mnchange", "d_values": ",".join(str(d) for d in ds), "n": n,
         "n_changed": n_changed, "nu": nu, "lam_heatmap": lam_heatmap,
@@ -240,15 +216,11 @@ def run_mnchange(
         ]
         write_matrix_csv(out / f"delta_star_d{d}.csv", pair.delta_star, comment=comment)
         PhiQ = featurize(xq, fmap)
-
-        def one(xp, cond_nu):
+        results = []
+        for _, xp, cond_nu in conditions:
             heat = fit_featurized(featurize(xp, fmap), PhiQ, replace(base, nu=cond_nu))
             curve = support_curve(xp, xq, pair.delta_star, cond_nu, grid, base, threshold)
-            return heat, curve
-
-        results = _run_indexed(
-            [lambda xp=xp, cn=cond_nu: one(xp, cn) for _, xp, cond_nu in conditions]
-        )
+            results.append((heat, curve))
         aucs[str(d)] = {}
         for (name, _, _), (heat, curve) in zip(conditions, results):
             write_matrix_csv(

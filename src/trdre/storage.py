@@ -1,6 +1,6 @@
 """File I/O: numeric CSV with an optional header, deterministic JSON.
 
-Dialect: comma separated, '.' decimal, UTF-8, numeric cells only. Leading
+Dialect: comma separated, '.' decimal, UTF-8, finite numeric cells only. Leading
 lines whose first token is not a number (column headers, '#' comment
 lines carrying the resolved config) are skipped on read. Floats are
 written with repr, the shortest round-tripping form; integer cells are
@@ -12,6 +12,7 @@ yields byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -72,7 +73,7 @@ def read_numeric_csv(path) -> np.ndarray:
     """Read a numeric CSV into a 2-D array, skipping leading header lines.
 
     Raises FileNotFoundError for a missing path and CsvParseError (with a
-    1-based line number) for malformed cells or ragged rows.
+    1-based line number) for malformed or non-finite cells and ragged rows.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -94,6 +95,8 @@ def read_numeric_csv(path) -> np.ndarray:
                 row = [float(c) for c in cells]
             except ValueError as exc:
                 raise CsvParseError(path, line_no, f"non-numeric cell: {exc}") from None
+            if not all(math.isfinite(v) for v in row):
+                raise CsvParseError(path, line_no, "non-finite cell (nan or inf)")
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -84,6 +84,15 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "bad.csv:3" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exits_2_with_line(self, sample_csvs, tmp_path, capsys, cell):
+        xp, _ = sample_csvs
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x\n1.0\n{cell}\n")
+        rc = main(["fit", "--xp", str(bad), "--xq", str(xp), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bad.csv:3" in capsys.readouterr().err
+
     def test_bad_flag_combination_exits_2(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
         rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "1.5",
@@ -151,6 +160,17 @@ class TestGenCommand:
         assert rc == 0
         assert read_numeric_csv(samples).shape == (40, 6)
 
+    def test_mnsamples_missing_theta_exits_2(self, tmp_path, capsys):
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text('{"d": 3}\n')
+        out = tmp_path / "x.csv"
+        rc = main(["gen", "mnsamples", "--pair", str(pair_path), "--which", "q",
+                    "--n", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "pair.json" in err and "theta_q" in err
+        assert not out.exists()
+
     def test_gaussian_from_precision_csv(self, tmp_path):
         prec = tmp_path / "prec.csv"
         write_csv(prec, np.eye(3) * 2.0)
@@ -206,3 +226,12 @@ class TestExperimentCommand:
         assert (out / "curve_dre_gold_d6.csv").exists()
         curve = read_numeric_csv(out / "curve_trdre_outlier_d6.csv")
         assert curve.shape == (2, 3)
+
+    @pytest.mark.parametrize("grid", ["0.3,0.05", ""])
+    def test_bad_lambda_grid_exits_2_before_writing(self, tmp_path, capsys, grid):
+        out = tmp_path / "mn"
+        rc = main(["experiment", "mnchange", "--d-list", "6", "--lambda-grid", grid,
+                    "--out", str(out)])
+        assert rc == 2
+        assert "lambda_grid must be nonempty, positive, and ascending" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

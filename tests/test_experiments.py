@@ -1,22 +1,6 @@
 import numpy as np
 
-from trdre.experiments import _child_seeds, run_outlier1d, run_truncation1d, thread_count
-
-
-class TestThreadCount:
-    def test_default_is_one(self, monkeypatch):
-        monkeypatch.delenv("TRDRE_THREADS", raising=False)
-        assert thread_count() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("TRDRE_THREADS", "4")
-        assert thread_count() == 4
-
-    def test_garbage_falls_back_to_one(self, monkeypatch):
-        monkeypatch.setenv("TRDRE_THREADS", "many")
-        assert thread_count() == 1
-        monkeypatch.setenv("TRDRE_THREADS", "0")
-        assert thread_count() == 1
+from trdre.experiments import _child_seeds, run_outlier1d, run_truncation1d
 
 
 class TestChildSeeds:
@@ -26,20 +10,6 @@ class TestChildSeeds:
         assert len(set(a)) == 8
         assert a != _child_seeds(43, 8)
         assert all(0 <= s < 2**63 for s in a)
-
-
-class TestThreadedRunsMatchSerial:
-    def test_outlier_sweep_independent_of_pool_size(self, tmp_path, monkeypatch):
-        kwargs = dict(n_good=150, n_out=30, n_q=180, b_grid=(2.0, 5.0),
-                      max_iter=200, seed=3)
-        monkeypatch.setenv("TRDRE_THREADS", "1")
-        run_outlier1d(tmp_path / "serial", **kwargs)
-        monkeypatch.setenv("TRDRE_THREADS", "4")
-        run_outlier1d(tmp_path / "pooled", **kwargs)
-        for name in ("results.csv", "summary.json"):
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "pooled" / name
-            ).read_bytes()
 
 
 class TestTruncationRunner:

@@ -85,6 +85,15 @@ class TestReadErrors:
         assert ei.value.line_no == 3
         assert str(p) in str(ei.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"x,y\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(CsvParseError) as ei:
+            read_numeric_csv(p)
+        assert ei.value.line_no == 3
+        assert str(p) in str(ei.value)
+
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "ragged.csv"
         p.write_text("1.0,2.0\n3.0\n")
