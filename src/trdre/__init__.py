@@ -40,9 +40,7 @@ from .ratio_model import (
     GaussianKernelFeatures,
     LinearFeatures,
     PairwiseQuadraticFeatures,
-    RatioModel,
     as_sample_matrix,
-    build_ratio_model,
     feature_map_from_name,
     featurize,
     log_normalizer,

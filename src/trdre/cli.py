@@ -19,7 +19,7 @@ import numpy as np
 from . import experiments
 from .baselines import brute_force_maxmin_1d
 from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, kkt_check
-from .ratio_model import feature_map_from_name, featurize, log_normalizer
+from .ratio_model import feature_map_from_name, featurize, log_ratios
 from .storage import read_numeric_csv, write_csv, write_json
 from .synthetic import (
     gen_gaussian_mn_pair,
@@ -184,7 +184,7 @@ def cmd_fit(args) -> int:
             f"[verify] stationarity {'PASS' if report.stationarity_ok else 'FAIL'}"
             f" (||grad||-style residual {report.stationarity:.3g}, tol {report.stationarity_tol})"
         )
-        ratios = np.exp(PhiQ @ result.delta_best - log_normalizer(result.delta_best, PhiQ))
+        ratios = np.exp(log_ratios(result.delta_best, PhiQ, PhiQ))
         gap = abs(float(np.mean(ratios)) - 1.0)
         print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1 and cfg.lam == 0.0:

@@ -216,11 +216,17 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 
 
 def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
-    """Run the ascent-and-trimming loop on already-featurized samples."""
+    """Run the ascent-and-trimming loop on already-featurized samples.
+
+    Non-finite features raise ValueError before the loop starts, so
+    FitDivergedError always means the iterates ran away.
+    """
     PhiP = np.asarray(PhiP, dtype=float)
     PhiQ = np.asarray(PhiQ, dtype=float)
     if PhiP.ndim != 2 or PhiQ.ndim != 2 or PhiP.shape[1] != PhiQ.shape[1]:
         raise ValueError("PhiP and PhiQ must be 2-D with matching feature dimension")
+    if not (np.all(np.isfinite(PhiP)) and np.all(np.isfinite(PhiQ))):
+        raise ValueError("PhiP and PhiQ must be finite")
     n_p, m = PhiP.shape
     k = keep_count(cfg.nu, n_p)
     nu_eff = k / n_p
@@ -306,10 +312,6 @@ class KKTReport:
     stationarity_ok: bool
     ratio_tol: float
     stationarity_tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.weight_ok and self.stationarity_ok
 
 
 def kkt_check(

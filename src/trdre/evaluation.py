@@ -1,4 +1,11 @@
-"""Evaluation utilities: analytic truths, support recovery, error scaling."""
+"""Evaluation utilities: analytic truths, support recovery, error scaling.
+
+The metrics take what the caller already holds: support_curve the
+feature matrices of both samples, ratio_curve_error the fitted and true
+log-ratios on one grid (the fitted ones from ratio_model.log_ratios).
+Nothing here featurizes raw samples except error_scaling, which draws
+its own.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import TrimConfig, fit_featurized
-from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, RatioModel, featurize
+from .ratio_model import LinearFeatures, featurize
 from .synthetic import gen_outlier_1d, gen_truncation_1d
 
 
@@ -93,8 +100,8 @@ def validate_lambda_grid(lambda_grid) -> list[float]:
 
 
 def support_curve(
-    Xp,
-    Xq,
+    PhiP: np.ndarray,
+    PhiQ: np.ndarray,
     delta_star: np.ndarray,
     nu: float,
     lambda_grid,
@@ -103,15 +110,14 @@ def support_curve(
 ) -> SupportCurve:
     """Trace support recovery across an ascending l1 penalty grid.
 
-    Each grid point runs one quadratic-feature l1 fit and scores the
+    PhiP and PhiQ are the pairwise quadratic features of the two samples
+    (PairwiseQuadraticFeatures), so each fitted delta reads as a
+    precision difference. Each grid point runs one l1 fit and scores the
     recovered precision difference against delta_star at the fixed
     detection threshold. Fit failures are re-raised annotated with the
     lambda at which they occurred.
     """
     grid = validate_lambda_grid(lambda_grid)
-    fmap = PairwiseQuadraticFeatures()
-    PhiP = featurize(Xp, fmap)
-    PhiQ = featurize(Xq, fmap)
     d = np.asarray(delta_star).shape[0]
 
     points = []
@@ -126,19 +132,20 @@ def support_curve(
     return SupportCurve(points=tuple(points), auc=auc_tnr_tpr([(t, p) for t, p, _ in points]))
 
 
-def ratio_curve_error(model: RatioModel, truth, grid, norm: str = "sup") -> float:
-    """Distance between fitted and true ratio curves on a 1-D grid.
+def ratio_curve_error(log_ratio_hat, log_ratio_true, norm: str = "sup") -> float:
+    """Distance between fitted and true ratio curves on one grid.
 
-    truth maps x values to the true log-ratio; the comparison happens on
-    the ratio scale. norm is "sup" (max absolute difference) or "l2"
-    (root mean square difference).
+    Both arguments are log-ratios at the same grid points; the comparison
+    happens on the ratio scale. norm is "sup" (max absolute difference)
+    or "l2" (root mean square difference).
     """
-    grid = np.asarray(grid, dtype=float).ravel()
-    if grid.size < 1:
-        raise ValueError("grid must be nonempty")
-    r_hat = np.exp(model.log_ratio_samples(grid[:, None]))
-    r_true = np.exp(np.asarray(truth(grid), dtype=float))
-    diff = r_hat - r_true
+    lr_hat = np.asarray(log_ratio_hat, dtype=float).ravel()
+    lr_true = np.asarray(log_ratio_true, dtype=float).ravel()
+    if lr_hat.size < 1 or lr_hat.shape != lr_true.shape:
+        raise ValueError(
+            f"log-ratios must be nonempty and of equal size, got {lr_hat.size} and {lr_true.size}"
+        )
+    diff = np.exp(lr_hat) - np.exp(lr_true)
     if norm == "sup":
         return float(np.max(np.abs(diff)))
     if norm == "l2":

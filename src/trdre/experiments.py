@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, kkt_check
+from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, keep_count, kkt_check
 from .evaluation import (
     differential_precision_matrix,
     ratio_curve_error,
@@ -21,7 +21,7 @@ from .evaluation import (
     true_gaussian_log_ratio,
     validate_lambda_grid,
 )
-from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, build_ratio_model, featurize
+from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from .storage import write_csv, write_json, write_matrix_csv
 from .synthetic import (
     gen_gaussian_mn_pair,
@@ -66,9 +66,9 @@ def run_truncation1d(
     res = fit_featurized(PhiP, PhiQ, cfg)
     report = kkt_check(res, PhiP, PhiQ, cfg)
 
-    model = build_ratio_model(np.array([res.delta_best[0]]), fmap, xq)
-    truth = lambda x: true_gaussian_log_ratio(x, 0.0, -0.5)
-    band = CURVE_GRID[np.abs(CURVE_GRID) <= ERROR_BAND]
+    lr_hat = log_ratios(res.delta_best, featurize(CURVE_GRID, fmap), PhiQ)
+    lr_true = true_gaussian_log_ratio(CURVE_GRID, 0.0, -0.5)
+    band = np.abs(CURVE_GRID) <= ERROR_BAND
     summary = {
         "config": config,
         "delta_hat": float(res.delta_best[0]),
@@ -78,17 +78,15 @@ def run_truncation1d(
         "kept_fraction": len(res.kept_indices) / n,
         "converged": res.converged,
         "iterations_run": res.iterations_run,
-        "curve_error_sup": ratio_curve_error(model, truth, band, "sup"),
-        "curve_error_l2": ratio_curve_error(model, truth, band, "l2"),
+        "curve_error_sup": ratio_curve_error(lr_hat[band], lr_true[band], "sup"),
+        "curve_error_l2": ratio_curve_error(lr_hat[band], lr_true[band], "l2"),
         "kkt_weight_ok": report.weight_ok,
         "kkt_stationarity": report.stationarity,
     }
     write_json(out / "summary.json", summary)
-    r_hat = np.exp(model.log_ratio_samples(CURVE_GRID[:, None]))
-    r_true = np.exp(truth(CURVE_GRID))
     write_csv(
         out / "ratio_curve.csv",
-        np.column_stack([CURVE_GRID, r_hat, r_true]),
+        np.column_stack([CURVE_GRID, np.exp(lr_hat), np.exp(lr_true)]),
         header=["x", "r_hat", "r_true"],
         comment=_config_comment(config),
     )
@@ -115,6 +113,8 @@ def run_outlier1d(
     """
     out = Path(out_dir)
     bs = [float(b) for b in b_grid]
+    if not bs:
+        raise ValueError("b_grid must be nonempty")
     config = {
         "experiment": "outlier1d", "n_good": n_good, "n_out": n_out, "n_q": n_q,
         "b_grid": ",".join(repr(b) for b in bs), "nu": nu, "seed": seed,
@@ -123,8 +123,9 @@ def run_outlier1d(
     base = TrimConfig(nu=nu, eta0=eta0, max_iter=max_iter, tol=tol, seed=seed)
     seeds = _child_seeds(seed, len(bs))
     fmap = LinearFeatures()
-    truth = lambda x: true_gaussian_log_ratio(x, 0.0, -0.75)
     band = CURVE_GRID[np.abs(CURVE_GRID) <= ERROR_BAND]
+    phi_band = featurize(band, fmap)
+    lr_true = true_gaussian_log_ratio(band, 0.0, -0.75)
 
     rows = []
     for b, s in zip(bs, seeds):
@@ -134,10 +135,10 @@ def run_outlier1d(
         plain = fit_featurized(PhiP, PhiQ, replace(base, nu=1.0))
         row = {"b": b}
         for tag, res in (("trdre", trimmed), ("kliep", plain)):
-            model = build_ratio_model(np.array([res.delta_best[0]]), fmap, xq)
+            lr_hat = log_ratios(res.delta_best, phi_band, PhiQ)
             row[f"delta_{tag}"] = float(res.delta_best[0])
-            row[f"err_sup_{tag}"] = ratio_curve_error(model, truth, band, "sup")
-            row[f"err_l2_{tag}"] = ratio_curve_error(model, truth, band, "l2")
+            row[f"err_sup_{tag}"] = ratio_curve_error(lr_hat, lr_true, "sup")
+            row[f"err_l2_{tag}"] = ratio_curve_error(lr_hat, lr_true, "l2")
         row["t_hat_trdre"] = trimmed.t_hat
         rows.append(row)
     cols = [
@@ -180,7 +181,9 @@ def run_mnchange(
     data, the trimmed fit on the same data, and the untrimmed fit on
     clean data as a gold standard. Emits one recovered-difference heat
     map per condition at lam_heatmap and one support curve over
-    lambda_grid, plus a summary JSON with the AUCs.
+    lambda_grid, plus a summary JSON with the AUCs. Each of the three
+    samples of a d is featurized once, and the heat-map fit and the
+    support curve share the matrices.
 
     eta0 defaults to 0.1 here (not the TrimConfig default 1.0): a unit
     first step overshoots on quadratic features, and if no later iterate
@@ -189,6 +192,8 @@ def run_mnchange(
     """
     out = Path(out_dir)
     ds = [int(d) for d in d_values]
+    if not ds:
+        raise ValueError("d_values must be nonempty")
     grid = validate_lambda_grid(lambda_grid)
     config = {
         "experiment": "mnchange", "d_values": ",".join(str(d) for d in ds), "n": n,
@@ -199,30 +204,35 @@ def run_mnchange(
         "eta0": eta0, "max_iter": max_iter, "tol": tol,
     }
     base = TrimConfig(eta0=eta0, max_iter=max_iter, tol=tol, seed=seed, regularizer="l1", lam=lam_heatmap)
-    fmap = PairwiseQuadraticFeatures()
-    comment = _config_comment(config)
-    aucs: dict[str, dict[str, float]] = {}
-
+    # Every config, pair and sample is checked or drawn before the first
+    # write, so bad arguments exit without leaving partial output.
+    trimmed = replace(base, nu=nu)
+    keep_count(nu, n + n_outliers)
+    samples = []
     for d, s in zip(ds, _child_seeds(seed, len(ds))):
         data_seeds = _child_seeds(s, 2)
         pair = gen_gaussian_mn_pair(d, n_changed, seed=s)
         xp_clean = sample_gaussian(pair.theta_p, n, seed=data_seeds[0])
         xq = sample_gaussian(pair.theta_q, n, seed=data_seeds[1])
         xp_out = inject_outliers(xp_clean, [outlier_value] * d, n_outliers)
+        samples.append((d, pair, xp_out, xp_clean, xq))
+
+    fmap = PairwiseQuadraticFeatures()
+    comment = _config_comment(config)
+    aucs: dict[str, dict[str, float]] = {}
+    for d, pair, xp_out, xp_clean, xq in samples:
+        PhiQ = featurize(xq, fmap)
+        phi_out = featurize(xp_out, fmap)
         conditions = [
-            ("dre_outlier", xp_out, 1.0),
-            ("trdre_outlier", xp_out, nu),
-            ("dre_gold", xp_clean, 1.0),
+            ("dre_outlier", phi_out, base),
+            ("trdre_outlier", phi_out, trimmed),
+            ("dre_gold", featurize(xp_clean, fmap), base),
         ]
         write_matrix_csv(out / f"delta_star_d{d}.csv", pair.delta_star, comment=comment)
-        PhiQ = featurize(xq, fmap)
-        results = []
-        for _, xp, cond_nu in conditions:
-            heat = fit_featurized(featurize(xp, fmap), PhiQ, replace(base, nu=cond_nu))
-            curve = support_curve(xp, xq, pair.delta_star, cond_nu, grid, base, threshold)
-            results.append((heat, curve))
         aucs[str(d)] = {}
-        for (name, _, _), (heat, curve) in zip(conditions, results):
+        for name, PhiP, cfg in conditions:
+            heat = fit_featurized(PhiP, PhiQ, cfg)
+            curve = support_curve(PhiP, PhiQ, pair.delta_star, cfg.nu, grid, cfg, threshold)
             write_matrix_csv(
                 out / f"delta_hat_{name}_d{d}.csv",
                 differential_precision_matrix(heat.delta_best, d),

@@ -11,6 +11,12 @@ Three feature transforms f are provided: identity, pairwise products
 x_i * x_j over the upper triangle (i <= j, row-major), and Gaussian
 kernels centred on a fixed basis set.
 
+A fitted ratio is the pair (delta, PhiQ) and nothing more: log_ratios
+evaluates log rhat at the rows of any feature matrix, so new points are
+featurized once with the fit's feature map and passed in,
+
+    log_ratios(delta, featurize(X, feature_map), PhiQ).
+
 Every normalizer/softmax computation subtracts the maximum exponent
 before exponentiating (log-sum-exp), so inner products of magnitude up
 to several hundred are handled without overflow.
@@ -52,9 +58,6 @@ def as_sample_matrix(X, name: str = "X") -> np.ndarray:
 class LinearFeatures:
     """Identity features f(x) = x."""
 
-    def output_dim(self, d: int) -> int:
-        return d
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         return np.array(X, dtype=float)
 
@@ -66,9 +69,6 @@ class PairwiseQuadraticFeatures:
     For d input coordinates the output has d*(d+1)/2 features ordered
     (1,1), (1,2), ..., (1,d), (2,2), ..., (d,d).
     """
-
-    def output_dim(self, d: int) -> int:
-        return d * (d + 1) // 2
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         d = X.shape[1]
@@ -112,9 +112,6 @@ class GaussianKernelFeatures:
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "bandwidth", bw)
-
-    def output_dim(self, d: int) -> int:
-        return self.basis.shape[0]
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         if X.shape[1] != self.basis.shape[1]:
@@ -203,37 +200,11 @@ def softmax_weights(delta: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
 
 
 def log_ratios(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
-    """Log density ratio at each row of Phi, normalized over PhiQ."""
+    """log rhat at each row of Phi: Phi @ delta - log_normalizer(delta, PhiQ).
+
+    The one evaluator of a fitted ratio outside the ascent loop; Phi holds
+    the features of the points to evaluate, PhiQ those of the sample from
+    q the fit was normalized over.
+    """
     logN = log_normalizer(delta, PhiQ)
     return Phi @ np.asarray(delta, dtype=float) - logN
-
-
-@dataclass(frozen=True)
-class RatioModel:
-    """A fitted ratio rhat(x) = exp(<delta, f(x)> - log_norm).
-
-    The normalizer is cached for the (delta, X_q) pair the model was
-    built from; building a model with a new delta recomputes it.
-    """
-
-    delta: np.ndarray
-    features: FeatureMap
-    log_norm: float
-
-    def log_ratio(self, phi: np.ndarray) -> np.ndarray | float:
-        """Log ratio at a single feature vector or a feature matrix."""
-        phi = np.asarray(phi, dtype=float)
-        if phi.ndim == 1:
-            return float(phi @ self.delta - self.log_norm)
-        return phi @ self.delta - self.log_norm
-
-    def log_ratio_samples(self, X) -> np.ndarray:
-        """Featurize raw samples, then evaluate the log ratio."""
-        return featurize(X, self.features) @ self.delta - self.log_norm
-
-
-def build_ratio_model(delta: np.ndarray, feature_map: FeatureMap, Xq) -> RatioModel:
-    """Assemble a RatioModel, computing the normalizer over Xq."""
-    delta = np.asarray(delta, dtype=float)
-    PhiQ = featurize(Xq, feature_map)
-    return RatioModel(delta=delta.copy(), features=feature_map, log_norm=log_normalizer(delta, PhiQ))

@@ -235,3 +235,29 @@ class TestExperimentCommand:
         assert rc == 2
         assert "lambda_grid must be nonempty, positive, and ascending" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--d-list", "6", "--nu", "1.5"], "nu must lie in (0, 1]"),
+            (["--d-list", "6", "--nu", "0.001"], "keeps no samples"),
+            (["--d-list", "6,1"], "d must be at least 2"),
+            (["--d-list", ""], "d_values must be nonempty"),
+        ],
+        ids=["nu", "nu_keeps_none", "d", "empty"],
+    )
+    def test_bad_mnchange_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "mn"
+        rc = main(["experiment", "mnchange", *flags, "--n", "60", "--n-changed", "4",
+                   "--lambda-grid", "0.3", "--max-iter", "20", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_empty_b_grid_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "o1"
+        rc = main(["experiment", "outlier1d", "--n-good", "80", "--n-out", "20", "--n-q", "100",
+                   "--b-grid", "", "--max-iter", "20", "--out", str(out)])
+        assert rc == 2
+        assert "b_grid must be nonempty" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

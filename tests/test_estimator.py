@@ -324,6 +324,17 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(np.ones((3, 2)), np.ones((3, 3)), LinearFeatures(), TrimConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["p", "q"])
+    def test_non_finite_features_rejected(self, side, bad):
+        # One bad entry in a row the trimming drops would only surface one
+        # iteration later, as a FitDivergedError blaming eta0.
+        rng = np.random.default_rng(21)
+        PhiP, PhiQ = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
+        (PhiP if side == "p" else PhiQ)[3, 1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_featurized(PhiP, PhiQ, TrimConfig(nu=0.8))
+
 
 class TestKliep:
     def test_nu_one_reduction_bit_for_bit(self):

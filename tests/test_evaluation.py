@@ -12,7 +12,7 @@ from trdre.evaluation import (
     support_metrics,
     true_gaussian_log_ratio,
 )
-from trdre.ratio_model import LinearFeatures, build_ratio_model
+from trdre.ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from trdre.synthetic import gen_gaussian_mn_pair, sample_gaussian
 
 
@@ -148,14 +148,15 @@ def mn_data():
     pair = gen_gaussian_mn_pair(6, 3, seed=8)
     Xp = sample_gaussian(pair.theta_p, 300, seed=9)
     Xq = sample_gaussian(pair.theta_q, 300, seed=10)
-    return pair, Xp, Xq
+    fmap = PairwiseQuadraticFeatures()
+    return pair, featurize(Xp, fmap), featurize(Xq, fmap)
 
 
 class TestSupportCurve:
     def test_lambda_sweep_shape_and_extremes(self, mn_data):
-        pair, Xp, Xq = mn_data
+        pair, PhiP, PhiQ = mn_data
         cfg = TrimConfig(eta0=0.1, max_iter=400)
-        curve = support_curve(Xp, Xq, pair.delta_star, nu=1.0,
+        curve = support_curve(PhiP, PhiQ, pair.delta_star, nu=1.0,
                               lambda_grid=[1e-3, 1e-1, 10.0], cfg=cfg)
         assert len(curve.points) == 3
         assert [lam for _, _, lam in curve.points] == [1e-3, 1e-1, 10.0]
@@ -165,12 +166,12 @@ class TestSupportCurve:
         assert 0.0 <= curve.auc <= 1.0
 
     def test_grid_validation(self, mn_data):
-        pair, Xp, Xq = mn_data
+        pair, PhiP, PhiQ = mn_data
         cfg = TrimConfig()
         with pytest.raises(ValueError):
-            support_curve(Xp, Xq, pair.delta_star, 1.0, [], cfg)
+            support_curve(PhiP, PhiQ, pair.delta_star, 1.0, [], cfg)
         with pytest.raises(ValueError):
-            support_curve(Xp, Xq, pair.delta_star, 1.0, [0.1, 0.01], cfg)
+            support_curve(PhiP, PhiQ, pair.delta_star, 1.0, [0.1, 0.01], cfg)
 
 
 class TestRatioCurveError:
@@ -179,28 +180,30 @@ class TestRatioCurveError:
         # normalized model, not the unnormalized analytic line.
         rng = np.random.default_rng(3)
         xq = rng.normal(-0.75, 1.0, size=(4000, 1))
-        model = build_ratio_model(np.array([0.75]), LinearFeatures(), xq)
         grid = np.linspace(-2, 2, 101)
-        err = ratio_curve_error(model, lambda x: model.log_ratio_samples(x[:, None]), grid)
+        fmap = LinearFeatures()
+        lr = log_ratios(np.array([0.75]), featurize(grid, fmap), featurize(xq, fmap))
+        err = ratio_curve_error(lr, lr.copy())
         assert err == 0.0
 
     def test_sup_dominates_l2(self):
         rng = np.random.default_rng(4)
         xq = rng.normal(-0.75, 1.0, size=(4000, 1))
-        model = build_ratio_model(np.array([0.6]), LinearFeatures(), xq)
-        truth = lambda x: true_gaussian_log_ratio(x, 0.0, -0.75)  # noqa: E731
         grid = np.linspace(-2, 2, 101)
-        sup = ratio_curve_error(model, truth, grid, norm="sup")
-        l2 = ratio_curve_error(model, truth, grid, norm="l2")
+        fmap = LinearFeatures()
+        lr = log_ratios(np.array([0.6]), featurize(grid, fmap), featurize(xq, fmap))
+        truth = true_gaussian_log_ratio(grid, 0.0, -0.75)
+        sup = ratio_curve_error(lr, truth, norm="sup")
+        l2 = ratio_curve_error(lr, truth, norm="l2")
         assert sup >= l2 > 0.0
 
     def test_bad_norm_and_grid(self):
-        rng = np.random.default_rng(5)
-        model = build_ratio_model(np.array([0.1]), LinearFeatures(), rng.standard_normal((10, 1)))
         with pytest.raises(ValueError):
-            ratio_curve_error(model, lambda x: x, [0.0], norm="l1")
+            ratio_curve_error([0.0], [0.0], norm="l1")
         with pytest.raises(ValueError):
-            ratio_curve_error(model, lambda x: x, [])
+            ratio_curve_error([], [])
+        with pytest.raises(ValueError):
+            ratio_curve_error([0.0, 1.0], [0.0])
 
 
 class TestErrorScaling:

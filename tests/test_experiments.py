@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 
-from trdre.experiments import _child_seeds, run_outlier1d, run_truncation1d
+from trdre import ratio_model
+from trdre.experiments import _child_seeds, run_mnchange, run_outlier1d, run_truncation1d
 
 
 class TestChildSeeds:
@@ -21,3 +24,24 @@ class TestTruncationRunner:
         curve = np.loadtxt(tmp_path / "ratio_curve.csv", delimiter=",", skiprows=2)
         assert curve.shape == (401, 3)
         assert (tmp_path / "fit_result.json").exists()
+
+
+class TestMnchangeFeaturizesOnce:
+    def test_three_featurize_calls_per_d(self, tmp_path, monkeypatch):
+        # xq, the contaminated and the clean numerator: each featurized once
+        # and shared by the heat-map fit and the support curve.
+        calls = []
+        original = ratio_model.featurize
+
+        def counting(X, feature_map):
+            calls.append(np.shape(X))
+            return original(X, feature_map)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "trdre" or name.startswith("trdre."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+        run_mnchange(tmp_path, d_values=(4, 5), n=40, n_changed=2,
+                     lambda_grid=(0.1, 0.3), max_iter=10)
+        assert len(calls) == 3 * 2

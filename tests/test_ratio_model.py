@@ -12,7 +12,6 @@ from trdre.ratio_model import (
     LinearFeatures,
     PairwiseQuadraticFeatures,
     as_sample_matrix,
-    build_ratio_model,
     feature_map_from_name,
     featurize,
     log_normalizer,
@@ -147,14 +146,14 @@ class TestLogNormalizer:
 
 class TestLogRatio:
     def test_hand_value(self):
-        model = build_ratio_model(np.array([LN2]), LinearFeatures(), np.array([[1.0], [-1.0]]))
-        assert abs(model.log_ratio(np.array([1.0])) - (LN2 - HAND_LOGN)) < 1e-12
-        assert abs(model.log_ratio(np.array([1.0])) - 0.4700036292) < 1e-9
+        (lr,) = log_ratios(np.array([LN2]), np.array([[1.0]]), np.array([[1.0], [-1.0]]))
+        assert abs(lr - (LN2 - HAND_LOGN)) < 1e-12
+        assert abs(lr - 0.4700036292) < 1e-9
 
     def test_zero_delta_gives_zero(self):
         rng = np.random.default_rng(2)
-        model = build_ratio_model(np.zeros(3), LinearFeatures(), rng.standard_normal((5, 3)))
-        assert model.log_ratio(rng.standard_normal(3)) == 0.0
+        PhiQ = featurize(rng.standard_normal((5, 3)), LinearFeatures())
+        assert np.array_equal(log_ratios(np.zeros(3), rng.standard_normal((1, 3)), PhiQ), [0.0])
 
     def test_shift_invariance(self):
         # adding a constant feature column shifts <delta, phi> and log N
@@ -171,14 +170,6 @@ class TestLogRatio:
         lr1 = log_ratios(delta, with_const(x, 1.0), with_const(Xq, 1.0))
         lr2 = log_ratios(delta, with_const(x, 1.0 + shift / delta[2]), with_const(Xq, 1.0 + shift / delta[2]))
         assert np.allclose(lr1, lr2, atol=1e-9)
-
-    def test_normalizer_cache_matches_recompute(self):
-        rng = np.random.default_rng(4)
-        Xq = rng.standard_normal((30, 2))
-        delta = rng.standard_normal(3)
-        model = build_ratio_model(delta, PairwiseQuadraticFeatures(), Xq)
-        recomputed = log_normalizer(delta, featurize(Xq, PairwiseQuadraticFeatures()))
-        assert abs(model.log_norm - recomputed) < 1e-12
 
 
 class TestSoftmax:
