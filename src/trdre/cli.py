@@ -151,6 +151,8 @@ def _echo_seed(seed: int) -> None:
 
 
 def cmd_fit(args) -> int:
+    if args.rbf_bandwidth is not None and args.features != "rbf":
+        raise ValueError(f"--rbf-bandwidth applies only to --features rbf, got --features {args.features}")
     Xp = read_numeric_csv(args.xp)
     Xq = read_numeric_csv(args.xq)
     cfg = TrimConfig(

@@ -1,10 +1,11 @@
 """File I/O: numeric CSV with an optional header, deterministic JSON.
 
-Dialect: comma separated, '.' decimal, UTF-8, finite numeric cells only. Leading
-lines whose first token is not a number (column headers, '#' comment
-lines carrying the resolved config) are skipped on read. Floats are
-written with repr, the shortest round-tripping form; integer cells are
-written without a decimal point. Every writer goes through a
+Dialect: comma separated, '.' decimal, UTF-8 with or without a leading
+byte-order mark (files are written without one), finite numeric cells
+only. Leading lines whose first token is not a number (column headers,
+'#' comment lines carrying the resolved config) are skipped on read.
+Floats are written with repr, the shortest round-tripping form; integer
+cells are written without a decimal point. Every writer goes through a
 temp-file-plus-rename so outputs are atomic; identical content therefore
 yields byte-identical files.
 """
@@ -79,7 +80,9 @@ def read_numeric_csv(path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     in_prefix = True
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading BOM, which would otherwise make the first
+    # cell non-numeric and the first data row be skipped as a header.
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -2,6 +2,12 @@
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so any
 function called twice with the same seed returns identical samples.
+
+scipy is imported inside the three functions that need it
+(sample_gaussian: solve_triangular; sample_truncated_gaussian and
+gen_truncation_1d: ndtr, ndtri), not at module level, so importing
+trdre loads numpy alone and only the Gaussian MN and truncation
+generators pay scipy's import time.
 """
 
 from __future__ import annotations
@@ -9,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr, ndtri
 
 from .ratio_model import as_sample_matrix
 
@@ -82,6 +86,8 @@ def sample_gaussian(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     With precision = L L^T, solving L^T z = eps for standard normal eps
     gives Cov(z) = precision^{-1} without forming the inverse.
     """
+    from scipy.linalg import solve_triangular
+
     P = np.asarray(precision, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"precision must be square, got shape {P.shape}")
@@ -140,6 +146,8 @@ def sample_truncated_gaussian(
     argument strictly positive. Raises when F underflows to zero (upper
     too many sigmas below mu to represent).
     """
+    from scipy.special import ndtr, ndtri
+
     if sigma2 <= 0.0 or not np.isfinite(sigma2):
         raise ValueError(f"sigma2 must be a positive real, got {sigma2}")
     if n < 1:
@@ -163,6 +171,8 @@ def gen_truncation_1d(
     the analytic natural-parameter difference under identity features is
     0.5.
     """
+    from scipy.special import ndtri
+
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1) for a proper truncation, got {nu}")
     xp = np.random.default_rng(seed).standard_normal(n)[:, None]

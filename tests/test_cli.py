@@ -100,6 +100,21 @@ class TestFitCommand:
         assert rc == 2
         assert "nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("features", ["linear", "quadratic"])
+    def test_rbf_bandwidth_without_rbf_exits_2_before_writing(self, sample_csvs, tmp_path, capsys, features):
+        xp, xq = sample_csvs
+        out = tmp_path / "o"
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--features", features,
+                   "--rbf-bandwidth", "2.5", "--out", str(out)])
+        assert rc == 2
+        assert "--rbf-bandwidth applies only to --features rbf" in capsys.readouterr().err
+        assert not out.exists()
+        # checked before the inputs are read
+        rc = main(["fit", "--xp", str(tmp_path / "absent.csv"), "--xq", str(xq),
+                   "--features", features, "--rbf-bandwidth", "2.5", "--out", str(out)])
+        assert rc == 2
+        assert "--rbf-bandwidth" in capsys.readouterr().err
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, sample_csvs, tmp_path, capsys, tol):
         xp, xq = sample_csvs

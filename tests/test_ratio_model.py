@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 
 from trdre.estimator import _data_gradient
 from trdre.ratio_model import (
     GaussianKernelFeatures,
+    _pairwise_distances,
     LinearFeatures,
     PairwiseQuadraticFeatures,
     as_sample_matrix,
@@ -87,6 +89,31 @@ class TestFeaturize:
     def test_median_heuristic_degenerate_fallback(self):
         assert median_pairwise_distance(np.array([[1.0]])) == 1.0
         assert median_pairwise_distance(np.array([[1.0], [1.0]])) == 1.0
+
+    @given(
+        n=st.integers(2, 60),
+        d=st.integers(1, 40),
+        n_dup=st.integers(0, 10),
+        log10_scale=st.integers(-3, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_median_heuristic_matches_pdist_bitwise(self, n, d, n_dup, log10_scale, seed):
+        # scipy is the reference here only; the package computes the
+        # distances in numpy in pdist's summation order
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 10.0**log10_scale
+        X[rng.integers(0, n, n_dup)] = X[rng.integers(0, n, n_dup)]
+        ref = pdist(X)
+        assert _pairwise_distances(X).tobytes() == ref.tobytes()
+        expected = float(np.median(ref))
+        assert median_pairwise_distance(X) == (expected if expected > 0.0 else 1.0)
+
+    def test_median_heuristic_matches_pdist_at_fit_scale(self):
+        X = np.random.default_rng(11).standard_normal((1500, 5)) * 1.7 + 0.3
+        ref = pdist(X)
+        assert _pairwise_distances(X).tobytes() == ref.tobytes()
+        assert median_pairwise_distance(X) == float(np.median(ref))
 
     def test_row_locality(self):
         # each output row depends only on its input row

@@ -72,6 +72,14 @@ class TestCsvRoundTrip:
         assert np.array_equal(read_numeric_csv(p), M)
 
 
+    def test_utf8_bom_keeps_first_row(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.5,2.0\n3.0,4.0\n5.0,6.0\n")
+        assert np.array_equal(read_numeric_csv(p), [[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        p.write_bytes(b"\xef\xbb\xbfx,y\n1.5,2.0\n")
+        assert np.array_equal(read_numeric_csv(p), [[1.5, 2.0]])
+
+
 class TestReadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
