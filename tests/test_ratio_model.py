@@ -10,9 +10,9 @@ from scipy.spatial.distance import pdist
 from trdre.estimator import _data_gradient
 from trdre.ratio_model import (
     GaussianKernelFeatures,
-    _pairwise_distances,
     LinearFeatures,
     PairwiseQuadraticFeatures,
+    _pairwise_distances,
     as_sample_matrix,
     feature_map_from_name,
     featurize,

@@ -71,7 +71,6 @@ class TestCsvRoundTrip:
         write_matrix_csv(p, M, comment="d=3")
         assert np.array_equal(read_numeric_csv(p), M)
 
-
     def test_utf8_bom_keeps_first_row(self, tmp_path):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf1.5,2.0\n3.0,4.0\n5.0,6.0\n")
