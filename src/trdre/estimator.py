@@ -28,6 +28,16 @@ The loop, the oracles (objective, gradient, assign_weights) and
 kkt_check all evaluate delta through one kernel, _evaluate, and rank
 through one helper, _trim, so the oracles check the loop's own
 arithmetic.
+
+Every feature-matrix product goes through np.dot, not the @ operator.
+With identity features on 1-D data PhiP and PhiQ are n-by-1, and for
+that shape numpy's matmul does not take the BLAS path: Phi @ delta takes
+about 7x as long as np.dot(Phi, delta) at n = 5000 (numpy 2.4, x86-64
+OpenBLAS), while both give the same bits for C- and Fortran-ordered
+matrices. A strided view (every other row, say) may differ in the last
+bit, since np.dot copies it for BLAS where @ loops over it; featurize
+and np.asarray never return one. tests/test_estimator.py keeps the @
+form of the loop as a frozen reference and checks the fits bit for bit.
 """
 
 from __future__ import annotations
@@ -62,8 +72,7 @@ class TrimConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.nu <= 1.0):
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
+        _check_nu(self.nu)
         if self.lam < 0.0 or not np.isfinite(self.lam):
             raise ValueError(f"lam must be a finite nonnegative real, got {self.lam}")
         if self.regularizer not in REGULARIZERS:
@@ -111,12 +120,22 @@ class FitResult:
         return np.flatnonzero(self.w_best > 0.0)
 
 
+def _check_nu(nu: float) -> None:
+    if not (0.0 < nu <= 1.0):
+        raise ValueError(f"nu must lie in (0, 1], got {nu}")
+
+
 def keep_count(nu: float, n_p: int) -> int:
-    """Number of kept samples: nu * n_p rounded half-up, must be >= 1."""
+    """Number of kept samples: nu * n_p rounded half-up, must be >= 1.
+
+    nu must lie in (0, 1] (so the count never exceeds n_p); a NaN is
+    rejected like any other value outside that interval.
+    """
+    _check_nu(nu)
     k = int(math.floor(nu * n_p + 0.5))
     if k < 1:
         raise ValueError(f"nu={nu} keeps no samples out of n_p={n_p}")
-    return min(k, n_p)
+    return k
 
 
 def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -132,8 +151,9 @@ def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     values is refilled from lr in index order. The values are then
     bitwise those of lr at the stable argsort's first k indices, and the
     last one is lr at the last kept index tied at t. lr must be NaN-free.
+    The weights are keep * (1 / n): 1.0 * fl(1/n) is fl(1/n), the bits of
+    keep / n, for a multiply in place of a divide.
     """
-    n = lr.size
     low = np.sort(lr)[:k]
     t = low[-1]
     keep = lr <= t
@@ -141,24 +161,27 @@ def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if surplus:
         keep[np.flatnonzero(lr == t)[-surplus:]] = False
     if low[0] <= 0.0 <= t:
-        i, j = np.searchsorted(low, 0.0, "left"), np.searchsorted(low, 0.0, "right")
-        low[i:j] = lr[lr == 0.0][: j - i]
-    return keep / n, low
+        i, j = low.searchsorted(0.0, "left"), low.searchsorted(0.0, "right")
+        if j > i:
+            low[i:j] = lr[lr == 0.0][: j - i]
+    return keep * (1.0 / lr.size), low
 
 
 def _evaluate(
     delta: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """log rhat(x_p_i; delta) for every row of PhiP, and softmax(PhiQ delta)."""
-    logN, sm = _log_mean_exp_and_softmax(PhiQ @ delta)
-    return PhiP @ delta - logN, sm
+    logN, sm = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
+    lr = np.dot(PhiP, delta)
+    lr -= logN
+    return lr, sm
 
 
 def _data_gradient(
     PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float
 ) -> np.ndarray:
     """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio sum."""
-    return PhiP.T @ w - nu * (PhiQ.T @ sm)
+    return np.dot(PhiP.T, w) - nu * np.dot(PhiQ.T, sm)
 
 
 def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
@@ -177,14 +200,26 @@ def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
     return w
 
 
+def _reg_value(delta: np.ndarray, cfg: TrimConfig) -> float:
+    if cfg.regularizer == "none":
+        return 0.0
+    if cfg.regularizer == "l1":
+        return float(np.abs(delta).sum())
+    return float((delta**2).sum())
+
+
+def _reg_subgradient(delta: np.ndarray, cfg: TrimConfig) -> np.ndarray:
+    if cfg.regularizer == "none":
+        return np.zeros_like(delta)
+    if cfg.regularizer == "l1":
+        return np.sign(delta)
+    return 2.0 * delta
+
+
 def reg_value_and_subgradient(delta: np.ndarray, cfg: TrimConfig) -> tuple[float, np.ndarray]:
     """R(delta) and one element of its subdifferential (sign(0) = 0 for l1)."""
     delta = np.asarray(delta, dtype=float)
-    if cfg.regularizer == "none":
-        return 0.0, np.zeros_like(delta)
-    if cfg.regularizer == "l1":
-        return float(np.sum(np.abs(delta))), np.sign(delta)
-    return float(np.sum(delta**2)), 2.0 * delta
+    return _reg_value(delta, cfg), _reg_subgradient(delta, cfg)
 
 
 def objective(
@@ -194,8 +229,7 @@ def objective(
     delta = np.asarray(delta, dtype=float)
     w = np.asarray(w, dtype=float)
     lr, _ = _evaluate(delta, PhiP, PhiQ)
-    reg_val, _ = reg_value_and_subgradient(delta, cfg)
-    return float(w @ lr - cfg.lam * reg_val)
+    return float(w @ lr - cfg.lam * _reg_value(delta, cfg))
 
 
 def gradient(delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
@@ -244,9 +278,8 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     for it in range(cfg.max_iter):
         lr, sm = _evaluate(delta, PhiP, PhiQ)
         w, low = _trim(lr, k)
-        reg_val, reg_sub = reg_value_and_subgradient(delta, cfg)
-        obj = float(np.sum(low) / n_p - cfg.lam * reg_val)
-        if not np.isfinite(obj):
+        obj = float(low.sum() / n_p - cfg.lam * _reg_value(delta, cfg))
+        if not math.isfinite(obj):
             raise FitDivergedError(it, float(np.max(np.abs(delta))))
 
         trace.append((it, obj))
@@ -264,10 +297,13 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
         eta = cfg.eta0 / math.sqrt(it + 1.0)
         # nu_eff = k / n_p, not sum(w): the two can differ in the last bit.
         g = _data_gradient(PhiP, PhiQ, w, sm, nu_eff)
+        # "none" has the zero gradient: g - lam * 0 is g, bit for bit.
         if cfg.regularizer == "l1":
             delta = soft_threshold(delta + eta * g, eta * cfg.lam)
+        elif cfg.regularizer == "l2sq":
+            delta = delta + eta * (g - cfg.lam * _reg_subgradient(delta, cfg))
         else:
-            delta = delta + eta * (g - cfg.lam * reg_sub)
+            delta = delta + eta * g
 
     return FitResult(
         delta_best=delta_best,
@@ -341,8 +377,7 @@ def kkt_check(
     first_bad = int(np.argmax(viol > 1e-12)) if not weight_ok else None
 
     g = _data_gradient(PhiP, PhiQ, w, sm, float(np.sum(w)))
-    _, reg_sub = reg_value_and_subgradient(delta, cfg)
-    per_coord = np.abs(g - cfg.lam * reg_sub)
+    per_coord = np.abs(g - cfg.lam * _reg_subgradient(delta, cfg))
     if cfg.regularizer == "l1":
         # At a zero coordinate the subdifferential is [-lam, lam].
         per_coord = np.where(delta != 0.0, per_coord, np.maximum(np.abs(g) - cfg.lam, 0.0))

@@ -128,6 +128,10 @@ def gen_outlier_1d(
     """
     if n_good < 1 or n_out < 0:
         raise ValueError("need n_good >= 1 and n_out >= 0")
+    if n_q is not None and n_q < 1:
+        raise ValueError(f"n_q must be at least 1, got {n_q}")
+    if not np.isfinite(b):
+        raise ValueError(f"outlier location b must be finite, got {b}")
     rng = np.random.default_rng(seed)
     good = rng.standard_normal(n_good)
     bad = rng.uniform(b - 0.4, b + 0.4, size=n_out)

@@ -161,6 +161,24 @@ class TestGenCommand:
         assert read_numeric_csv(xp).shape == (120, 1)
         assert read_numeric_csv(xq).shape == (150, 1)
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--b", "inf"], "b must be finite"),
+            (["--b", "nan"], "b must be finite"),
+            (["--n-q", "0"], "n_q must be at least 1"),
+        ],
+        ids=["b_inf", "b_nan", "nq_0"],
+    )
+    def test_bad_outlier_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
+        xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"
+        # argparse keeps the last value of a repeated flag
+        rc = main(["gen", "outlier1d", "--n-good", "100", "--n-out", "20", "--b", "3", *flags,
+                   "--out-xp", str(xp), "--out-xq", str(xq)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not xp.exists() and not xq.exists()
+
     def test_mnpair_then_samples(self, tmp_path):
         pair_path = tmp_path / "pair.json"
         rc = main(["gen", "mnpair", "--d", "6", "--n-changed", "3",
@@ -275,4 +293,21 @@ class TestExperimentCommand:
                    "--b-grid", "", "--max-iter", "20", "--out", str(out)])
         assert rc == 2
         assert "b_grid must be nonempty" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--b-grid", "1,inf"], "b must be finite"),
+            (["--b-grid", "1,nan"], "b must be finite"),
+            (["--n-q", "0"], "n_q must be at least 1"),
+        ],
+        ids=["b_inf", "b_nan", "nq_0"],
+    )
+    def test_bad_outlier_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "o1"
+        rc = main(["experiment", "outlier1d", "--n-good", "80", "--n-out", "20", "--n-q", "100",
+                   "--b-grid", "1,3", *flags, "--max-iter", "20", "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())

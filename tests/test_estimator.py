@@ -25,7 +25,13 @@ from trdre.estimator import (
     reg_value_and_subgradient,
     soft_threshold,
 )
-from trdre.ratio_model import LinearFeatures, featurize, log_ratios
+from trdre.ratio_model import (
+    GaussianKernelFeatures,
+    LinearFeatures,
+    PairwiseQuadraticFeatures,
+    featurize,
+    log_ratios,
+)
 from trdre.synthetic import gen_truncation_1d
 
 
@@ -83,6 +89,18 @@ class TestKeepCount:
     def test_zero_keep_is_error(self):
         with pytest.raises(ValueError):
             keep_count(0.01, 10)
+
+    @pytest.mark.parametrize("nu", [1.7, 1.0 + 1e-12, 0.0, -0.5, math.nan, math.inf])
+    def test_nu_outside_unit_interval_is_error(self, nu):
+        lr = np.array([0.5, -1.0, 2.0, 0.0])
+        for call in (
+            lambda: keep_count(nu, 4),
+            lambda: assign_weights(lr, nu),
+            lambda: enumerate_weight_vertices(4, nu),
+            lambda: brute_force_maxmin_1d(lr, lr + 0.5, nu, grid_step=0.5),
+        ):
+            with pytest.raises(ValueError, match=r"nu must lie in \(0, 1\]"):
+                call()
 
 
 class TestAssignWeights:
@@ -472,3 +490,111 @@ class TestSerialization:
         assert d["config"]["nu"] == 0.5 and d["config"]["lambda"] == 0.0
         assert d["kept_indices"] == [int(i) for i in res.kept_indices]
         assert len(d["trace"]) == res.iterations_run
+
+
+# The ascent loop as it was written with the @ operator and an
+# out-of-place softmax, frozen as the reference for the np.dot loop: every
+# field of the result must match it bit for bit.
+
+
+def _ref_log_mean_exp_and_softmax(z):
+    m = float(np.max(z))
+    e = np.exp(z - m)
+    s = float(np.sum(e))
+    w = e / s
+    w /= w.sum()
+    w[w < np.finfo(float).tiny] = 0.0
+    return m + np.log(s / z.size), w
+
+
+def _ref_trim(lr, k):
+    n = lr.size
+    low = np.sort(lr)[:k]
+    t = low[-1]
+    keep = lr <= t
+    surplus = np.count_nonzero(keep) - k
+    if surplus:
+        keep[np.flatnonzero(lr == t)[-surplus:]] = False
+    if low[0] <= 0.0 <= t:
+        i, j = np.searchsorted(low, 0.0, "left"), np.searchsorted(low, 0.0, "right")
+        low[i:j] = lr[lr == 0.0][: j - i]
+    return keep / n, low
+
+
+def _ref_reg(delta, cfg):
+    if cfg.regularizer == "none":
+        return 0.0, np.zeros_like(delta)
+    if cfg.regularizer == "l1":
+        return float(np.sum(np.abs(delta))), np.sign(delta)
+    return float(np.sum(delta**2)), 2.0 * delta
+
+
+def reference_fit(PhiP, PhiQ, cfg):
+    n_p, m = PhiP.shape
+    k = min(int(math.floor(cfg.nu * n_p + 0.5)), n_p)
+    nu_eff = k / n_p
+    delta = np.zeros(m)
+    trace = []
+    best_hist = np.empty(cfg.max_iter)
+    best_obj, delta_best, w_best, t_hat = -np.inf, delta.copy(), np.zeros(n_p), np.nan
+    converged, iterations = False, 0
+    for it in range(cfg.max_iter):
+        logN, sm = _ref_log_mean_exp_and_softmax(PhiQ @ delta)
+        lr = PhiP @ delta - logN
+        w, low = _ref_trim(lr, k)
+        reg_val, reg_sub = _ref_reg(delta, cfg)
+        obj = float(np.sum(low) / n_p - cfg.lam * reg_val)
+        trace.append((it, obj))
+        if obj > best_obj:
+            best_obj, delta_best, w_best, t_hat = obj, delta.copy(), w, float(low[-1])
+        best_hist[it] = best_obj
+        iterations = it + 1
+        if it >= 50 and best_hist[it] - best_hist[it - 50] < cfg.tol:
+            converged = True
+            break
+        eta = cfg.eta0 / math.sqrt(it + 1.0)
+        g = PhiP.T @ w - nu_eff * (PhiQ.T @ sm)
+        if cfg.regularizer == "l1":
+            delta = soft_threshold(delta + eta * g, eta * cfg.lam)
+        else:
+            delta = delta + eta * (g - cfg.lam * reg_sub)
+    return delta_best, w_best, best_obj, t_hat, trace, iterations, converged
+
+
+def _pinned_cases():
+    rng = np.random.default_rng(31)
+    xp1 = np.concatenate([rng.standard_normal(400), rng.uniform(2.6, 3.4, 100)])
+    xq1 = rng.normal(-0.75, 1.0, 500)
+    # Exact zeros among the scores exercise _trim's signed-zero refill.
+    xp1[::37] = 0.0
+    Xp = rng.standard_normal((150, 5))
+    Xq = 1.2 * rng.standard_normal((160, 5))
+    quad, lin = PairwiseQuadraticFeatures(), LinearFeatures()
+    rbf = GaussianKernelFeatures(Xq[:40])
+    return {
+        "linear_m1_nu0.8": (xp1, xq1, lin, TrimConfig(nu=0.8)),
+        "linear_m1_nu1": (xp1, xq1, lin, TrimConfig(nu=1.0)),
+        "quadratic_l1": (Xp, Xq, quad, TrimConfig(nu=0.9, lam=0.05, regularizer="l1", max_iter=600)),
+        "linear_l2sq": (Xp, Xq, lin, TrimConfig(nu=0.85, lam=0.1, regularizer="l2sq", max_iter=600)),
+        "rbf": (Xp[:60], Xq, rbf, TrimConfig(nu=0.9, max_iter=300)),
+    }
+
+
+class TestLoopMatchesFrozenReference:
+    """np.dot products and the in-place softmax leave every bit of a fit as it was."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("case", list(_pinned_cases()))
+    def test_fit_fields_bitwise_equal(self, case, order):
+        xp, xq, fmap, cfg = _pinned_cases()[case]
+        PhiP = np.asarray(featurize(xp, fmap), order=order)
+        PhiQ = np.asarray(featurize(xq, fmap), order=order)
+        res = fit_featurized(PhiP, PhiQ, cfg)
+        delta, w, obj, t_hat, trace, iterations, converged = reference_fit(PhiP, PhiQ, cfg)
+        assert res.iterations_run > 50
+        assert res.delta_best.tobytes() == delta.tobytes()
+        assert res.w_best.tobytes() == w.tobytes()
+        assert np.float64(res.objective_best).tobytes() == np.float64(obj).tobytes()
+        assert np.float64(res.t_hat).tobytes() == np.float64(t_hat).tobytes()
+        assert np.array(res.trace).tobytes() == np.array(trace).tobytes()
+        assert (res.iterations_run, res.converged) == (iterations, converged)

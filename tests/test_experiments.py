@@ -1,8 +1,9 @@
 import sys
 
 import numpy as np
+import pytest
 
-from trdre import ratio_model
+from trdre import experiments, ratio_model
 from trdre.experiments import _child_seeds, run_mnchange, run_outlier1d, run_truncation1d
 
 
@@ -24,6 +25,17 @@ class TestTruncationRunner:
         curve = np.loadtxt(tmp_path / "ratio_curve.csv", delimiter=",", skiprows=2)
         assert curve.shape == (401, 3)
         assert (tmp_path / "fit_result.json").exists()
+
+
+class TestOutlierRunner:
+    def test_bad_b_rejected_before_the_first_fit(self, tmp_path, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit started before the b grid was checked")
+
+        monkeypatch.setattr(experiments, "fit_featurized", no_fit)
+        with pytest.raises(ValueError, match="b must be finite"):
+            run_outlier1d(tmp_path, n_good=40, n_out=10, n_q=50, b_grid=(1.0, float("inf")))
+        assert not any(tmp_path.iterdir())
 
 
 class TestMnchangeFeaturizesOnce:
