@@ -23,7 +23,6 @@ from .estimator import (
     gradient,
     kkt_check,
     objective,
-    reg_value_and_subgradient,
 )
 from .evaluation import (
     SupportCurve,

@@ -5,6 +5,10 @@ outputs atomically, and is deterministic: identical flags and seed give
 byte-identical files. Exit codes: 0 all requested outputs written, 2 bad
 usage or unreadable input (message names the file and line), 3 runtime
 failure such as a diverging fit.
+
+A flag of fit or experiment left unset takes the library default: the
+TrimConfig field for fit, the keyword default of
+trdre.experiments.run_<name> for each experiment.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments
 from .baselines import brute_force_maxmin_1d
-from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, kkt_check
+from .estimator import REGULARIZERS, TrimConfig, fit_featurized, fit_result_to_dict, kkt_check
 from .ratio_model import feature_map_from_name, featurize, log_ratios
 from .storage import read_numeric_csv, write_csv, write_json
 from .synthetic import (
@@ -32,22 +37,36 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
+_TRIM_FIELDS = frozenset(f.name for f in fields(TrimConfig))
 
-def _add_common_fit_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nu", type=float, default=1.0, help="kept-weight fraction in (0, 1], 1 = no trimming")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0, help="regularizer scale")
-    p.add_argument("--regularizer", choices=["none", "l1", "l2sq"], default="none")
-    p.add_argument("--eta0", type=float, default=1.0, help="base step size")
-    p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-7, help="best-objective window tolerance")
+
+def float_list(text: str) -> list[float]:
+    """Comma separated floats; empty items are skipped."""
+    return [float(v) for v in text.split(",") if v != ""]
+
+
+def int_list(text: str) -> list[int]:
+    """Comma separated ints; empty items are skipped."""
+    return [int(v) for v in text.split(",") if v != ""]
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags every experiment shares."""
     p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--eta0", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trdre", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # An unset flag stays out of the namespace, and each flag's dest names the
+    # TrimConfig field or runner keyword it feeds.
+    unset = argparse.SUPPRESS
 
-    p_fit = sub.add_parser("fit", help="fit the trimmed ratio estimator on two CSV samples")
+    p_fit = sub.add_parser("fit", help="fit the trimmed ratio estimator on two CSV samples", argument_default=unset)
     p_fit.add_argument("--xp", required=True, help="numerator sample CSV (rows = samples)")
     p_fit.add_argument("--xq", required=True, help="denominator sample CSV")
     p_fit.add_argument("--features", choices=["linear", "quadratic", "rbf"], default="linear")
@@ -57,52 +76,48 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="rbf kernel bandwidth (default: median pairwise distance of the basis, which is Xq)",
     )
-    _add_common_fit_flags(p_fit)
+    p_fit.add_argument("--nu", type=float, help="kept-weight fraction in (0, 1], 1 = no trimming")
+    p_fit.add_argument("--lambda", dest="lam", type=float, help="regularizer scale")
+    p_fit.add_argument("--regularizer", choices=REGULARIZERS)
+    p_fit.add_argument("--eta0", type=float, help="base step size")
+    p_fit.add_argument("--max-iter", type=int)
+    p_fit.add_argument("--tol", type=float, help="best-objective window tolerance")
+    p_fit.add_argument("--seed", type=int, default=42)
     p_fit.add_argument("--out", required=True, help="output directory")
-    p_fit.add_argument("--verify", action="store_true", help="run optimality self-checks and print results")
+    p_fit.add_argument(
+        "--verify", action="store_true", default=False, help="run optimality self-checks and print results"
+    )
 
     p_exp = sub.add_parser("experiment", help="run a reference experiment")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
 
-    e_tr = exp_sub.add_parser("truncation1d")
-    e_tr.add_argument("--n", type=int, default=5000)
-    e_tr.add_argument("--nu", type=float, default=0.5)
-    e_tr.add_argument("--seed", type=int, default=42)
-    e_tr.add_argument("--eta0", type=float, default=1.0)
-    e_tr.add_argument("--max-iter", type=int, default=5000)
-    e_tr.add_argument("--tol", type=float, default=1e-7)
-    e_tr.add_argument("--out", required=True)
+    e_tr = exp_sub.add_parser("truncation1d", argument_default=unset)
+    e_tr.add_argument("--n", type=int)
+    e_tr.add_argument("--nu", type=float)
+    _add_run_flags(e_tr)
 
-    e_out = exp_sub.add_parser("outlier1d")
-    e_out.add_argument("--n-good", type=int, default=4000)
-    e_out.add_argument("--n-out", type=int, default=1000)
-    e_out.add_argument("--n-q", type=int, default=5000)
-    e_out.add_argument("--b-grid", default="0,1,2,3,4,5,6", help="comma separated outlier locations")
-    e_out.add_argument("--nu", type=float, default=0.8)
-    e_out.add_argument("--seed", type=int, default=42)
-    e_out.add_argument("--eta0", type=float, default=1.0)
-    e_out.add_argument("--max-iter", type=int, default=5000)
-    e_out.add_argument("--tol", type=float, default=1e-7)
-    e_out.add_argument("--out", required=True)
+    e_out = exp_sub.add_parser("outlier1d", argument_default=unset)
+    e_out.add_argument("--n-good", type=int)
+    e_out.add_argument("--n-out", type=int)
+    e_out.add_argument("--n-q", type=int)
+    e_out.add_argument("--b-grid", type=float_list, help="comma separated outlier locations")
+    e_out.add_argument("--nu", type=float)
+    _add_run_flags(e_out)
 
-    e_mn = exp_sub.add_parser("mnchange")
-    e_mn.add_argument("--d-list", default="20,25,36", help="comma separated dimensions")
-    e_mn.add_argument("--n", type=int, default=500)
-    e_mn.add_argument("--n-changed", type=int, default=20)
-    e_mn.add_argument("--nu", type=float, default=0.9)
-    e_mn.add_argument("--lambda", dest="lam", type=float, default=0.0938, help="penalty for the heat maps")
+    e_mn = exp_sub.add_parser("mnchange", argument_default=unset)
+    e_mn.add_argument("--d-list", dest="d_values", metavar="D_LIST", type=int_list, help="comma separated dimensions")
+    e_mn.add_argument("--n", type=int)
+    e_mn.add_argument("--n-changed", type=int)
+    e_mn.add_argument("--nu", type=float)
+    e_mn.add_argument("--lambda", dest="lam_heatmap", metavar="LAM", type=float, help="penalty for the heat maps")
     e_mn.add_argument(
         "--lambda-grid",
-        default=None,
+        type=float_list,
         help="comma separated ascending penalties for the sweep (default: 30 log points in [1e-4, 1])",
     )
-    e_mn.add_argument("--outlier-value", type=float, default=10.0)
-    e_mn.add_argument("--threshold", type=float, default=1e-6)
-    e_mn.add_argument("--seed", type=int, default=42)
-    e_mn.add_argument("--eta0", type=float, default=0.1)
-    e_mn.add_argument("--max-iter", type=int, default=5000)
-    e_mn.add_argument("--tol", type=float, default=1e-7)
-    e_mn.add_argument("--out", required=True)
+    e_mn.add_argument("--outlier-value", type=float)
+    e_mn.add_argument("--threshold", type=float)
+    _add_run_flags(e_mn)
 
     p_gen = sub.add_parser("gen", help="export synthetic datasets")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
@@ -153,12 +168,11 @@ def _echo_seed(seed: int) -> None:
 def cmd_fit(args) -> int:
     if args.rbf_bandwidth is not None and args.features != "rbf":
         raise ValueError(f"--rbf-bandwidth applies only to --features rbf, got --features {args.features}")
+    cfg = TrimConfig(**{k: v for k, v in vars(args).items() if k in _TRIM_FIELDS})
+    if cfg.lam > 0.0 and cfg.regularizer == "none":
+        raise ValueError("--lambda applies only to --regularizer l1 or l2sq, got --regularizer none")
     Xp = read_numeric_csv(args.xp)
     Xq = read_numeric_csv(args.xq)
-    cfg = TrimConfig(
-        nu=args.nu, lam=args.lam, regularizer=args.regularizer,
-        eta0=args.eta0, max_iter=args.max_iter, tol=args.tol, seed=args.seed,
-    )
     fmap = feature_map_from_name(args.features, basis=Xq, bandwidth=args.rbf_bandwidth)
     PhiP, PhiQ = featurize(Xp, fmap), featurize(Xq, fmap)
     result = fit_featurized(PhiP, PhiQ, cfg)
@@ -200,27 +214,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    common = dict(seed=args.seed, eta0=args.eta0, max_iter=args.max_iter, tol=args.tol)
-    if args.experiment == "truncation1d":
-        experiments.run_truncation1d(args.out, n=args.n, nu=args.nu, **common)
-    elif args.experiment == "outlier1d":
-        b_grid = [float(v) for v in args.b_grid.split(",") if v != ""]
-        experiments.run_outlier1d(
-            args.out, n_good=args.n_good, n_out=args.n_out, n_q=args.n_q,
-            b_grid=b_grid, nu=args.nu, **common,
-        )
-    else:
-        d_values = [int(v) for v in args.d_list.split(",") if v != ""]
-        if args.lambda_grid is None:
-            grid = experiments.DEFAULT_LAMBDA_GRID
-        else:
-            grid = [float(v) for v in args.lambda_grid.split(",") if v != ""]
-        experiments.run_mnchange(
-            args.out, d_values=d_values, n=args.n, n_changed=args.n_changed, nu=args.nu,
-            lam_heatmap=args.lam, lambda_grid=grid, outlier_value=args.outlier_value,
-            threshold=args.threshold, **common,
-        )
-    print(f"[trdre] experiment {args.experiment} written to {args.out}")
+    kwargs = dict(vars(args))
+    del kwargs["command"]
+    name = kwargs.pop("experiment")
+    getattr(experiments, f"run_{name}")(**kwargs)
+    print(f"[trdre] experiment {name} written to {kwargs['out_dir']}")
     return EXIT_OK
 
 

@@ -209,17 +209,12 @@ def _reg_value(delta: np.ndarray, cfg: TrimConfig) -> float:
 
 
 def _reg_subgradient(delta: np.ndarray, cfg: TrimConfig) -> np.ndarray:
+    """One element of the subdifferential of R at delta (sign(0) = 0 for l1)."""
     if cfg.regularizer == "none":
         return np.zeros_like(delta)
     if cfg.regularizer == "l1":
         return np.sign(delta)
     return 2.0 * delta
-
-
-def reg_value_and_subgradient(delta: np.ndarray, cfg: TrimConfig) -> tuple[float, np.ndarray]:
-    """R(delta) and one element of its subdifferential (sign(0) = 0 for l1)."""
-    delta = np.asarray(delta, dtype=float)
-    return _reg_value(delta, cfg), _reg_subgradient(delta, cfg)
 
 
 def objective(

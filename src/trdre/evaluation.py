@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import TrimConfig, fit_featurized
+from .estimator import FitDivergedError, TrimConfig, fit_featurized
 from .ratio_model import LinearFeatures, featurize
 from .synthetic import gen_outlier_1d, gen_truncation_1d
 
@@ -92,8 +92,11 @@ class SupportCurve:
 
 def validate_lambda_grid(lambda_grid) -> list[float]:
     """The penalty grid as floats; raises ValueError unless it is
-    nonempty, positive and ascending."""
+    finite, nonempty, positive and ascending."""
     grid = [float(v) for v in lambda_grid]
+    bad = [v for v in grid if not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"lambda_grid must be finite, got {bad[0]}")
     if not grid or any(v <= 0.0 for v in grid) or sorted(grid) != grid:
         raise ValueError("lambda_grid must be nonempty, positive, and ascending")
     return grid
@@ -103,7 +106,6 @@ def support_curve(
     PhiP: np.ndarray,
     PhiQ: np.ndarray,
     delta_star: np.ndarray,
-    nu: float,
     lambda_grid,
     cfg: TrimConfig,
     threshold: float = 1e-6,
@@ -114,8 +116,9 @@ def support_curve(
     (PairwiseQuadraticFeatures), so each fitted delta reads as a
     precision difference. Each grid point runs one l1 fit and scores the
     recovered precision difference against delta_star at the fixed
-    detection threshold. Fit failures are re-raised annotated with the
-    lambda at which they occurred.
+    detection threshold. Each fit keeps cfg's nu, eta0 and stopping rule.
+    A diverged fit is re-raised annotated with the lambda at which it
+    occurred.
     """
     grid = validate_lambda_grid(lambda_grid)
     d = np.asarray(delta_star).shape[0]
@@ -123,8 +126,8 @@ def support_curve(
     points = []
     for lam in grid:
         try:
-            res = fit_featurized(PhiP, PhiQ, replace(cfg, nu=nu, lam=lam, regularizer="l1"))
-        except Exception as exc:
+            res = fit_featurized(PhiP, PhiQ, replace(cfg, lam=lam, regularizer="l1"))
+        except FitDivergedError as exc:
             raise RuntimeError(f"fit failed at lambda={lam}: {exc}") from exc
         dh = differential_precision_matrix(res.delta_best, d)
         tpr, tnr = support_metrics(dh, delta_star, threshold)
@@ -156,20 +159,14 @@ def ratio_curve_error(log_ratio_hat, log_ratio_true, norm: str = "sup") -> float
 _SCALING_PROTOCOLS = ("truncation", "outlier")
 
 
-def error_scaling(
-    protocol: str,
-    n_grid,
-    repeats: int,
-    seed: int,
-    cfg: TrimConfig | None = None,
-) -> list[tuple[int, float]]:
+def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[int, float]]:
     """Mean |delta_hat - delta_star| of 1-D fits as sample size grows.
 
     protocol "truncation" pairs N(0,1) against a half-truncated
     N(-0.5,1) at nu=0.5 (delta_star=0.5); "outlier" contaminates 20% of
     the numerator with a uniform blob at b=6 and fits at nu=0.8
-    (delta_star=0.75). Child seeds are drawn from default_rng(seed), so
-    the whole table is reproducible.
+    (delta_star=0.75). Each fit runs at most 2000 iterations. Child seeds
+    are drawn from default_rng(seed), so the whole table is reproducible.
     """
     if protocol not in _SCALING_PROTOCOLS:
         raise ValueError(f"protocol must be one of {_SCALING_PROTOCOLS}, got {protocol!r}")
@@ -179,8 +176,6 @@ def error_scaling(
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
 
-    if cfg is None:
-        cfg = TrimConfig(max_iter=2000)
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=(len(ns), repeats))
     fmap = LinearFeatures()
     table = []
@@ -190,14 +185,12 @@ def error_scaling(
             s = int(seeds[i, j])
             if protocol == "truncation":
                 xp, xq = gen_truncation_1d(n, nu=0.5, seed=s)
-                run_cfg = replace(cfg, nu=0.5, lam=0.0, regularizer="none")
-                target = 0.5
+                nu, target = 0.5, 0.5
             else:
                 n_out = max(1, int(round(0.2 * n)))
                 xp, xq = gen_outlier_1d(n - n_out, n_out, b=6.0, seed=s, n_q=n)
-                run_cfg = replace(cfg, nu=(n - n_out) / n, lam=0.0, regularizer="none")
-                target = 0.75
-            res = fit_featurized(featurize(xp, fmap), featurize(xq, fmap), run_cfg)
+                nu, target = (n - n_out) / n, 0.75
+            res = fit_featurized(featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu, max_iter=2000))
             errs.append(abs(float(res.delta_best[0]) - target))
         table.append((n, float(np.mean(errs))))
     return table

@@ -22,7 +22,7 @@ from .evaluation import (
     validate_lambda_grid,
 )
 from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
-from .storage import write_csv, write_json, write_matrix_csv
+from .storage import write_csv, write_json
 from .synthetic import (
     gen_gaussian_mn_pair,
     gen_outlier_1d,
@@ -162,6 +162,7 @@ def run_outlier1d(
 
 
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4.0, 0.0, 30))
+MN_OUTLIERS = 1  # copies of the outlier point appended to the contaminated numerator
 
 
 def run_mnchange(
@@ -173,7 +174,6 @@ def run_mnchange(
     lam_heatmap: float = 0.0938,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     outlier_value: float = 10.0,
-    n_outliers: int = 1,
     threshold: float = 1e-6,
     seed: int = 42,
     eta0: float = 0.1,
@@ -205,21 +205,21 @@ def run_mnchange(
         "n_changed": n_changed, "nu": nu, "lam_heatmap": lam_heatmap,
         "lambda_grid_size": len(grid), "lambda_grid_min": min(grid),
         "lambda_grid_max": max(grid), "outlier_value": outlier_value,
-        "n_outliers": n_outliers, "threshold": threshold, "seed": seed,
+        "n_outliers": MN_OUTLIERS, "threshold": threshold, "seed": seed,
         "eta0": eta0, "max_iter": max_iter, "tol": tol,
     }
     base = TrimConfig(eta0=eta0, max_iter=max_iter, tol=tol, seed=seed, regularizer="l1", lam=lam_heatmap)
     # Every config, pair and sample is checked or drawn before the first
     # write, so bad arguments exit without leaving partial output.
     trimmed = replace(base, nu=nu)
-    keep_count(nu, n + n_outliers)
+    keep_count(nu, n + MN_OUTLIERS)
     samples = []
     for d, s in zip(ds, _child_seeds(seed, len(ds))):
         data_seeds = _child_seeds(s, 2)
         pair = gen_gaussian_mn_pair(d, n_changed, seed=s)
         xp_clean = sample_gaussian(pair.theta_p, n, seed=data_seeds[0])
         xq = sample_gaussian(pair.theta_q, n, seed=data_seeds[1])
-        xp_out = inject_outliers(xp_clean, [outlier_value] * d, n_outliers)
+        xp_out = inject_outliers(xp_clean, [outlier_value] * d, MN_OUTLIERS)
         samples.append((d, pair, xp_out, xp_clean, xq))
 
     fmap = PairwiseQuadraticFeatures()
@@ -233,12 +233,12 @@ def run_mnchange(
             ("trdre_outlier", phi_out, trimmed),
             ("dre_gold", featurize(xp_clean, fmap), base),
         ]
-        write_matrix_csv(out / f"delta_star_d{d}.csv", pair.delta_star, comment=comment)
+        write_csv(out / f"delta_star_d{d}.csv", pair.delta_star, comment=comment)
         aucs[str(d)] = {}
         for name, PhiP, cfg in conditions:
             heat = fit_featurized(PhiP, PhiQ, cfg)
-            curve = support_curve(PhiP, PhiQ, pair.delta_star, cfg.nu, grid, cfg, threshold)
-            write_matrix_csv(
+            curve = support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg, threshold)
+            write_csv(
                 out / f"delta_hat_{name}_d{d}.csv",
                 differential_precision_matrix(heat.delta_best, d),
                 comment=comment,

@@ -66,10 +66,6 @@ def write_csv(path, rows, header: list[str] | None = None, comment: str | None =
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def write_matrix_csv(path, M, comment: str | None = None) -> None:
-    write_csv(path, np.asarray(M, dtype=float), header=None, comment=comment)
-
-
 def read_numeric_csv(path) -> np.ndarray:
     """Read a numeric CSV into a 2-D array, skipping leading header lines.
 

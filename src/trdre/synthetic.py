@@ -165,15 +165,12 @@ def sample_truncated_gaussian(
     return np.minimum(x, upper)[:, None]
 
 
-def gen_truncation_1d(
-    n: int, nu: float, seed: int, mu_q: float = -0.5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truncation pair: Xp ~ N(0,1), Xq ~ N(mu_q,1) cut at its nu-quantile
+def gen_truncation_1d(n: int, nu: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Truncation pair: Xp ~ N(0,1), Xq ~ N(-0.5,1) cut at its nu-quantile
     measured under Xp's distribution (upper = Phi^{-1}(nu)).
 
-    Xq uses seed + 1 so the two samples are independent. With mu_q = -0.5
-    the analytic natural-parameter difference under identity features is
-    0.5.
+    Xq uses seed + 1 so the two samples are independent. The analytic
+    natural-parameter difference under identity features is 0.5.
     """
     from scipy.special import ndtri
 
@@ -181,5 +178,5 @@ def gen_truncation_1d(
         raise ValueError(f"nu must lie in (0, 1) for a proper truncation, got {nu}")
     xp = np.random.default_rng(seed).standard_normal(n)[:, None]
     upper = float(ndtri(nu))
-    xq = sample_truncated_gaussian(mu_q, 1.0, upper, n, seed + 1)
+    xq = sample_truncated_gaussian(-0.5, 1.0, upper, n, seed + 1)
     return xp, xq

@@ -10,6 +10,7 @@ full experiment reproductions; later ones take minutes.
 """
 
 import filecmp
+from dataclasses import replace
 
 import numpy as np
 
@@ -206,7 +207,7 @@ def test_08_mn_change_detection():
         ):
             fmap = PairwiseQuadraticFeatures()
             PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
-            aucs[name].append(support_curve(PhiP, PhiQ, pair.delta_star, nu, grid, base).auc)
+            aucs[name].append(support_curve(PhiP, PhiQ, pair.delta_star, grid, replace(base, nu=nu)).auc)
     med = {k: float(np.median(v)) for k, v in aucs.items()}
     margin = med["trdre_outlier"] - med["dre_outlier"]
     gap = med["dre_gold"] - med["trdre_outlier"]

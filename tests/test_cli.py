@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+from trdre import cli, estimator, experiments
 from trdre.cli import main
 from trdre.storage import read_numeric_csv, write_csv
 
@@ -114,6 +116,18 @@ class TestFitCommand:
                    "--features", features, "--rbf-bandwidth", "2.5", "--out", str(out)])
         assert rc == 2
         assert "--rbf-bandwidth" in capsys.readouterr().err
+
+    def test_lambda_without_penalty_exits_2_before_reading(self, sample_csvs, tmp_path, capsys):
+        xp, xq = sample_csvs
+        out = tmp_path / "o"
+        for flags in (["--lambda", "0.5"], ["--lambda", "0.5", "--regularizer", "none"]):
+            rc = main(["fit", "--xp", str(tmp_path / "absent.csv"), "--xq", str(xq), *flags,
+                       "--out", str(out)])
+            assert rc == 2
+            assert "--lambda applies only to --regularizer l1 or l2sq" in capsys.readouterr().err
+            assert not out.exists()
+        # a zero penalty needs no regularizer
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--lambda", "0", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exits_2(self, sample_csvs, tmp_path, capsys, tol):
@@ -269,6 +283,15 @@ class TestExperimentCommand:
         assert "lambda_grid must be nonempty, positive, and ascending" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("grid", ["0.1,inf", "0.1,nan"])
+    def test_non_finite_lambda_grid_exits_2_before_writing(self, tmp_path, capsys, grid):
+        out = tmp_path / "mn"
+        rc = main(["experiment", "mnchange", "--d-list", "6", "--lambda-grid", grid,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "lambda_grid must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -311,3 +334,85 @@ class TestExperimentCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+def _typed(kwargs):
+    # repr tells 1 from 1.0 and [6, 8] from [6.0, 8.0]
+    return {k: repr(v) for k, v in kwargs.items()}
+
+
+RUN_FLAGS = ["--seed", "7", "--eta0", "0.5", "--max-iter", "300", "--tol", "1e-06"]
+RUN_KWARGS = {"seed": 7, "eta0": 0.5, "max_iter": 300, "tol": 1e-06}
+
+
+class TestFlagsReachParameters:
+    """Each flag arrives under the name of the parameter it feeds, parsed;
+    an unset flag stays out, so the library default applies."""
+
+    @pytest.fixture()
+    def runner_calls(self, monkeypatch):
+        calls = []
+        for name in ("truncation1d", "outlier1d", "mnchange"):
+            real = getattr(experiments, f"run_{name}")
+
+            def record(*args, _real=real, _name=name, **kwargs):
+                inspect.signature(_real).bind(*args, **kwargs)
+                calls.append((_name, args, kwargs))
+
+            monkeypatch.setattr(experiments, f"run_{name}", record)
+        return calls
+
+    @pytest.mark.parametrize("name", ["truncation1d", "outlier1d", "mnchange"])
+    def test_only_out_reaches_runner_with_seed(self, runner_calls, tmp_path, name):
+        out = str(tmp_path / "o")
+        assert main(["experiment", name, "--out", out]) == 0
+        assert runner_calls == [(name, (), {"out_dir": out, "seed": 42})]
+
+    @pytest.mark.parametrize(
+        "name, flags, expected",
+        [
+            ("truncation1d", ["--n", "300", "--nu", "0.4"], {"n": 300, "nu": 0.4}),
+            (
+                "outlier1d",
+                ["--n-good", "40", "--n-out", "10", "--n-q", "50", "--b-grid", "1,2", "--nu", "0.7"],
+                {"n_good": 40, "n_out": 10, "n_q": 50, "b_grid": [1.0, 2.0], "nu": 0.7},
+            ),
+            (
+                "mnchange",
+                ["--d-list", "6,8", "--n", "60", "--n-changed", "4", "--nu", "0.8", "--lambda", "0.05",
+                 "--lambda-grid", "0.1,0.3", "--outlier-value", "8", "--threshold", "1e-05"],
+                {"d_values": [6, 8], "n": 60, "n_changed": 4, "nu": 0.8, "lam_heatmap": 0.05,
+                 "lambda_grid": [0.1, 0.3], "outlier_value": 8.0, "threshold": 1e-05},
+            ),
+        ],
+    )
+    def test_every_flag_reaches_its_parameter(self, runner_calls, tmp_path, name, flags, expected):
+        out = str(tmp_path / "o")
+        assert main(["experiment", name, *flags, *RUN_FLAGS, "--out", out]) == 0
+        [(called, args, kwargs)] = runner_calls
+        assert (called, args) == (name, ())
+        assert _typed(kwargs) == _typed({**expected, **RUN_KWARGS, "out_dir": out})
+
+    @pytest.fixture()
+    def trim_configs(self, monkeypatch):
+        calls = []
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            return estimator.TrimConfig(**kwargs)
+
+        monkeypatch.setattr(cli, "TrimConfig", record)
+        return calls
+
+    def test_fit_without_flags_builds_default_config(self, trim_configs, sample_csvs, tmp_path):
+        xp, xq = sample_csvs
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--out", str(tmp_path / "o")]) == 0
+        assert trim_configs == [{"seed": 42}]
+
+    def test_fit_flags_reach_trim_config(self, trim_configs, sample_csvs, tmp_path):
+        xp, xq = sample_csvs
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8", "--lambda", "0.1",
+                   "--regularizer", "l2sq", *RUN_FLAGS, "--out", str(tmp_path / "o"), "--verify"])
+        assert rc == 0
+        [kwargs] = trim_configs
+        assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **RUN_KWARGS})

@@ -12,6 +12,8 @@ from trdre.estimator import (
     FitDivergedError,
     FitResult,
     TrimConfig,
+    _reg_subgradient,
+    _reg_value,
     _trim,
     assign_weights,
     fit,
@@ -22,7 +24,6 @@ from trdre.estimator import (
     keep_count,
     kkt_check,
     objective,
-    reg_value_and_subgradient,
     soft_threshold,
 )
 from trdre.ratio_model import (
@@ -256,11 +257,15 @@ class TestGradient:
 class TestRegularizer:
     def test_values_and_subgradients(self):
         delta = np.array([1.5, 0.0, -2.0])
-        v, s = reg_value_and_subgradient(delta, TrimConfig(regularizer="none"))
+
+        def value_and_subgradient(cfg):
+            return _reg_value(delta, cfg), _reg_subgradient(delta, cfg)
+
+        v, s = value_and_subgradient(TrimConfig(regularizer="none"))
         assert v == 0.0 and np.array_equal(s, np.zeros(3))
-        v, s = reg_value_and_subgradient(delta, TrimConfig(regularizer="l1"))
+        v, s = value_and_subgradient(TrimConfig(regularizer="l1"))
         assert v == 3.5 and np.array_equal(s, [1.0, 0.0, -1.0])
-        v, s = reg_value_and_subgradient(delta, TrimConfig(regularizer="l2sq"))
+        v, s = value_and_subgradient(TrimConfig(regularizer="l2sq"))
         assert v == 6.25 and np.array_equal(s, [3.0, 0.0, -4.0])
 
 

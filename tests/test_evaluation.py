@@ -156,8 +156,7 @@ class TestSupportCurve:
     def test_lambda_sweep_shape_and_extremes(self, mn_data):
         pair, PhiP, PhiQ = mn_data
         cfg = TrimConfig(eta0=0.1, max_iter=400)
-        curve = support_curve(PhiP, PhiQ, pair.delta_star, nu=1.0,
-                              lambda_grid=[1e-3, 1e-1, 10.0], cfg=cfg)
+        curve = support_curve(PhiP, PhiQ, pair.delta_star, lambda_grid=[1e-3, 1e-1, 10.0], cfg=cfg)
         assert len(curve.points) == 3
         assert [lam for _, _, lam in curve.points] == [1e-3, 1e-1, 10.0]
         # a crushing penalty zeroes delta: nothing detected
@@ -169,9 +168,17 @@ class TestSupportCurve:
         pair, PhiP, PhiQ = mn_data
         cfg = TrimConfig()
         with pytest.raises(ValueError):
-            support_curve(PhiP, PhiQ, pair.delta_star, 1.0, [], cfg)
+            support_curve(PhiP, PhiQ, pair.delta_star, [], cfg)
         with pytest.raises(ValueError):
-            support_curve(PhiP, PhiQ, pair.delta_star, 1.0, [0.1, 0.01], cfg)
+            support_curve(PhiP, PhiQ, pair.delta_star, [0.1, 0.01], cfg)
+
+    def test_only_a_diverged_fit_is_annotated(self, mn_data):
+        pair, PhiP, PhiQ = mn_data
+        with pytest.raises(RuntimeError, match="fit failed at lambda=0.1: objective became non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            support_curve(PhiP, PhiQ, pair.delta_star, [0.1], TrimConfig(eta0=1e308))
+        with pytest.raises(ValueError, match="matching feature dimension"):
+            support_curve(PhiP, PhiQ[:, :-1], pair.delta_star, [0.1], TrimConfig())
 
 
 class TestRatioCurveError:

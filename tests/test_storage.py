@@ -6,7 +6,6 @@ from trdre.storage import (
     read_numeric_csv,
     write_csv,
     write_json,
-    write_matrix_csv,
     write_text_atomic,
 )
 
@@ -68,7 +67,7 @@ class TestCsvRoundTrip:
     def test_matrix_csv(self, tmp_path):
         p = tmp_path / "m.csv"
         M = np.arange(6.0).reshape(2, 3)
-        write_matrix_csv(p, M, comment="d=3")
+        write_csv(p, M, comment="d=3")
         assert np.array_equal(read_numeric_csv(p), M)
 
     def test_utf8_bom_keeps_first_row(self, tmp_path):
