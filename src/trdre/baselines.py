@@ -11,6 +11,7 @@ from .estimator import keep_count
 from .ratio_model import as_sample_matrix
 
 _MAX_ENUM = 12
+_GRID_LO, _GRID_HI = -5.0, 5.0  # delta range searched by brute_force_maxmin_1d
 
 
 def enumerate_weight_vertices(n_p: int, nu: float) -> list[np.ndarray]:
@@ -34,22 +35,22 @@ def brute_force_maxmin_1d(
     Xp,
     Xq,
     nu: float,
-    grid_lo: float = -5.0,
-    grid_hi: float = 5.0,
     grid_step: float = 1e-3,
 ) -> tuple[float, float]:
     """Grid-search the scalar max-min trimmed objective with f(x) = x.
 
-    For each grid delta the inner minimum is evaluated exactly as the mean
-    of the k_keep smallest log-ratios over 1/n_p-weighted samples. Returns
+    The grid spans delta in [-5, 5] with spacing grid_step, which covers
+    the analytic targets of the 1-D protocols (0.5 and 0.75). For each
+    grid delta the inner minimum is evaluated exactly as the mean of the
+    k_keep smallest log-ratios over 1/n_p-weighted samples. Returns
     (argmax delta, max value). Unregularized.
     """
     xp = as_sample_matrix(Xp, "Xp").ravel()
     xq = as_sample_matrix(Xq, "Xq").ravel()
     n_p = xp.size
     k = keep_count(nu, n_p)
-    n_grid = int(round((grid_hi - grid_lo) / grid_step)) + 1
-    grid = np.linspace(grid_lo, grid_hi, n_grid)
+    n_grid = int(round((_GRID_HI - _GRID_LO) / grid_step)) + 1
+    grid = np.linspace(_GRID_LO, _GRID_HI, n_grid)
 
     best_val = -math.inf
     best_delta = grid[0]

@@ -3,8 +3,8 @@
 Every command prints the resolved seed on stdout (default 42), writes all
 outputs atomically, and is deterministic: identical flags and seed give
 byte-identical files. Exit codes: 0 all requested outputs written, 2 bad
-usage or unreadable input (message names the file and line), 3 runtime
-failure such as a diverging fit.
+usage, unreadable input or unwritable output (message names the file, and
+the line of a bad CSV cell), 3 runtime failure such as a diverging fit.
 
 A flag of fit or experiment left unset takes the library default: the
 TrimConfig field for fit, the keyword default of
@@ -27,6 +27,10 @@ from .estimator import REGULARIZERS, TrimConfig, fit_featurized, fit_result_to_d
 from .ratio_model import feature_map_from_name, featurize, log_ratios
 from .storage import read_numeric_csv, write_csv, write_json
 from .synthetic import (
+    OUTLIER_N_GOOD,
+    OUTLIER_N_OUT,
+    TRUNCATION_N,
+    TRUNCATION_NU,
     gen_gaussian_mn_pair,
     gen_outlier_1d,
     gen_truncation_1d,
@@ -38,6 +42,7 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 _TRIM_FIELDS = frozenset(f.name for f in fields(TrimConfig))
+_DEFAULT_SEED = TrimConfig.seed  # every command's --seed default
 
 
 def float_list(text: str) -> list[float]:
@@ -51,8 +56,7 @@ def int_list(text: str) -> list[int]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The flags every experiment shares."""
-    p.add_argument("--seed", type=int, default=42)
+    """The flags every experiment shares besides --seed."""
     p.add_argument("--eta0", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--tol", type=float)
@@ -65,8 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     # An unset flag stays out of the namespace, and each flag's dest names the
     # TrimConfig field or runner keyword it feeds.
     unset = argparse.SUPPRESS
+    # Every command takes --seed and echoes it, so it always has a value.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=_DEFAULT_SEED)
 
-    p_fit = sub.add_parser("fit", help="fit the trimmed ratio estimator on two CSV samples", argument_default=unset)
+    p_fit = sub.add_parser(
+        "fit", help="fit the trimmed ratio estimator on two CSV samples", argument_default=unset, parents=[seeded]
+    )
     p_fit.add_argument("--xp", required=True, help="numerator sample CSV (rows = samples)")
     p_fit.add_argument("--xq", required=True, help="denominator sample CSV")
     p_fit.add_argument("--features", choices=["linear", "quadratic", "rbf"], default="linear")
@@ -82,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--eta0", type=float, help="base step size")
     p_fit.add_argument("--max-iter", type=int)
     p_fit.add_argument("--tol", type=float, help="best-objective window tolerance")
-    p_fit.add_argument("--seed", type=int, default=42)
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument(
         "--verify", action="store_true", default=False, help="run optimality self-checks and print results"
@@ -91,12 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a reference experiment")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
 
-    e_tr = exp_sub.add_parser("truncation1d", argument_default=unset)
+    e_tr = exp_sub.add_parser("truncation1d", argument_default=unset, parents=[seeded])
     e_tr.add_argument("--n", type=int)
     e_tr.add_argument("--nu", type=float)
     _add_run_flags(e_tr)
 
-    e_out = exp_sub.add_parser("outlier1d", argument_default=unset)
+    e_out = exp_sub.add_parser("outlier1d", argument_default=unset, parents=[seeded])
     e_out.add_argument("--n-good", type=int)
     e_out.add_argument("--n-out", type=int)
     e_out.add_argument("--n-q", type=int)
@@ -104,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     e_out.add_argument("--nu", type=float)
     _add_run_flags(e_out)
 
-    e_mn = exp_sub.add_parser("mnchange", argument_default=unset)
+    e_mn = exp_sub.add_parser("mnchange", argument_default=unset, parents=[seeded])
     e_mn.add_argument("--d-list", dest="d_values", metavar="D_LIST", type=int_list, help="comma separated dimensions")
     e_mn.add_argument("--n", type=int)
     e_mn.add_argument("--n-changed", type=int)
@@ -122,38 +130,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="export synthetic datasets")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
 
-    g_pair = gen_sub.add_parser("mnpair")
+    g_pair = gen_sub.add_parser("mnpair", parents=[seeded])
     g_pair.add_argument("--d", type=int, required=True)
     g_pair.add_argument("--n-changed", type=int, required=True)
-    g_pair.add_argument("--seed", type=int, default=42)
     g_pair.add_argument("--out", required=True, help="output JSON path")
 
-    g_samp = gen_sub.add_parser("mnsamples")
+    g_samp = gen_sub.add_parser("mnsamples", parents=[seeded])
     g_samp.add_argument("--pair", required=True, help="mnpair JSON path")
     g_samp.add_argument("--which", choices=["p", "q"], required=True)
     g_samp.add_argument("--n", type=int, required=True)
-    g_samp.add_argument("--seed", type=int, default=42)
     g_samp.add_argument("--out", required=True, help="output CSV path")
 
-    g_gauss = gen_sub.add_parser("gaussian")
+    g_gauss = gen_sub.add_parser("gaussian", parents=[seeded])
     g_gauss.add_argument("--precision", required=True, help="precision matrix CSV")
     g_gauss.add_argument("--n", type=int, required=True)
-    g_gauss.add_argument("--seed", type=int, default=42)
     g_gauss.add_argument("--out", required=True)
 
-    g_o1 = gen_sub.add_parser("outlier1d")
-    g_o1.add_argument("--n-good", type=int, default=4000)
-    g_o1.add_argument("--n-out", type=int, default=1000)
+    g_o1 = gen_sub.add_parser("outlier1d", parents=[seeded])
+    g_o1.add_argument("--n-good", type=int, default=OUTLIER_N_GOOD)
+    g_o1.add_argument("--n-out", type=int, default=OUTLIER_N_OUT)
     g_o1.add_argument("--b", type=float, required=True)
     g_o1.add_argument("--n-q", type=int, default=None)
-    g_o1.add_argument("--seed", type=int, default=42)
     g_o1.add_argument("--out-xp", required=True)
     g_o1.add_argument("--out-xq", required=True)
 
-    g_t1 = gen_sub.add_parser("truncation1d")
-    g_t1.add_argument("--n", type=int, default=5000)
-    g_t1.add_argument("--nu", type=float, default=0.5)
-    g_t1.add_argument("--seed", type=int, default=42)
+    g_t1 = gen_sub.add_parser("truncation1d", parents=[seeded])
+    g_t1.add_argument("--n", type=int, default=TRUNCATION_N)
+    g_t1.add_argument("--nu", type=float, default=TRUNCATION_NU)
     g_t1.add_argument("--out-xp", required=True)
     g_t1.add_argument("--out-xq", required=True)
 
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _echo_seed(seed: int) -> None:
-    default_note = " (default)" if seed == 42 else ""
+    default_note = " (default)" if seed == _DEFAULT_SEED else ""
     print(f"[trdre] seed={seed}{default_note}")
 
 
@@ -280,7 +283,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # OSError: an input path that is a directory, an --out that is a file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:

@@ -50,6 +50,7 @@ import numpy as np
 from .ratio_model import FeatureMap, _log_mean_exp_and_softmax, as_sample_matrix, featurize
 
 REGULARIZERS = ("none", "l1", "l2sq")
+STATIONARITY_TOL = 1e-2  # kkt_check's pass mark for the stationarity residual
 
 
 @dataclass(frozen=True)
@@ -351,9 +352,12 @@ def kkt_check(
     PhiQ: np.ndarray,
     cfg: TrimConfig,
     ratio_tol: float = 1e-2,
-    stationarity_tol: float = 1e-2,
 ) -> KKTReport:
-    """Check the saddle-point conditions at result.delta_best."""
+    """Check the saddle-point conditions at result.delta_best.
+
+    Stationarity passes when the residual is at most STATIONARITY_TOL;
+    the report carries that tolerance for printing.
+    """
     delta = result.delta_best
     w = np.asarray(result.w_best, dtype=float)
     n_p = PhiP.shape[0]
@@ -383,9 +387,9 @@ def kkt_check(
         max_weight_violation=max_viol,
         first_bad_index=first_bad,
         stationarity=stationarity,
-        stationarity_ok=stationarity <= stationarity_tol,
+        stationarity_ok=stationarity <= STATIONARITY_TOL,
         ratio_tol=ratio_tol,
-        stationarity_tol=stationarity_tol,
+        stationarity_tol=STATIONARITY_TOL,
     )
 
 

@@ -15,7 +15,9 @@ import numpy as np
 
 from .estimator import FitDivergedError, TrimConfig, fit_featurized
 from .ratio_model import LinearFeatures, featurize
-from .synthetic import gen_outlier_1d, gen_truncation_1d
+from .synthetic import OUTLIER_MU_Q, TRUNCATION_MU_Q, TRUNCATION_NU, gen_outlier_1d, gen_truncation_1d
+
+DETECTION_THRESHOLD = 1e-6  # |delta_hat| above it counts as a detected edge
 
 
 def true_gaussian_log_ratio(x, mu_p: float, mu_q: float):
@@ -48,8 +50,11 @@ def support_metrics(
 
     Both matrices are compared on the upper triangle including the
     diagonal. Degenerate truths (no nonzeros, or no zeros) are rejected
-    since the corresponding rate is undefined.
+    since the corresponding rate is undefined, and so is a threshold that
+    is not a finite nonnegative real (NaN detects nothing, a negative
+    value everything).
     """
+    validate_threshold(threshold)
     dh = np.asarray(delta_hat, dtype=float)
     ds = np.asarray(delta_star, dtype=float)
     if dh.shape != ds.shape or dh.ndim != 2 or dh.shape[0] != dh.shape[1]:
@@ -102,13 +107,19 @@ def validate_lambda_grid(lambda_grid) -> list[float]:
     return grid
 
 
+def validate_threshold(threshold: float) -> None:
+    """Raise ValueError unless the detection threshold is finite and >= 0."""
+    if not (0.0 <= threshold < np.inf):
+        raise ValueError(f"threshold must be a finite nonnegative real, got {threshold}")
+
+
 def support_curve(
     PhiP: np.ndarray,
     PhiQ: np.ndarray,
     delta_star: np.ndarray,
     lambda_grid,
     cfg: TrimConfig,
-    threshold: float = 1e-6,
+    threshold: float = DETECTION_THRESHOLD,
 ) -> SupportCurve:
     """Trace support recovery across an ascending l1 penalty grid.
 
@@ -162,11 +173,12 @@ _SCALING_PROTOCOLS = ("truncation", "outlier")
 def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[int, float]]:
     """Mean |delta_hat - delta_star| of 1-D fits as sample size grows.
 
-    protocol "truncation" pairs N(0,1) against a half-truncated
-    N(-0.5,1) at nu=0.5 (delta_star=0.5); "outlier" contaminates 20% of
-    the numerator with a uniform blob at b=6 and fits at nu=0.8
-    (delta_star=0.75). Each fit runs at most 2000 iterations. Child seeds
-    are drawn from default_rng(seed), so the whole table is reproducible.
+    protocol "truncation" draws gen_truncation_1d and fits at nu =
+    TRUNCATION_NU (delta_star = -TRUNCATION_MU_Q, 0.5); "outlier"
+    contaminates 20% of gen_outlier_1d's numerator with a uniform blob at
+    b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Each fit
+    runs at most 2000 iterations. Child seeds are drawn from
+    default_rng(seed), so the whole table is reproducible.
     """
     if protocol not in _SCALING_PROTOCOLS:
         raise ValueError(f"protocol must be one of {_SCALING_PROTOCOLS}, got {protocol!r}")
@@ -184,12 +196,12 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
         for j in range(repeats):
             s = int(seeds[i, j])
             if protocol == "truncation":
-                xp, xq = gen_truncation_1d(n, nu=0.5, seed=s)
-                nu, target = 0.5, 0.5
+                xp, xq = gen_truncation_1d(n, nu=TRUNCATION_NU, seed=s)
+                nu, target = TRUNCATION_NU, -TRUNCATION_MU_Q
             else:
                 n_out = max(1, int(round(0.2 * n)))
                 xp, xq = gen_outlier_1d(n - n_out, n_out, b=6.0, seed=s, n_q=n)
-                nu, target = (n - n_out) / n, 0.75
+                nu, target = (n - n_out) / n, -OUTLIER_MU_Q
             res = fit_featurized(featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu, max_iter=2000))
             errs.append(abs(float(res.delta_best[0]) - target))
         table.append((n, float(np.mean(errs))))

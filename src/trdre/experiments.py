@@ -15,15 +15,23 @@ import numpy as np
 
 from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, keep_count, kkt_check
 from .evaluation import (
+    DETECTION_THRESHOLD,
     differential_precision_matrix,
     ratio_curve_error,
     support_curve,
     true_gaussian_log_ratio,
     validate_lambda_grid,
+    validate_threshold,
 )
 from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from .storage import write_csv, write_json
 from .synthetic import (
+    OUTLIER_MU_Q,
+    OUTLIER_N_GOOD,
+    OUTLIER_N_OUT,
+    TRUNCATION_MU_Q,
+    TRUNCATION_N,
+    TRUNCATION_NU,
     gen_gaussian_mn_pair,
     gen_outlier_1d,
     gen_truncation_1d,
@@ -46,14 +54,15 @@ def _config_comment(cfg: dict) -> str:
 
 def run_truncation1d(
     out_dir,
-    n: int = 5000,
-    nu: float = 0.5,
-    seed: int = 42,
-    eta0: float = 1.0,
-    max_iter: int = 5000,
-    tol: float = 1e-7,
+    n: int = TRUNCATION_N,
+    nu: float = TRUNCATION_NU,
+    seed: int = TrimConfig.seed,
+    eta0: float = TrimConfig.eta0,
+    max_iter: int = TrimConfig.max_iter,
+    tol: float = TrimConfig.tol,
 ) -> dict:
-    """Fit a half-truncated denominator; the analytic target is 0.5."""
+    """Fit a half-truncated denominator; the analytic target is
+    -TRUNCATION_MU_Q = 0.5."""
     out = Path(out_dir)
     config = {
         "experiment": "truncation1d", "n": n, "nu": nu, "seed": seed,
@@ -67,12 +76,12 @@ def run_truncation1d(
     report = kkt_check(res, PhiP, PhiQ, cfg)
 
     lr_hat = log_ratios(res.delta_best, featurize(CURVE_GRID, fmap), PhiQ)
-    lr_true = true_gaussian_log_ratio(CURVE_GRID, 0.0, -0.5)
+    lr_true = true_gaussian_log_ratio(CURVE_GRID, 0.0, TRUNCATION_MU_Q)
     band = np.abs(CURVE_GRID) <= ERROR_BAND
     summary = {
         "config": config,
         "delta_hat": float(res.delta_best[0]),
-        "delta_star": 0.5,
+        "delta_star": -TRUNCATION_MU_Q,
         "t_hat": res.t_hat,
         "objective_best": res.objective_best,
         "kept_fraction": len(res.kept_indices) / n,
@@ -96,20 +105,21 @@ def run_truncation1d(
 
 def run_outlier1d(
     out_dir,
-    n_good: int = 4000,
-    n_out: int = 1000,
+    n_good: int = OUTLIER_N_GOOD,
+    n_out: int = OUTLIER_N_OUT,
     n_q: int = 5000,
     b_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
     nu: float = 0.8,
-    seed: int = 42,
-    eta0: float = 1.0,
-    max_iter: int = 5000,
-    tol: float = 1e-7,
+    seed: int = TrimConfig.seed,
+    eta0: float = TrimConfig.eta0,
+    max_iter: int = TrimConfig.max_iter,
+    tol: float = TrimConfig.tol,
 ) -> dict:
     """Sweep the outlier location b; trimmed and untrimmed fits per b.
 
-    The denominator is N(-0.75, 1), so a clean numerator would give a
-    natural-parameter difference of 0.75 under identity features.
+    The denominator is N(OUTLIER_MU_Q, 1), so a clean numerator would
+    give a natural-parameter difference of -OUTLIER_MU_Q = 0.75 under
+    identity features.
     """
     out = Path(out_dir)
     bs = [float(b) for b in b_grid]
@@ -130,7 +140,7 @@ def run_outlier1d(
     fmap = LinearFeatures()
     band = CURVE_GRID[np.abs(CURVE_GRID) <= ERROR_BAND]
     phi_band = featurize(band, fmap)
-    lr_true = true_gaussian_log_ratio(band, 0.0, -0.75)
+    lr_true = true_gaussian_log_ratio(band, 0.0, OUTLIER_MU_Q)
 
     rows = []
     for b, s in zip(bs, seeds):
@@ -156,7 +166,7 @@ def run_outlier1d(
         header=cols,
         comment=_config_comment(config),
     )
-    summary = {"config": config, "delta_star": 0.75, "rows": rows}
+    summary = {"config": config, "delta_star": -OUTLIER_MU_Q, "rows": rows}
     write_json(out / "summary.json", summary)
     return summary
 
@@ -174,11 +184,11 @@ def run_mnchange(
     lam_heatmap: float = 0.0938,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     outlier_value: float = 10.0,
-    threshold: float = 1e-6,
-    seed: int = 42,
+    threshold: float = DETECTION_THRESHOLD,
+    seed: int = TrimConfig.seed,
     eta0: float = 0.1,
-    max_iter: int = 5000,
-    tol: float = 1e-7,
+    max_iter: int = TrimConfig.max_iter,
+    tol: float = TrimConfig.tol,
 ) -> dict:
     """Structure change detection between two Gaussian MNs.
 
@@ -200,6 +210,7 @@ def run_mnchange(
     if not ds:
         raise ValueError("d_values must be nonempty")
     grid = validate_lambda_grid(lambda_grid)
+    validate_threshold(threshold)
     config = {
         "experiment": "mnchange", "d_values": ",".join(str(d) for d in ds), "n": n,
         "n_changed": n_changed, "nu": nu, "lam_heatmap": lam_heatmap,

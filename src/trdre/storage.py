@@ -12,6 +12,8 @@ yields byte-identical files.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 import math
 import os
@@ -70,37 +72,44 @@ def read_numeric_csv(path) -> np.ndarray:
     """Read a numeric CSV into a 2-D array, skipping leading header lines.
 
     Raises FileNotFoundError for a missing path and CsvParseError (with a
-    1-based line number) for malformed or non-finite cells and ragged rows.
+    1-based line number) for bytes that are not UTF-8, malformed or
+    non-finite cells and ragged rows.
     """
     path = Path(path)
+    # A leading BOM would otherwise make the first cell non-numeric and the
+    # first data row be skipped as a header.
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks at \n, \r and \r\n, as the line loop does.
+        line_no = len(data[: exc.start + 1].splitlines())
+        raise CsvParseError(path, line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
     rows: list[list[float]] = []
     width = None
     in_prefix = True
-    # utf-8-sig drops a leading BOM, which would otherwise make the first
-    # cell non-numeric and the first data row be skipped as a header.
-    with open(path, encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if in_prefix:
-                try:
-                    float(cells[0])
-                except ValueError:
-                    continue  # header or comment line
-                in_prefix = False
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if in_prefix:
             try:
-                row = [float(c) for c in cells]
-            except ValueError as exc:
-                raise CsvParseError(path, line_no, f"non-numeric cell: {exc}") from None
-            if not all(math.isfinite(v) for v in row):
-                raise CsvParseError(path, line_no, "non-finite cell (nan or inf)")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise CsvParseError(path, line_no, f"expected {width} columns, got {len(row)}")
-            rows.append(row)
+                float(cells[0])
+            except ValueError:
+                continue  # header or comment line
+            in_prefix = False
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as exc:
+            raise CsvParseError(path, line_no, f"non-numeric cell: {exc}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise CsvParseError(path, line_no, "non-finite cell (nan or inf)")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise CsvParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise CsvParseError(path, 1, "no numeric rows found")
     return np.asarray(rows, dtype=float)

@@ -20,6 +20,15 @@ from .ratio_model import as_sample_matrix
 
 _MAX_PD_TRIES = 100
 
+# The two 1-D protocols draw Xp's inliers from N(0, 1) and Xq from
+# N(mu_q, 1), so under identity features the analytic natural-parameter
+# difference is delta_star = -mu_q. The sizes are the paper-scale
+# defaults of the 1-D experiments and of `trdre gen`.
+OUTLIER_MU_Q = -0.75
+OUTLIER_N_GOOD, OUTLIER_N_OUT = 4000, 1000
+TRUNCATION_MU_Q = -0.5
+TRUNCATION_N, TRUNCATION_NU = 5000, 0.5
+
 
 @dataclass(frozen=True)
 class GaussianMNPair:
@@ -122,9 +131,10 @@ def gen_outlier_1d(
     """Contaminated 1-D pair: Xp mixes inliers with a uniform blob at b.
 
     Xp shuffles n_good draws from N(0, 1) with n_out draws from
-    U(b - 0.4, b + 0.4); Xq holds draws from N(-0.75, 1), n_good of them
-    unless n_q is given. Against this q the clean numerator has analytic
-    natural-parameter difference 0.75 under identity features.
+    U(b - 0.4, b + 0.4); Xq holds draws from N(OUTLIER_MU_Q, 1) =
+    N(-0.75, 1), n_good of them unless n_q is given. Against this q the
+    clean numerator has analytic natural-parameter difference
+    -OUTLIER_MU_Q = 0.75 under identity features.
     """
     if n_good < 1 or n_out < 0:
         raise ValueError("need n_good >= 1 and n_out >= 0")
@@ -136,7 +146,7 @@ def gen_outlier_1d(
     good = rng.standard_normal(n_good)
     bad = rng.uniform(b - 0.4, b + 0.4, size=n_out)
     xp = rng.permutation(np.concatenate([good, bad]))
-    xq = rng.normal(-0.75, 1.0, size=n_good if n_q is None else n_q)
+    xq = rng.normal(OUTLIER_MU_Q, 1.0, size=n_good if n_q is None else n_q)
     return xp[:, None], xq[:, None]
 
 
@@ -166,11 +176,13 @@ def sample_truncated_gaussian(
 
 
 def gen_truncation_1d(n: int, nu: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncation pair: Xp ~ N(0,1), Xq ~ N(-0.5,1) cut at its nu-quantile
-    measured under Xp's distribution (upper = Phi^{-1}(nu)).
+    """Truncation pair: Xp ~ N(0,1), Xq ~ N(TRUNCATION_MU_Q, 1) =
+    N(-0.5, 1) cut at its nu-quantile measured under Xp's distribution
+    (upper = Phi^{-1}(nu)).
 
     Xq uses seed + 1 so the two samples are independent. The analytic
-    natural-parameter difference under identity features is 0.5.
+    natural-parameter difference under identity features is
+    -TRUNCATION_MU_Q = 0.5.
     """
     from scipy.special import ndtri
 
@@ -178,5 +190,5 @@ def gen_truncation_1d(n: int, nu: float, seed: int) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"nu must lie in (0, 1) for a proper truncation, got {nu}")
     xp = np.random.default_rng(seed).standard_normal(n)[:, None]
     upper = float(ndtri(nu))
-    xq = sample_truncated_gaussian(-0.5, 1.0, upper, n, seed + 1)
+    xq = sample_truncated_gaussian(TRUNCATION_MU_Q, 1.0, upper, n, seed + 1)
     return xp, xq

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 
@@ -77,6 +78,25 @@ class TestFitCommand:
                     "--xq", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    def test_directory_input_exits_2_naming_it(self, sample_csvs, tmp_path, capsys):
+        _, xq = sample_csvs
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        out = tmp_path / "o"
+        rc = main(["fit", "--xp", str(folder), "--xq", str(xq), "--out", str(out)])
+        assert rc == 2
+        assert str(folder) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_2_naming_it(self, sample_csvs, tmp_path, capsys):
+        xp, xq = sample_csvs
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
 
     def test_malformed_csv_exits_2_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -218,6 +238,16 @@ class TestGenCommand:
         assert "pair.json" in err and "theta_q" in err
         assert not out.exists()
 
+    def test_mnsamples_directory_pair_exits_2_naming_it(self, tmp_path, capsys):
+        folder = tmp_path / "pair.json"
+        folder.mkdir()
+        out = tmp_path / "x.csv"
+        rc = main(["gen", "mnsamples", "--pair", str(folder), "--which", "q",
+                   "--n", "5", "--out", str(out)])
+        assert rc == 2
+        assert str(folder) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gaussian_from_precision_csv(self, tmp_path):
         prec = tmp_path / "prec.csv"
         write_csv(prec, np.eye(3) * 2.0)
@@ -274,6 +304,15 @@ class TestExperimentCommand:
         curve = read_numeric_csv(out / "curve_trdre_outlier_d6.csv")
         assert curve.shape == (2, 3)
 
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        rc = main(["experiment", "truncation1d", "--n", "200", "--max-iter", "50",
+                   "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
+
     @pytest.mark.parametrize("grid", ["0.3,0.05", ""])
     def test_bad_lambda_grid_exits_2_before_writing(self, tmp_path, capsys, grid):
         out = tmp_path / "mn"
@@ -299,8 +338,11 @@ class TestExperimentCommand:
             (["--d-list", "6", "--nu", "0.001"], "keeps no samples"),
             (["--d-list", "6,1"], "d must be at least 2"),
             (["--d-list", ""], "d_values must be nonempty"),
+            (["--d-list", "6", "--threshold", "nan"], "threshold must be a finite nonnegative real"),
+            (["--d-list", "6", "--threshold", "inf"], "threshold must be a finite nonnegative real"),
+            (["--d-list", "6", "--threshold", "-1"], "threshold must be a finite nonnegative real"),
         ],
-        ids=["nu", "nu_keeps_none", "d", "empty"],
+        ids=["nu", "nu_keeps_none", "d", "empty", "threshold_nan", "threshold_inf", "threshold_negative"],
     )
     def test_bad_mnchange_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "mn"
@@ -416,3 +458,20 @@ class TestFlagsReachParameters:
         assert rc == 0
         [kwargs] = trim_configs
         assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **RUN_KWARGS})
+
+
+def _leaf_parsers(parser):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for child in action.choices.values():
+            yield from _leaf_parsers(child)
+
+
+def test_every_command_defaults_seed_to_trim_config():
+    leaves = list(_leaf_parsers(cli.build_parser()))
+    assert len(leaves) == 9  # fit, three experiments, five generators
+    for leaf in leaves:
+        [seed] = [a for a in leaf._actions if a.dest == "seed"]
+        assert seed.default == estimator.TrimConfig.seed, leaf.prog

@@ -119,6 +119,12 @@ class TestSupportMetrics:
         with pytest.raises(ValueError):
             support_metrics(np.zeros((2, 2)), np.ones((2, 2)), 0.1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_bad_threshold_rejected(self, threshold):
+        ds = np.array([[0.0, 0.3], [0.3, 0.0]])
+        with pytest.raises(ValueError, match="threshold must be a finite nonnegative real"):
+            support_metrics(ds, ds, threshold)
+
 
 class TestAuc:
     def test_anchors_alone_give_half(self):

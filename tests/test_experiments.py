@@ -1,9 +1,11 @@
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
 from trdre import experiments, ratio_model
+from trdre.estimator import TrimConfig
 from trdre.experiments import _child_seeds, run_mnchange, run_outlier1d, run_truncation1d
 
 
@@ -14,6 +16,17 @@ class TestChildSeeds:
         assert len(set(a)) == 8
         assert a != _child_seeds(43, 8)
         assert all(0 <= s < 2**63 for s in a)
+
+
+@pytest.mark.parametrize("runner", [run_truncation1d, run_outlier1d, run_mnchange])
+def test_fit_defaults_are_trim_config_defaults(runner):
+    params = inspect.signature(runner).parameters
+    names = ["seed", "eta0", "max_iter", "tol"]
+    if runner is run_mnchange:
+        names.remove("eta0")  # a documented 0.1: a unit first step overshoots there
+        assert params["eta0"].default == 0.1
+    for name in names:
+        assert params[name].default == getattr(TrimConfig, name), name
 
 
 class TestTruncationRunner:

@@ -114,6 +114,33 @@ class TestReadErrors:
         with pytest.raises(CsvParseError):
             read_numeric_csv(p)
 
+    @pytest.mark.parametrize(
+        "data, line_no",
+        [
+            (b"\xff\xfex\x00\n\x001\x00\n", 1),  # UTF-16 with its byte-order mark
+            (b"\xef\xbb\xbfx\r1\r2\xe9\r", 3),  # UTF-8 BOM, old Mac line ends
+            (b"x\r\n1\r\n\r\n2\r\n\xc3", 5),  # truncated sequence at the end
+        ],
+        ids=["utf16", "cr", "crlf_truncated"],
+    )
+    def test_undecodable_bytes_name_file_and_line(self, tmp_path, data, line_no):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        with pytest.raises(CsvParseError) as ei:
+            read_numeric_csv(p)
+        assert ei.value.line_no == line_no
+        assert f"{p}:{line_no}: not UTF-8" in str(ei.value)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends_and_line_numbers(self, tmp_path, end):
+        p = tmp_path / "ends.csv"
+        p.write_bytes(end.join(["x,y", "1,2", "", "3,4", ""]).encode())
+        assert np.array_equal(read_numeric_csv(p), [[1.0, 2.0], [3.0, 4.0]])
+        p.write_bytes(end.join(["x,y", "1,2", "", "3", ""]).encode())
+        with pytest.raises(CsvParseError) as ei:
+            read_numeric_csv(p)
+        assert ei.value.line_no == 4
+
     def test_blank_lines_ignored(self, tmp_path):
         p = tmp_path / "blank.csv"
         p.write_text("\n# c\n\nx\n1.5\n\n2.5\n")
