@@ -1,10 +1,11 @@
 """Command line interface: fit, experiment, gen.
 
-Every command prints the resolved seed on stdout (default 42), writes all
-outputs atomically, and is deterministic: identical flags and seed give
-byte-identical files. Exit codes: 0 all requested outputs written, 2 bad
-usage, unreadable input or unwritable output (message names the file, and
-the line of a bad CSV cell), 3 runtime failure such as a diverging fit.
+Every command prints the resolved seed on stdout (default 42), writes
+each output file atomically, and is deterministic: identical flags and
+seed give byte-identical files. Exit codes: 0 all requested outputs
+written, 2 bad usage, unreadable input or unwritable output (message
+names the file, and the line of a bad CSV cell), 3 runtime failure such
+as a diverging fit.
 
 A flag of fit or experiment left unset takes the library default: the
 TrimConfig field for fit, the keyword default of
@@ -176,6 +177,8 @@ def cmd_fit(args) -> int:
         raise ValueError("--lambda applies only to --regularizer l1 or l2sq, got --regularizer none")
     Xp = read_numeric_csv(args.xp)
     Xq = read_numeric_csv(args.xq)
+    if Xp.shape[1] != Xq.shape[1]:
+        raise ValueError(f"column counts differ: {args.xp} has {Xp.shape[1]}, {args.xq} has {Xq.shape[1]}")
     fmap = feature_map_from_name(args.features, basis=Xq, bandwidth=args.rbf_bandwidth)
     PhiP, PhiQ = featurize(Xp, fmap), featurize(Xq, fmap)
     result = fit_featurized(PhiP, PhiQ, cfg)

@@ -25,32 +25,25 @@ coefficients reach exact zeros; the other two fold the regularizer's
 gradient into the step ("none" has the zero gradient).
 
 The loop, the oracles (objective, gradient, assign_weights) and
-kkt_check all evaluate delta through one kernel, _evaluate, and rank
-through one helper, _trim, so the oracles check the loop's own
-arithmetic.
-
-Every feature-matrix product goes through np.dot, not the @ operator.
-With identity features on 1-D data PhiP and PhiQ are n-by-1, and for
-that shape numpy's matmul does not take the BLAS path: Phi @ delta takes
-about 7x as long as np.dot(Phi, delta) at n = 5000 (numpy 2.4, x86-64
-OpenBLAS), while both give the same bits for C- and Fortran-ordered
-matrices. A strided view (every other row, say) may differ in the last
-bit, since np.dot copies it for BLAS where @ loops over it; featurize
-and np.asarray never return one. tests/test_estimator.py keeps the @
-form of the loop as a frozen reference and checks the fits bit for bit.
+kkt_check all evaluate delta through one kernel, ratio_model._evaluate
+(log_ratios returns its first output), and rank through one helper,
+_trim, so the oracles check the loop's own arithmetic. Every
+feature-matrix product goes through np.dot, for the reason the
+ratio_model docstring gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .ratio_model import FeatureMap, _log_mean_exp_and_softmax, as_sample_matrix, featurize
+from .ratio_model import FeatureMap, _evaluate, as_sample_matrix, featurize
 
 REGULARIZERS = ("none", "l1", "l2sq")
 STATIONARITY_TOL = 1e-2  # kkt_check's pass mark for the stationarity residual
+RATIO_TOL = 1e-2  # half-width of kkt_check's band around t_hat
 
 
 @dataclass(frozen=True)
@@ -168,16 +161,6 @@ def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return keep * (1.0 / lr.size), low
 
 
-def _evaluate(
-    delta: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """log rhat(x_p_i; delta) for every row of PhiP, and softmax(PhiQ delta)."""
-    logN, sm = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
-    lr = np.dot(PhiP, delta)
-    lr -= logN
-    return lr, sm
-
-
 def _data_gradient(
     PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float
 ) -> np.ndarray:
@@ -269,7 +252,6 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     w_best = np.zeros(n_p)
     t_hat = np.nan
     converged = False
-    iterations = 0
 
     for it in range(cfg.max_iter):
         lr, sm = _evaluate(delta, PhiP, PhiQ)
@@ -285,7 +267,6 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
             w_best = w
             t_hat = float(low[-1])
         best_hist[it] = best_obj
-        iterations = it + 1
         if it >= 50 and best_hist[it] - best_hist[it - 50] < cfg.tol:
             converged = True
             break
@@ -307,7 +288,7 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
         objective_best=best_obj,
         t_hat=t_hat,
         trace=trace,
-        iterations_run=iterations,
+        iterations_run=len(trace),
         converged=converged,
     )
 
@@ -330,8 +311,8 @@ def fit_kliep(Xp, Xq, feature_map: FeatureMap, cfg: TrimConfig) -> FitResult:
 class KKTReport:
     """Optimality diagnostics for a fitted (delta, w) pair.
 
-    Weight structure: entries with log-ratio below t_hat - ratio_tol must
-    carry weight 1/n_p, entries above t_hat + ratio_tol must carry 0;
+    Weight structure: entries with log-ratio below t_hat - RATIO_TOL must
+    carry weight 1/n_p, entries above t_hat + RATIO_TOL must carry 0;
     entries inside the band may take any value in [0, 1/n_p]. Stationarity
     is the sup-norm distance of the data gradient from lam times the
     regularizer's subdifferential (minimal-norm element at zeros).
@@ -346,32 +327,23 @@ class KKTReport:
     stationarity_tol: float
 
 
-def kkt_check(
-    result: FitResult,
-    PhiP: np.ndarray,
-    PhiQ: np.ndarray,
-    cfg: TrimConfig,
-    ratio_tol: float = 1e-2,
-) -> KKTReport:
+def kkt_check(result: FitResult, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> KKTReport:
     """Check the saddle-point conditions at result.delta_best.
 
-    Stationarity passes when the residual is at most STATIONARITY_TOL;
-    the report carries that tolerance for printing.
+    The weight band has half-width RATIO_TOL; stationarity passes when
+    the residual is at most STATIONARITY_TOL. The report carries both
+    tolerances for printing.
     """
     delta = result.delta_best
     w = np.asarray(result.w_best, dtype=float)
-    n_p = PhiP.shape[0]
     lr, sm = _evaluate(delta, PhiP, PhiQ)
 
-    cap = 1.0 / n_p
-    must_keep = lr < result.t_hat - ratio_tol
-    must_drop = lr > result.t_hat + ratio_tol
-    viol = np.zeros(n_p)
-    viol[must_keep] = np.abs(w[must_keep] - cap)
-    viol[must_drop] = np.abs(w[must_drop])
-    in_band = ~(must_keep | must_drop)
-    viol[in_band] = np.maximum(np.maximum(-w[in_band], w[in_band] - cap), 0.0)
-    max_viol = float(np.max(viol)) if n_p else 0.0
+    # w_i must lie in [lo_i, hi_i]: {1/n_p} below the band, {0} above it.
+    cap = 1.0 / PhiP.shape[0]
+    lo = np.where(lr < result.t_hat - RATIO_TOL, cap, 0.0)
+    hi = np.where(lr > result.t_hat + RATIO_TOL, 0.0, cap)
+    viol = np.maximum(np.maximum(lo - w, w - hi), 0.0)
+    max_viol = float(np.max(viol))
     weight_ok = max_viol <= 1e-12
     first_bad = int(np.argmax(viol > 1e-12)) if not weight_ok else None
 
@@ -388,13 +360,15 @@ def kkt_check(
         first_bad_index=first_bad,
         stationarity=stationarity,
         stationarity_ok=stationarity <= STATIONARITY_TOL,
-        ratio_tol=ratio_tol,
+        ratio_tol=RATIO_TOL,
         stationarity_tol=STATIONARITY_TOL,
     )
 
 
 def fit_result_to_dict(result: FitResult, cfg: TrimConfig) -> dict:
-    """JSON-ready view of a FitResult with the config echoed."""
+    """JSON-ready view of a FitResult with the config echoed (lam as "lambda")."""
+    config = asdict(cfg)
+    config["lambda"] = config.pop("lam")
     return {
         "delta": [float(v) for v in result.delta_best],
         "kept_indices": [int(i) for i in result.kept_indices],
@@ -403,13 +377,5 @@ def fit_result_to_dict(result: FitResult, cfg: TrimConfig) -> dict:
         "trace": [[int(it), float(obj)] for it, obj in result.trace],
         "iterations_run": int(result.iterations_run),
         "converged": bool(result.converged),
-        "config": {
-            "nu": cfg.nu,
-            "lambda": cfg.lam,
-            "regularizer": cfg.regularizer,
-            "eta0": cfg.eta0,
-            "max_iter": cfg.max_iter,
-            "tol": cfg.tol,
-            "seed": cfg.seed,
-        },
+        "config": config,
     }

@@ -15,7 +15,7 @@ import numpy as np
 
 from .estimator import FitDivergedError, TrimConfig, fit_featurized
 from .ratio_model import LinearFeatures, featurize
-from .synthetic import OUTLIER_MU_Q, TRUNCATION_MU_Q, TRUNCATION_NU, gen_outlier_1d, gen_truncation_1d
+from .synthetic import OUTLIER_MU_Q, TRUNCATION_MU_Q, TRUNCATION_NU, _child_seeds, gen_outlier_1d, gen_truncation_1d
 
 DETECTION_THRESHOLD = 1e-6  # |delta_hat| above it counts as a detected edge
 
@@ -177,8 +177,8 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
     TRUNCATION_NU (delta_star = -TRUNCATION_MU_Q, 0.5); "outlier"
     contaminates 20% of gen_outlier_1d's numerator with a uniform blob at
     b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Each fit
-    runs at most 2000 iterations. Child seeds are drawn from
-    default_rng(seed), so the whole table is reproducible.
+    runs at most 2000 iterations. Child seeds come from _child_seeds(seed),
+    so the whole table is reproducible.
     """
     if protocol not in _SCALING_PROTOCOLS:
         raise ValueError(f"protocol must be one of {_SCALING_PROTOCOLS}, got {protocol!r}")
@@ -188,13 +188,13 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
 
-    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=(len(ns), repeats))
+    seeds = _child_seeds(seed, len(ns) * repeats)
     fmap = LinearFeatures()
     table = []
     for i, n in enumerate(ns):
         errs = []
         for j in range(repeats):
-            s = int(seeds[i, j])
+            s = seeds[i * repeats + j]
             if protocol == "truncation":
                 xp, xq = gen_truncation_1d(n, nu=TRUNCATION_NU, seed=s)
                 nu, target = TRUNCATION_NU, -TRUNCATION_MU_Q

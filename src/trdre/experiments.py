@@ -32,6 +32,7 @@ from .synthetic import (
     TRUNCATION_MU_Q,
     TRUNCATION_N,
     TRUNCATION_NU,
+    _child_seeds,
     gen_gaussian_mn_pair,
     gen_outlier_1d,
     gen_truncation_1d,
@@ -41,11 +42,6 @@ from .synthetic import (
 
 CURVE_GRID = np.linspace(-3.0, 3.0, 401)
 ERROR_BAND = 2.0  # curve errors are reported on |x| <= ERROR_BAND
-
-
-def _child_seeds(seed: int, count: int) -> list[int]:
-    """Reproducible per-task seeds derived from one master seed."""
-    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=count)]
 
 
 def _config_comment(cfg: dict) -> str:
@@ -211,6 +207,8 @@ def run_mnchange(
         raise ValueError("d_values must be nonempty")
     grid = validate_lambda_grid(lambda_grid)
     validate_threshold(threshold)
+    if n_changed < 1:
+        raise ValueError(f"n_changed must be at least 1 (TPR needs a changed edge), got {n_changed}")
     config = {
         "experiment": "mnchange", "d_values": ",".join(str(d) for d in ds), "n": n,
         "n_changed": n_changed, "nu": nu, "lam_heatmap": lam_heatmap,

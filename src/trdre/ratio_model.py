@@ -17,6 +17,9 @@ featurized once with the fit's feature map and passed in,
 
     log_ratios(delta, featurize(X, feature_map), PhiQ).
 
+It returns the first output of _evaluate, the one log-ratio kernel, which
+the estimator's loop, oracles and kkt_check share.
+
 Every normalizer/softmax computation subtracts the maximum exponent
 before exponentiating (log-sum-exp), so inner products of magnitude up
 to several hundred are handled without overflow.
@@ -24,7 +27,10 @@ to several hundred are handled without overflow.
 Products of a feature matrix with delta use np.dot, not @: for an n-by-1
 matrix (identity features on 1-D data) numpy's matmul skips BLAS and
 takes about 7x as long at n = 5000 (numpy 2.4, x86-64 OpenBLAS), while
-np.dot gives the same bits on C- and Fortran-ordered matrices.
+np.dot gives the same bits on C- and Fortran-ordered matrices (a strided
+view may differ in the last bit; featurize never returns one).
+tests/test_estimator.py checks the ascent loop bit for bit against a
+frozen copy of its @ form.
 
 Softmax weights that underflow below the smallest normal double
 (np.finfo(float).tiny) are flushed to exactly 0. Subnormal operands make
@@ -221,14 +227,28 @@ def _log_mean_exp_and_softmax(z: np.ndarray) -> tuple[float, np.ndarray]:
     return m + np.log(s / z.size), w
 
 
-def log_normalizer(delta: np.ndarray, PhiQ: np.ndarray) -> float:
-    """log of the empirical normalizer: log mean_j exp <delta, PhiQ_j>."""
+def _checked(delta, PhiQ) -> tuple[np.ndarray, np.ndarray]:
+    """delta and PhiQ as float arrays, once they are known to fit together."""
     delta = np.asarray(delta, dtype=float)
     PhiQ = np.asarray(PhiQ, dtype=float)
     if PhiQ.ndim != 2 or PhiQ.shape[0] < 1:
         raise ValueError("PhiQ must be a nonempty 2-D feature matrix")
     if delta.shape != (PhiQ.shape[1],):
         raise ValueError(f"delta has shape {delta.shape}, expected ({PhiQ.shape[1]},)")
+    return delta, PhiQ
+
+
+def _evaluate(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log rhat(x; delta) at every row of Phi, and softmax(PhiQ delta); no checks."""
+    logN, sm = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
+    lr = np.dot(Phi, delta)
+    lr -= logN
+    return lr, sm
+
+
+def log_normalizer(delta: np.ndarray, PhiQ: np.ndarray) -> float:
+    """log of the empirical normalizer: log mean_j exp <delta, PhiQ_j>."""
+    delta, PhiQ = _checked(delta, PhiQ)
     value, _ = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
     return value
 
@@ -239,10 +259,7 @@ def softmax_weights(delta: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
     Weights below np.finfo(float).tiny are returned as exact zeros, so no
     weight is subnormal.
     """
-    delta = np.asarray(delta, dtype=float)
-    PhiQ = np.asarray(PhiQ, dtype=float)
-    if PhiQ.ndim != 2 or PhiQ.shape[0] < 1:
-        raise ValueError("PhiQ must be a nonempty 2-D feature matrix")
+    delta, PhiQ = _checked(delta, PhiQ)
     _, w = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
     return w
 
@@ -250,9 +267,11 @@ def softmax_weights(delta: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
 def log_ratios(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
     """log rhat at each row of Phi: Phi @ delta - log_normalizer(delta, PhiQ).
 
-    The one evaluator of a fitted ratio outside the ascent loop; Phi holds
-    the features of the points to evaluate, PhiQ those of the sample from
-    q the fit was normalized over.
+    The one evaluator of a fitted ratio outside the ascent loop, and the
+    first output of the loop's own kernel _evaluate; Phi holds the
+    features of the points to evaluate, PhiQ those of the sample from q
+    the fit was normalized over.
     """
-    logN = log_normalizer(delta, PhiQ)
-    return np.dot(Phi, np.asarray(delta, dtype=float)) - logN
+    delta, PhiQ = _checked(delta, PhiQ)
+    lr, _ = _evaluate(delta, Phi, PhiQ)
+    return lr

@@ -39,12 +39,17 @@ def _fmt(value) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
+    """Write via a temp file and a rename. mkstemp creates the file with mode
+    0600, so it gets the mode open() would give, 0666 minus the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)  # os.umask is the only portable way to read it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -30,6 +30,11 @@ TRUNCATION_MU_Q = -0.5
 TRUNCATION_N, TRUNCATION_NU = 5000, 0.5
 
 
+def _child_seeds(seed: int, count: int) -> list[int]:
+    """Reproducible per-task seeds derived from one master seed."""
+    return [int(s) for s in np.random.default_rng(seed).integers(0, 2**63 - 1, size=count)]
+
+
 @dataclass(frozen=True)
 class GaussianMNPair:
     """A pair of Gaussian MN precision matrices differing on a few edges.
@@ -120,8 +125,6 @@ def inject_outliers(X, point, count: int) -> np.ndarray:
         raise ValueError(f"outlier has dimension {point.size}, samples have {X.shape[1]}")
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
-    if count == 0:
-        return X.copy()
     return np.vstack([X, np.tile(point, (count, 1))])
 
 

@@ -156,7 +156,7 @@ def test_06_truncation_recovery():
     PhiQ = featurize(xq, LinearFeatures())
     res = fit_featurized(PhiP, PhiQ, cfg)
     err = abs(float(res.delta_best[0]) - 0.5)
-    report = kkt_check(res, PhiP, PhiQ, cfg, ratio_tol=1e-2)
+    report = kkt_check(res, PhiP, PhiQ, cfg)
     kept_frac = len(res.kept_indices) / n
     ok = err < 0.1 and report.weight_ok and abs(kept_frac - 0.5) <= 1.0 / n
     _report(6, "truncation-recovery", ok,

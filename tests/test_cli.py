@@ -115,6 +115,18 @@ class TestFitCommand:
         assert rc == 2
         assert "bad.csv:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("features", ["linear", "rbf"])
+    def test_column_mismatch_exits_2_naming_both_files(self, tmp_path, capsys, features):
+        rng = np.random.default_rng(3)
+        xp, xq = tmp_path / "one_col.csv", tmp_path / "six_cols.csv"
+        write_csv(xp, rng.standard_normal((40, 1)))
+        write_csv(xq, rng.standard_normal((40, 6)))
+        out = tmp_path / "o"
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--features", features, "--out", str(out)])
+        assert rc == 2
+        assert f"column counts differ: {xp} has 1, {xq} has 6" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_combination_exits_2(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
         rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "1.5",
@@ -341,13 +353,16 @@ class TestExperimentCommand:
             (["--d-list", "6", "--threshold", "nan"], "threshold must be a finite nonnegative real"),
             (["--d-list", "6", "--threshold", "inf"], "threshold must be a finite nonnegative real"),
             (["--d-list", "6", "--threshold", "-1"], "threshold must be a finite nonnegative real"),
+            (["--d-list", "6", "--n-changed", "0"], "n_changed must be at least 1"),
         ],
-        ids=["nu", "nu_keeps_none", "d", "empty", "threshold_nan", "threshold_inf", "threshold_negative"],
+        ids=["nu", "nu_keeps_none", "d", "empty", "threshold_nan", "threshold_inf", "threshold_negative",
+             "n_changed_0"],
     )
     def test_bad_mnchange_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "mn"
-        rc = main(["experiment", "mnchange", *flags, "--n", "60", "--n-changed", "4",
-                   "--lambda-grid", "0.3", "--max-iter", "20", "--out", str(out)])
+        # The case's flags come last so they override the defaults here.
+        rc = main(["experiment", "mnchange", "--n", "60", "--n-changed", "4", "--lambda-grid", "0.3",
+                   "--max-iter", "20", *flags, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())

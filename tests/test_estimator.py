@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -429,7 +429,7 @@ class TestKKT:
             t_hat=res.t_hat, trace=res.trace, iterations_run=res.iterations_run,
             converged=res.converged,
         )
-        report = kkt_check(bad, PhiP, PhiQ, cfg, ratio_tol=1e-6)
+        report = kkt_check(bad, PhiP, PhiQ, cfg)
         assert not report.weight_ok
         assert report.first_bad_index is not None
         assert report.max_weight_violation >= 1.0 / 6.0 - 1e-12
@@ -495,6 +495,15 @@ class TestSerialization:
         assert d["config"]["nu"] == 0.5 and d["config"]["lambda"] == 0.0
         assert d["kept_indices"] == [int(i) for i in res.kept_indices]
         assert len(d["trace"]) == res.iterations_run
+
+    def test_config_echoes_every_trim_config_field(self):
+        cfg = TrimConfig(nu=0.7, lam=0.25, regularizer="l2sq", eta0=0.5, max_iter=60, tol=1e-5, seed=9)
+        res = fit_featurized(np.ones((5, 1)), np.ones((5, 1)), cfg)
+        config = fit_result_to_dict(res, cfg)["config"]
+        names = [f.name for f in fields(TrimConfig)]
+        assert set(config) == {"lambda" if n == "lam" else n for n in names}
+        for n in names:
+            assert config["lambda" if n == "lam" else n] == getattr(cfg, n)
 
 
 # The ascent loop as it was written with the @ operator and an

@@ -211,6 +211,12 @@ class TestSoftmax:
         w = softmax_weights(np.array([LN2]), np.array([[1.0], [-1.0]]))
         assert np.allclose(w, [0.8, 0.2], atol=1e-12)
 
+    @pytest.mark.parametrize("fn", [log_normalizer, softmax_weights, lambda d, Q: log_ratios(d, Q, Q)],
+                             ids=["log_normalizer", "softmax_weights", "log_ratios"])
+    def test_rejects_column_delta(self, fn):
+        with pytest.raises(ValueError, match=r"delta has shape \(2, 1\), expected \(2,\)"):
+            fn(np.zeros((2, 1)), np.ones((4, 2)))
+
     @given(
         arrays(float, (6, 2), elements=finite_floats(-30, 30)),
         arrays(float, (2,), elements=finite_floats(-10, 10)),

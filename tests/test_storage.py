@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,17 @@ class TestAtomicWrite:
         p = tmp_path / "sub" / "a.txt"
         write_text_atomic(p, "x\n")
         assert [f.name for f in p.parent.iterdir()] == ["a.txt"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        p = tmp_path / "a.txt"
+        old = os.umask(umask)
+        try:
+            write_text_atomic(p, "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(p.stat().st_mode) == mode
 
     def test_identical_content_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
