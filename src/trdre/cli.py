@@ -24,7 +24,16 @@ import numpy as np
 
 from . import experiments
 from .baselines import brute_force_maxmin_1d
-from .estimator import REGULARIZERS, TrimConfig, fit_featurized, fit_result_to_dict, kkt_check
+from .estimator import (
+    REGULARIZERS,
+    UNBOUNDED_SLACK,
+    TrimConfig,
+    fit_featurized,
+    fit_result_to_dict,
+    keep_count,
+    kkt_check,
+    unbounded_threshold,
+)
 from .ratio_model import feature_map_from_name, featurize, log_ratios
 from .storage import read_numeric_csv, write_csv, write_json
 from .synthetic import (
@@ -195,8 +204,17 @@ def cmd_fit(args) -> int:
     write_csv(out / "kept_indices.csv", [[int(i)] for i in kept], header=["index"])
     write_csv(out / "trimmed_indices.csv", [[int(i)] for i in trimmed], header=["index"])
     print(f"[trdre] wrote {out / 'fit_result.json'} (objective_best={result.objective_best!r})")
+    print(f"[trdre] stop_reason={result.stop_reason} after {result.iterations_run} iterations")
 
     if args.verify:
+        if result.stop_reason == "unbounded":
+            n_p, n_q = PhiP.shape[0], PhiQ.shape[0]
+            ceiling = unbounded_threshold(keep_count(cfg.nu, n_p) / n_p, n_q)
+            print(
+                f"[verify] no finite maximizer: objective {result.objective_best!r} exceeds"
+                f" nu*log(n_q) + {UNBOUNDED_SLACK:g} = {ceiling!r} (n_q = {n_q}),"
+                " so it grows without bound along delta"
+            )
         report = kkt_check(result, PhiP, PhiQ, cfg)
         print(
             f"[verify] weight structure {'PASS' if report.weight_ok else 'FAIL'}"

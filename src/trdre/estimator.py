@@ -19,6 +19,25 @@ while tracking the best (objective, delta, w) triple visited. With nu = 1
 every weight is 1/n_p and the procedure is exactly the classical
 unconstrained KLIEP fit, exposed as ``fit_kliep``.
 
+The loop stops for one of three reasons (FitResult.stop_reason):
+"window" when the best objective gained less than tol over the last
+50 iterations, "max_iter" when the budget ran out, and "unbounded" when
+an iterate certified that no finite maximizer exists. The certificate:
+the objective is F(delta) = (sum of the k smallest entries of
+PhiP delta) / n_p - nu LME(PhiQ delta) - lam R(delta), and log-mean-exp
+satisfies LME(z) >= max(z) - log n_q and LME(s z) <= s max(z)
+for s > 0, while the trimmed sum and an l1 penalty scale linearly along
+a ray, so the objective F obeys
+
+    F(s delta) >= s (F(delta) - nu log n_q)        for s > 0.
+
+Once F(delta) exceeds nu log n_q, F grows without bound along delta.
+Conversely, on a problem with a finite maximizer F never exceeds
+nu log n_q, so the check never stops such a fit and its iterates are
+unchanged. The check applies to the penalties that scale linearly:
+"none", "l1", and "l2sq" at lam = 0. An unbounded problem whose iterates
+never cross the ceiling ends by one of the other two rules.
+
 Regularizers: "none", "l1" (R = sum |delta_i|), "l2sq" (R = sum delta_i^2).
 The l1 step is proximal (soft-thresholding after the gradient step) so
 coefficients reach exact zeros; the other two fold the regularizer's
@@ -42,6 +61,12 @@ import numpy as np
 from .ratio_model import FeatureMap, _evaluate, as_sample_matrix, featurize
 
 REGULARIZERS = ("none", "l1", "l2sq")
+STOP_REASONS = ("window", "max_iter", "unbounded")
+# Added to nu log n_q before the unbounded check fires. A bounded problem
+# has F <= nu log n_q exactly, and the slack absorbs the rounding of the
+# computed objective (a mean of log-ratios, each a few ulps off) should an
+# iterate of such a problem come that close to the ceiling.
+UNBOUNDED_SLACK = 1e-6
 STATIONARITY_TOL = 1e-2  # kkt_check's pass mark for the stationarity residual
 RATIO_TOL = 1e-2  # half-width of kkt_check's band around t_hat
 
@@ -51,10 +76,11 @@ class TrimConfig:
     """Hyperparameters for a trimmed ratio fit.
 
     nu is the kept-weight budget (1 = no trimming), lam scales the
-    regularizer, eta0 the base step size. The loop stops at max_iter or
+    regularizer, eta0 the base step size. The loop stops at max_iter,
     once the best objective improves by less than tol over a 50-iteration
-    window. seed is carried along for provenance in serialized results;
-    the fit itself is deterministic.
+    window, or once an iterate proves that no finite maximizer exists
+    (see the module docstring). seed is carried along for provenance in
+    serialized results; the fit itself is deterministic.
     """
 
     nu: float = 1.0
@@ -99,6 +125,12 @@ class FitResult:
     run, where the objective is the inner-minimized max-min value at that
     iterate; objective_best is its running maximum. t_hat is the largest
     kept log-ratio under delta_best (the trimming threshold).
+
+    stop_reason is one of STOP_REASONS. On "unbounded", delta_best is a
+    certificate: objective_best exceeds unbounded_threshold, so the
+    objective grows without bound along delta_best and the returned
+    coefficients are a point on that ray, not an optimum. converged is
+    true only for "window".
     """
 
     delta_best: np.ndarray
@@ -107,7 +139,11 @@ class FitResult:
     t_hat: float
     trace: list[tuple[int, float]] = field(repr=False)
     iterations_run: int
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "window"
 
     @property
     def kept_indices(self) -> np.ndarray:
@@ -223,6 +259,12 @@ def gradient(delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarra
     return _data_gradient(PhiP, PhiQ, w, sm, float(np.sum(w)))
 
 
+def unbounded_threshold(nu_eff: float, n_q: int) -> float:
+    """nu_eff * log n_q plus UNBOUNDED_SLACK: an objective above it proves
+    that no finite maximizer exists (see the module docstring)."""
+    return nu_eff * math.log(n_q) + UNBOUNDED_SLACK
+
+
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     """Componentwise sign(v) * max(|v| - t, 0)."""
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -232,7 +274,8 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     """Run the ascent-and-trimming loop on already-featurized samples.
 
     Non-finite features raise ValueError before the loop starts, so
-    FitDivergedError always means the iterates ran away.
+    FitDivergedError always means the iterates ran away. The result's
+    stop_reason says why the loop ended (see FitResult).
     """
     PhiP = np.asarray(PhiP, dtype=float)
     PhiQ = np.asarray(PhiQ, dtype=float)
@@ -251,7 +294,10 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     delta_best = delta.copy()
     w_best = np.zeros(n_p)
     t_hat = np.nan
-    converged = False
+    stop_reason = "max_iter"
+    # The certificate needs a penalty that scales linearly along a ray.
+    linear = cfg.regularizer != "l2sq" or cfg.lam == 0.0
+    ceiling = unbounded_threshold(nu_eff, PhiQ.shape[0]) if linear else math.inf
 
     for it in range(cfg.max_iter):
         lr, sm = _evaluate(delta, PhiP, PhiQ)
@@ -267,8 +313,11 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
             w_best = w
             t_hat = float(low[-1])
         best_hist[it] = best_obj
+        if obj > ceiling:
+            stop_reason = "unbounded"
+            break
         if it >= 50 and best_hist[it] - best_hist[it - 50] < cfg.tol:
-            converged = True
+            stop_reason = "window"
             break
 
         eta = cfg.eta0 / math.sqrt(it + 1.0)
@@ -289,7 +338,7 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
         t_hat=t_hat,
         trace=trace,
         iterations_run=len(trace),
-        converged=converged,
+        stop_reason=stop_reason,
     )
 
 
@@ -377,5 +426,6 @@ def fit_result_to_dict(result: FitResult, cfg: TrimConfig) -> dict:
         "trace": [[int(it), float(obj)] for it, obj in result.trace],
         "iterations_run": int(result.iterations_run),
         "converged": bool(result.converged),
+        "stop_reason": result.stop_reason,
         "config": config,
     }

@@ -32,15 +32,16 @@ def differential_precision_matrix(delta: np.ndarray, d: int) -> np.ndarray:
     coefficients.
 
     The fitted exponent sum_{i<=j} delta_ij x_i x_j estimates
-    -1/2 x^T D x, so D has diagonal -delta_ii and off-diagonal entries
-    -delta_ij / 2 placed symmetrically.
+    log p/q = -1/2 x^T D x + c with D = theta_p - theta_q, so D has
+    diagonal -2 delta_ii and off-diagonal entries -delta_ij placed
+    symmetrically: D = -(A + A^T) with A the upper triangle of delta.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (d * (d + 1) // 2,):
         raise ValueError(f"delta has shape {delta.shape}, expected ({d * (d + 1) // 2},)")
     A = np.zeros((d, d))
     A[np.triu_indices(d)] = delta
-    return -(A + A.T) / 2.0
+    return -(A + A.T)
 
 
 def support_metrics(
@@ -89,10 +90,12 @@ def auc_tnr_tpr(points) -> float:
 
 @dataclass(frozen=True)
 class SupportCurve:
-    """Sweep results: one (tnr, tpr, lambda) triple per grid point."""
+    """Sweep results: one (tnr, tpr, lambda) triple and one fit stop
+    reason per grid point."""
 
     points: tuple[tuple[float, float, float], ...]
     auc: float
+    stop_reasons: tuple[str, ...]
 
 
 def validate_lambda_grid(lambda_grid) -> list[float]:
@@ -127,14 +130,15 @@ def support_curve(
     (PairwiseQuadraticFeatures), so each fitted delta reads as a
     precision difference. Each grid point runs one l1 fit and scores the
     recovered precision difference against delta_star at the fixed
-    detection threshold. Each fit keeps cfg's nu, eta0 and stopping rule.
+    detection threshold. Each fit keeps cfg's nu, eta0 and stopping rule,
+    and its stop reason is recorded.
     A diverged fit is re-raised annotated with the lambda at which it
     occurred.
     """
     grid = validate_lambda_grid(lambda_grid)
     d = np.asarray(delta_star).shape[0]
 
-    points = []
+    points, reasons = [], []
     for lam in grid:
         try:
             res = fit_featurized(PhiP, PhiQ, replace(cfg, lam=lam, regularizer="l1"))
@@ -143,7 +147,10 @@ def support_curve(
         dh = differential_precision_matrix(res.delta_best, d)
         tpr, tnr = support_metrics(dh, delta_star, threshold)
         points.append((tnr, tpr, lam))
-    return SupportCurve(points=tuple(points), auc=auc_tnr_tpr([(t, p) for t, p, _ in points]))
+        reasons.append(res.stop_reason)
+    return SupportCurve(
+        points=tuple(points), auc=auc_tnr_tpr([(t, p) for t, p, _ in points]), stop_reasons=tuple(reasons)
+    )
 
 
 def ratio_curve_error(log_ratio_hat, log_ratio_true, norm: str = "sup") -> float:

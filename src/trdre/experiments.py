@@ -82,6 +82,7 @@ def run_truncation1d(
         "objective_best": res.objective_best,
         "kept_fraction": len(res.kept_indices) / n,
         "converged": res.converged,
+        "stop_reason": res.stop_reason,
         "iterations_run": res.iterations_run,
         "curve_error_sup": ratio_curve_error(lr_hat[band], lr_true[band], "sup"),
         "curve_error_l2": ratio_curve_error(lr_hat[band], lr_true[band], "l2"),
@@ -192,7 +193,9 @@ def run_mnchange(
     data, the trimmed fit on the same data, and the untrimmed fit on
     clean data as a gold standard. Emits one recovered-difference heat
     map per condition at lam_heatmap and one support curve over
-    lambda_grid, plus a summary JSON with the AUCs. Each of the three
+    lambda_grid, plus a summary JSON with the AUCs and, per d and
+    condition, the number of the 1 + len(lambda_grid) fits that stopped
+    "unbounded" (no finite maximizer, see FitResult). Each of the three
     samples of a d is featurized once, and the heat-map fit and the
     support curve share the matrices.
 
@@ -234,6 +237,7 @@ def run_mnchange(
     fmap = PairwiseQuadraticFeatures()
     comment = _config_comment(config)
     aucs: dict[str, dict[str, float]] = {}
+    unbounded: dict[str, dict[str, int]] = {}
     for d, pair, xp_out, xp_clean, xq in samples:
         PhiQ = featurize(xq, fmap)
         phi_out = featurize(xp_out, fmap)
@@ -243,7 +247,7 @@ def run_mnchange(
             ("dre_gold", featurize(xp_clean, fmap), base),
         ]
         write_csv(out / f"delta_star_d{d}.csv", pair.delta_star, comment=comment)
-        aucs[str(d)] = {}
+        aucs[str(d)], unbounded[str(d)] = {}, {}
         for name, PhiP, cfg in conditions:
             heat = fit_featurized(PhiP, PhiQ, cfg)
             curve = support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg, threshold)
@@ -259,7 +263,8 @@ def run_mnchange(
                 comment=comment,
             )
             aucs[str(d)][name] = curve.auc
+            unbounded[str(d)][name] = [heat.stop_reason, *curve.stop_reasons].count("unbounded")
 
-    summary = {"config": config, "auc": aucs}
+    summary = {"config": config, "auc": aucs, "unbounded_fits": unbounded}
     write_json(out / "summary.json", summary)
     return summary

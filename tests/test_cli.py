@@ -180,6 +180,33 @@ class TestFitCommand:
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_unbounded_fit_exits_0_with_certificate(self, tmp_path, capsys):
+        # Every x_p lies beyond every x_q: no finite maximizer exists.
+        rng = np.random.default_rng(3)
+        xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_csv(xp, rng.uniform(5.0, 6.0, (60, 1)))
+        write_csv(xq, rng.standard_normal((70, 1)))
+        out = tmp_path / "o"
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.9",
+                    "--out", str(out), "--verify"])
+        assert rc == 0
+        payload = json.loads((out / "fit_result.json").read_text())
+        assert payload["stop_reason"] == "unbounded" and payload["converged"] is False
+        printed = capsys.readouterr().out
+        assert f"[trdre] stop_reason=unbounded after {payload['iterations_run']} iterations" in printed
+        assert "[verify] no finite maximizer: objective" in printed
+
+    def test_bounded_fit_prints_stop_reason_without_certificate(self, sample_csvs, tmp_path, capsys):
+        xp, xq = sample_csvs
+        out = tmp_path / "o"
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8",
+                     "--out", str(out), "--verify"]) == 0
+        payload = json.loads((out / "fit_result.json").read_text())
+        assert payload["stop_reason"] == "window"
+        printed = capsys.readouterr().out
+        assert "[trdre] stop_reason=window after" in printed
+        assert "no finite maximizer" not in printed
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["fit", "--bogus"]) == 2
 
@@ -315,6 +342,10 @@ class TestExperimentCommand:
         assert (out / "curve_dre_gold_d6.csv").exists()
         curve = read_numeric_csv(out / "curve_trdre_outlier_d6.csv")
         assert curve.shape == (2, 3)
+        # one heat-map fit and two grid fits per condition
+        counts = summary["unbounded_fits"]["6"]
+        assert set(counts) == set(aucs)
+        assert all(0 <= v <= 3 for v in counts.values())
 
     def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from trdre.baselines import brute_force_maxmin_1d, enumerate_weight_vertices
 from trdre.estimator import (
+    STOP_REASONS,
     FitDivergedError,
-    FitResult,
     TrimConfig,
     _reg_subgradient,
     _reg_value,
@@ -25,6 +25,7 @@ from trdre.estimator import (
     kkt_check,
     objective,
     soft_threshold,
+    unbounded_threshold,
 )
 from trdre.ratio_model import (
     GaussianKernelFeatures,
@@ -359,6 +360,57 @@ class TestFit:
             fit_featurized(PhiP, PhiQ, TrimConfig(nu=0.8))
 
 
+def _unbounded_1d(seed=33):
+    """Every x_p lies beyond every x_q: the objective grows without bound
+    along delta > 0 for any nu, with no penalty or an l1 penalty."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(5.0, 6.0, (80, 1)), rng.standard_normal((120, 1))
+
+
+class TestUnboundedStop:
+    @pytest.mark.parametrize(
+        "cfg",
+        [TrimConfig(), TrimConfig(nu=0.8), TrimConfig(nu=0.9, lam=0.1, regularizer="l1"),
+         TrimConfig(regularizer="l2sq")],
+        ids=["none", "trimmed", "l1", "l2sq_lam0"],
+    )
+    def test_stops_within_a_few_iterations(self, cfg):
+        PhiP, PhiQ = _unbounded_1d()
+        res = fit_featurized(PhiP, PhiQ, cfg)
+        assert res.stop_reason == "unbounded" and not res.converged
+        assert res.iterations_run <= 5
+        nu_eff = keep_count(cfg.nu, PhiP.shape[0]) / PhiP.shape[0]
+        assert res.objective_best > unbounded_threshold(nu_eff, PhiQ.shape[0])
+        # The certificate's ray: the objective keeps growing along delta_best.
+        delta = res.delta_best
+        values = []
+        for d in (delta, 2.0 * delta, 4.0 * delta):
+            w = assign_weights(log_ratios(d, PhiP, PhiQ), cfg.nu)
+            values.append(objective(d, w, PhiP, PhiQ, cfg))
+        assert values[0] == pytest.approx(res.objective_best, abs=1e-12)
+        assert values[0] < values[1] < values[2]
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0])
+    def test_l2sq_penalty_is_never_unbounded(self, lam):
+        PhiP, PhiQ = _unbounded_1d()
+        res = fit_featurized(PhiP, PhiQ, TrimConfig(nu=0.9, lam=lam, regularizer="l2sq"))
+        assert res.stop_reason in ("window", "max_iter")
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([0.7, 0.9, 1.0]))
+    def test_bounded_problems_stay_under_the_ceiling(self, seed, nu):
+        # x_q covers x_p on both sides, so a finite maximizer exists and no
+        # iterate may cross nu log n_q.
+        rng = np.random.default_rng(seed)
+        PhiP = rng.standard_normal((40, 2))
+        PhiQ = 2.0 * rng.standard_normal((60, 2))
+        PhiQ[:4] = [[9.0, 9.0], [-9.0, 9.0], [9.0, -9.0], [-9.0, -9.0]]
+        res = fit_featurized(PhiP, PhiQ, TrimConfig(nu=nu, max_iter=300))
+        assert res.stop_reason in ("window", "max_iter")
+        nu_eff = keep_count(nu, 40) / 40
+        assert max(v for _, v in res.trace) <= nu_eff * math.log(60)
+
+
 class TestKliep:
     def test_nu_one_reduction_bit_for_bit(self):
         rng = np.random.default_rng(20)
@@ -424,11 +476,7 @@ class TestKKT:
         kept = res.kept_indices
         dropped = np.setdiff1d(np.arange(6), kept)
         bad_w[kept[0]], bad_w[dropped[-1]] = 0.0, 1.0 / 6.0  # swap a kept/dropped pair
-        bad = FitResult(
-            delta_best=res.delta_best, w_best=bad_w, objective_best=res.objective_best,
-            t_hat=res.t_hat, trace=res.trace, iterations_run=res.iterations_run,
-            converged=res.converged,
-        )
+        bad = replace(res, w_best=bad_w)
         report = kkt_check(bad, PhiP, PhiQ, cfg)
         assert not report.weight_ok
         assert report.first_bad_index is not None
@@ -490,11 +538,13 @@ class TestSerialization:
         d = fit_result_to_dict(res, cfg)
         assert set(d) == {
             "delta", "kept_indices", "t_hat", "objective_best", "trace",
-            "iterations_run", "converged", "config",
+            "iterations_run", "converged", "stop_reason", "config",
         }
         assert d["config"]["nu"] == 0.5 and d["config"]["lambda"] == 0.0
         assert d["kept_indices"] == [int(i) for i in res.kept_indices]
         assert len(d["trace"]) == res.iterations_run
+        assert d["stop_reason"] == res.stop_reason in STOP_REASONS
+        assert d["converged"] == (res.stop_reason == "window")
 
     def test_config_echoes_every_trim_config_field(self):
         cfg = TrimConfig(nu=0.7, lam=0.25, regularizer="l2sq", eta0=0.5, max_iter=60, tol=1e-5, seed=9)
@@ -552,6 +602,8 @@ def reference_fit(PhiP, PhiQ, cfg):
     best_hist = np.empty(cfg.max_iter)
     best_obj, delta_best, w_best, t_hat = -np.inf, delta.copy(), np.zeros(n_p), np.nan
     converged, iterations = False, 0
+    linear = cfg.regularizer != "l2sq" or cfg.lam == 0.0
+    ceiling = nu_eff * math.log(PhiQ.shape[0]) + 1e-6 if linear else math.inf
     for it in range(cfg.max_iter):
         logN, sm = _ref_log_mean_exp_and_softmax(PhiQ @ delta)
         lr = PhiP @ delta - logN
@@ -563,6 +615,8 @@ def reference_fit(PhiP, PhiQ, cfg):
             best_obj, delta_best, w_best, t_hat = obj, delta.copy(), w, float(low[-1])
         best_hist[it] = best_obj
         iterations = it + 1
+        if obj > ceiling:
+            break
         if it >= 50 and best_hist[it] - best_hist[it - 50] < cfg.tol:
             converged = True
             break
@@ -606,6 +660,20 @@ class TestLoopMatchesFrozenReference:
         res = fit_featurized(PhiP, PhiQ, cfg)
         delta, w, obj, t_hat, trace, iterations, converged = reference_fit(PhiP, PhiQ, cfg)
         assert res.iterations_run > 50
+        assert res.delta_best.tobytes() == delta.tobytes()
+        assert res.w_best.tobytes() == w.tobytes()
+        assert np.float64(res.objective_best).tobytes() == np.float64(obj).tobytes()
+        assert np.float64(res.t_hat).tobytes() == np.float64(t_hat).tobytes()
+        assert np.array(res.trace).tobytes() == np.array(trace).tobytes()
+        assert (res.iterations_run, res.converged) == (iterations, converged)
+
+    def test_unbounded_stop_bitwise_equal(self):
+        # The same stop rule ends both loops at the same iterate.
+        PhiP, PhiQ = _unbounded_1d()
+        cfg = TrimConfig(nu=0.9, lam=0.05, regularizer="l1")
+        res = fit_featurized(PhiP, PhiQ, cfg)
+        delta, w, obj, t_hat, trace, iterations, converged = reference_fit(PhiP, PhiQ, cfg)
+        assert res.stop_reason == "unbounded" and iterations < cfg.max_iter
         assert res.delta_best.tobytes() == delta.tobytes()
         assert res.w_best.tobytes() == w.tobytes()
         assert np.float64(res.objective_best).tobytes() == np.float64(obj).tobytes()

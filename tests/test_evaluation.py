@@ -51,9 +51,9 @@ class TestTrueGaussianLogRatio:
 class TestDifferentialPrecision:
     def test_known_coefficients(self):
         # d=2 features are (x1^2, x1 x2, x2^2); exponent convention is
-        # <delta, phi(x)> = -x^T D x with the full double sum.
+        # <delta, phi(x)> = -1/2 x^T D x with the full double sum.
         D = differential_precision_matrix(np.array([-1.0, 0.6, 0.0]), 2)
-        assert np.allclose(D, [[1.0, -0.3], [-0.3, 0.0]])
+        assert np.array_equal(D, [[2.0, -0.6], [-0.6, 0.0]])
         assert np.array_equal(D, D.T)
 
     def test_round_trip_through_quadratic_form(self):
@@ -65,7 +65,24 @@ class TestDifferentialPrecision:
         for _ in range(10):
             x = rng.standard_normal(d)
             feats = np.outer(x, x)[iu]
-            assert abs(float(delta @ feats) - (-x @ D @ x)) < 1e-10
+            assert abs(float(delta @ feats) - (-0.5 * x @ D @ x)) < 1e-10
+
+    def test_recovers_a_generator_pair(self):
+        # Least-squares quadratic coefficients of log p/q, evaluated by
+        # scipy's Gaussian densities, read back as theta_p - theta_q.
+        from scipy.stats import multivariate_normal
+
+        d = 4
+        pair = gen_gaussian_mn_pair(d, 3, seed=8)
+        x = np.random.default_rng(9).standard_normal((60, d))
+        log_ratio = multivariate_normal(cov=np.linalg.inv(pair.theta_p)).logpdf(x) - multivariate_normal(
+            cov=np.linalg.inv(pair.theta_q)
+        ).logpdf(x)
+        design = np.column_stack([featurize(x, PairwiseQuadraticFeatures()), np.ones(len(x))])
+        coef = np.linalg.lstsq(design, log_ratio, rcond=None)[0]
+        D = differential_precision_matrix(coef[:-1], d)
+        assert np.allclose(D, pair.delta_star, atol=1e-9)
+        assert np.any(pair.delta_star != 0.0)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,19 @@ class TestTruncationRunner:
         curve = np.loadtxt(tmp_path / "ratio_curve.csv", delimiter=",", skiprows=2)
         assert curve.shape == (401, 3)
         assert (tmp_path / "fit_result.json").exists()
+        assert summary["stop_reason"] in ("window", "max_iter")
+        assert summary["converged"] == (summary["stop_reason"] == "window")
+
+
+class TestMnchangeUnboundedCounts:
+    def test_counts_match_the_fits(self, tmp_path):
+        # The outlier at 10 lies beyond every x_q, so the untrimmed fit on
+        # contaminated data has no maximizer at a tiny lambda (the heat-map
+        # fit and the first grid point); trimming drops it. lambda = 5
+        # bounds every fit.
+        summary = run_mnchange(tmp_path, d_values=(4,), n=30, n_changed=2, lambda_grid=(1e-3, 5.0),
+                               lam_heatmap=1e-3, max_iter=300)
+        assert summary["unbounded_fits"] == {"4": {"dre_outlier": 2, "trdre_outlier": 0, "dre_gold": 0}}
 
 
 class TestOutlierRunner:
