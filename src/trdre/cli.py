@@ -1,11 +1,12 @@
 """Command line interface: fit, experiment, gen.
 
 Every command prints the resolved seed on stdout (default 42), writes
-each output file atomically, and is deterministic: identical flags and
-seed give byte-identical files. Exit codes: 0 all requested outputs
-written, 2 bad usage, unreadable input or unwritable output (message
-names the file, and the line of a bad CSV cell), 3 runtime failure such
-as a diverging fit.
+all its output files or none of them, and is deterministic: identical
+flags and seed give byte-identical files. Exit codes: 0 all requested
+outputs written, 2 bad usage, unreadable input or unwritable output
+(message names the file, and the line of a bad CSV cell), 3 runtime
+failure such as a diverging fit; after 2 or 3 every existing output is
+as it was.
 
 A flag of fit or experiment left unset takes the library default: the
 TrimConfig field for fit, the keyword default of
@@ -26,6 +27,7 @@ from . import experiments
 from .baselines import brute_force_maxmin_1d
 from .estimator import (
     REGULARIZERS,
+    STATIONARITY_TOL,
     UNBOUNDED_SLACK,
     TrimConfig,
     fit_featurized,
@@ -35,7 +37,7 @@ from .estimator import (
     unbounded_threshold,
 )
 from .ratio_model import feature_map_from_name, featurize, log_ratios
-from .storage import read_numeric_csv, write_csv, write_json
+from .storage import commit, csv_text, json_text, read_numeric_csv
 from .synthetic import (
     OUTLIER_N_GOOD,
     OUTLIER_N_OUT,
@@ -70,7 +72,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta0", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--out", dest="out_dir", metavar="OUT", required=True)
+    p.add_argument("--out", required=True, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,22 +194,26 @@ def cmd_fit(args) -> int:
     PhiP, PhiQ = featurize(Xp, fmap), featurize(Xq, fmap)
     result = fit_featurized(PhiP, PhiQ, cfg)
 
+    import hashlib  # imported here, so that `import trdre.cli` does not load it
     out = Path(args.out)
     payload = fit_result_to_dict(result, cfg)
-    payload["inputs"] = {
-        "xp": args.xp, "xq": args.xq, "features": args.features,
-        "rbf_bandwidth": getattr(fmap, "bandwidth", None),
-    }
-    write_json(out / "fit_result.json", payload)
+    payload["inputs"] = {"features": args.features, "rbf_bandwidth": getattr(fmap, "bandwidth", None)}
+    for key, path in (("xp", args.xp), ("xq", args.xq)):
+        data = Path(path).read_bytes()
+        payload["inputs"][key] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     kept = result.kept_indices
     trimmed = np.setdiff1d(np.arange(PhiP.shape[0]), kept)
-    write_csv(out / "kept_indices.csv", [[int(i)] for i in kept], header=["index"])
-    write_csv(out / "trimmed_indices.csv", [[int(i)] for i in trimmed], header=["index"])
+    commit({
+        out / "fit_result.json": json_text(payload),
+        out / "kept_indices.csv": csv_text([[int(i)] for i in kept], header=["index"]),
+        out / "trimmed_indices.csv": csv_text([[int(i)] for i in trimmed], header=["index"]),
+    })
     print(f"[trdre] wrote {out / 'fit_result.json'} (objective_best={result.objective_best!r})")
     print(f"[trdre] stop_reason={result.stop_reason} after {result.iterations_run} iterations")
 
     if args.verify:
-        if result.stop_reason == "unbounded":
+        unbounded = result.stop_reason == "unbounded"
+        if unbounded:
             n_p, n_q = PhiP.shape[0], PhiQ.shape[0]
             ceiling = unbounded_threshold(keep_count(cfg.nu, n_p) / n_p, n_q)
             print(
@@ -220,38 +226,45 @@ def cmd_fit(args) -> int:
             f"[verify] weight structure {'PASS' if report.weight_ok else 'FAIL'}"
             f" (max violation {report.max_weight_violation:.3g})"
         )
-        print(
-            f"[verify] stationarity {'PASS' if report.stationarity_ok else 'FAIL'}"
-            f" (||grad||-style residual {report.stationarity:.3g}, tol {report.stationarity_tol})"
-        )
+        # Stationarity and the grid oracle judge an optimum, which an unbounded fit lacks.
+        if unbounded:
+            print("[verify] stationarity n/a (no finite maximizer)")
+        else:
+            print(
+                f"[verify] stationarity {'PASS' if report.stationarity_ok else 'FAIL'}"
+                f" (||grad||-style residual {report.stationarity:.3g}, tol {STATIONARITY_TOL})"
+            )
         ratios = np.exp(log_ratios(result.delta_best, PhiQ, PhiQ))
         gap = abs(float(np.mean(ratios)) - 1.0)
         print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1 and cfg.lam == 0.0:
-            gdelta, gval = brute_force_maxmin_1d(PhiP, PhiQ, cfg.nu, grid_step=1e-2)
-            diff = abs(gval - result.objective_best)
-            print(
-                f"[verify] 1-d grid oracle {'PASS' if diff < 1e-2 else 'FAIL'}"
-                f" (grid delta {gdelta!r}, |objective gap| = {diff:.3g})"
-            )
+            if unbounded:
+                print("[verify] 1-d grid oracle n/a (no finite maximizer)")
+            else:
+                gdelta, gval = brute_force_maxmin_1d(PhiP, PhiQ, cfg.nu, grid_step=1e-2)
+                diff = abs(gval - result.objective_best)
+                print(
+                    f"[verify] 1-d grid oracle {'PASS' if diff < 1e-2 else 'FAIL'}"
+                    f" (grid delta {gdelta!r}, |objective gap| = {diff:.3g})"
+                )
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
     kwargs = dict(vars(args))
     del kwargs["command"]
-    name = kwargs.pop("experiment")
-    getattr(experiments, f"run_{name}")(**kwargs)
-    print(f"[trdre] experiment {name} written to {kwargs['out_dir']}")
+    name, out = kwargs.pop("experiment"), Path(kwargs.pop("out"))
+    _, files = getattr(experiments, f"run_{name}")(**kwargs)
+    commit({out / file_name: text for file_name, text in files.items()})
+    print(f"[trdre] experiment {name} written to {out}")
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
     if args.generator == "mnpair":
         pair = gen_gaussian_mn_pair(args.d, args.n_changed, args.seed)
-        write_json(
-            args.out,
-            {
+        files = {
+            args.out: json_text({
                 "d": args.d,
                 "n_changed": args.n_changed,
                 "seed": args.seed,
@@ -259,8 +272,8 @@ def cmd_gen(args) -> int:
                 "theta_q": [[float(v) for v in row] for row in pair.theta_q],
                 "delta_star": [[float(v) for v in row] for row in pair.delta_star],
                 "changed_edges": [[int(i), int(j)] for i, j in pair.changed_edges],
-            },
-        )
+            })
+        }
     elif args.generator == "mnsamples":
         with open(args.pair, encoding="utf-8") as fh:
             pair = json.load(fh)
@@ -269,21 +282,20 @@ def cmd_gen(args) -> int:
             raise ValueError(f"{args.pair}: missing key {key!r}")
         theta = np.asarray(pair[key], dtype=float)
         X = sample_gaussian(theta, args.n, args.seed)
-        write_csv(args.out, X, comment=f"which={args.which} n={args.n} seed={args.seed}")
+        files = {args.out: csv_text(X, comment=f"which={args.which} n={args.n} seed={args.seed}")}
     elif args.generator == "gaussian":
         theta = read_numeric_csv(args.precision)
         X = sample_gaussian(theta, args.n, args.seed)
-        write_csv(args.out, X, comment=f"n={args.n} seed={args.seed}")
-    elif args.generator == "outlier1d":
-        xp, xq = gen_outlier_1d(args.n_good, args.n_out, args.b, args.seed, n_q=args.n_q)
-        note = f"b={args.b} n_good={args.n_good} n_out={args.n_out} seed={args.seed}"
-        write_csv(args.out_xp, xp, comment=note)
-        write_csv(args.out_xq, xq, comment=note)
+        files = {args.out: csv_text(X, comment=f"n={args.n} seed={args.seed}")}
     else:
-        xp, xq = gen_truncation_1d(args.n, args.nu, args.seed)
-        note = f"n={args.n} nu={args.nu} seed={args.seed}"
-        write_csv(args.out_xp, xp, comment=note)
-        write_csv(args.out_xq, xq, comment=note)
+        if args.generator == "outlier1d":
+            xp, xq = gen_outlier_1d(args.n_good, args.n_out, args.b, args.seed, n_q=args.n_q)
+            note = f"b={args.b} n_good={args.n_good} n_out={args.n_out} seed={args.seed}"
+        else:
+            xp, xq = gen_truncation_1d(args.n, args.nu, args.seed)
+            note = f"n={args.n} nu={args.nu} seed={args.seed}"
+        files = {args.out_xp: csv_text(xp, comment=note), args.out_xq: csv_text(xq, comment=note)}
+    commit(files)
     print("[trdre] gen done")
     return EXIT_OK
 

@@ -372,16 +372,13 @@ class KKTReport:
     first_bad_index: int | None
     stationarity: float
     stationarity_ok: bool
-    ratio_tol: float
-    stationarity_tol: float
 
 
 def kkt_check(result: FitResult, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> KKTReport:
     """Check the saddle-point conditions at result.delta_best.
 
     The weight band has half-width RATIO_TOL; stationarity passes when
-    the residual is at most STATIONARITY_TOL. The report carries both
-    tolerances for printing.
+    the residual is at most STATIONARITY_TOL.
     """
     delta = result.delta_best
     w = np.asarray(result.w_best, dtype=float)
@@ -409,8 +406,6 @@ def kkt_check(result: FitResult, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimCo
         first_bad_index=first_bad,
         stationarity=stationarity,
         stationarity_ok=stationarity <= STATIONARITY_TOL,
-        ratio_tol=RATIO_TOL,
-        stationarity_tol=STATIONARITY_TOL,
     )
 
 

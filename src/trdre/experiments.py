@@ -1,19 +1,19 @@
 """Reference experiments behind the `trdre experiment` subcommand.
 
-Each runner writes plot-ready CSVs plus a summary JSON into an output
-directory and returns the summary dict. Every file embeds the resolved
-configuration (JSON as an object, CSV as a leading '#' comment line), and
-reruns with identical arguments produce byte-identical files.
+Each runner writes nothing: it returns the summary dict and the texts of
+its plot-ready CSVs and summary JSON as {file name: text}, which the CLI
+commits to an output directory, all files or none. Every file embeds the
+resolved configuration (JSON as an object, CSV as a leading '#' comment
+line), and reruns with identical arguments produce byte-identical texts.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, keep_count, kkt_check
+from .estimator import TrimConfig, fit_featurized, fit_result_to_dict, kkt_check
 from .evaluation import (
     DETECTION_THRESHOLD,
     differential_precision_matrix,
@@ -24,7 +24,7 @@ from .evaluation import (
     validate_threshold,
 )
 from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
-from .storage import write_csv, write_json
+from .storage import csv_text, json_text
 from .synthetic import (
     OUTLIER_MU_Q,
     OUTLIER_N_GOOD,
@@ -49,17 +49,15 @@ def _config_comment(cfg: dict) -> str:
 
 
 def run_truncation1d(
-    out_dir,
     n: int = TRUNCATION_N,
     nu: float = TRUNCATION_NU,
     seed: int = TrimConfig.seed,
     eta0: float = TrimConfig.eta0,
     max_iter: int = TrimConfig.max_iter,
     tol: float = TrimConfig.tol,
-) -> dict:
+) -> tuple[dict, dict[str, str]]:
     """Fit a half-truncated denominator; the analytic target is
     -TRUNCATION_MU_Q = 0.5."""
-    out = Path(out_dir)
     config = {
         "experiment": "truncation1d", "n": n, "nu": nu, "seed": seed,
         "eta0": eta0, "max_iter": max_iter, "tol": tol, "lambda": 0.0,
@@ -89,19 +87,15 @@ def run_truncation1d(
         "kkt_weight_ok": report.weight_ok,
         "kkt_stationarity": report.stationarity,
     }
-    write_json(out / "summary.json", summary)
-    write_csv(
-        out / "ratio_curve.csv",
-        np.column_stack([CURVE_GRID, np.exp(lr_hat), np.exp(lr_true)]),
-        header=["x", "r_hat", "r_true"],
-        comment=_config_comment(config),
-    )
-    write_json(out / "fit_result.json", fit_result_to_dict(res, cfg))
-    return summary
+    curve = np.column_stack([CURVE_GRID, np.exp(lr_hat), np.exp(lr_true)])
+    return summary, {
+        "summary.json": json_text(summary),
+        "ratio_curve.csv": csv_text(curve, header=["x", "r_hat", "r_true"], comment=_config_comment(config)),
+        "fit_result.json": json_text(fit_result_to_dict(res, cfg)),
+    }
 
 
 def run_outlier1d(
-    out_dir,
     n_good: int = OUTLIER_N_GOOD,
     n_out: int = OUTLIER_N_OUT,
     n_q: int = 5000,
@@ -111,14 +105,13 @@ def run_outlier1d(
     eta0: float = TrimConfig.eta0,
     max_iter: int = TrimConfig.max_iter,
     tol: float = TrimConfig.tol,
-) -> dict:
+) -> tuple[dict, dict[str, str]]:
     """Sweep the outlier location b; trimmed and untrimmed fits per b.
 
     The denominator is N(OUTLIER_MU_Q, 1), so a clean numerator would
     give a natural-parameter difference of -OUTLIER_MU_Q = 0.75 under
     identity features.
     """
-    out = Path(out_dir)
     bs = [float(b) for b in b_grid]
     if not bs:
         raise ValueError("b_grid must be nonempty")
@@ -157,15 +150,9 @@ def run_outlier1d(
         "b", "delta_trdre", "delta_kliep", "t_hat_trdre",
         "err_sup_trdre", "err_l2_trdre", "err_sup_kliep", "err_l2_kliep",
     ]
-    write_csv(
-        out / "results.csv",
-        [[row[c] for c in cols] for row in rows],
-        header=cols,
-        comment=_config_comment(config),
-    )
     summary = {"config": config, "delta_star": -OUTLIER_MU_Q, "rows": rows}
-    write_json(out / "summary.json", summary)
-    return summary
+    table = csv_text([[row[c] for c in cols] for row in rows], header=cols, comment=_config_comment(config))
+    return summary, {"results.csv": table, "summary.json": json_text(summary)}
 
 
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4.0, 0.0, 30))
@@ -173,7 +160,6 @@ MN_OUTLIERS = 1  # copies of the outlier point appended to the contaminated nume
 
 
 def run_mnchange(
-    out_dir,
     d_values=(20, 25, 36),
     n: int = 500,
     n_changed: int = 20,
@@ -186,7 +172,7 @@ def run_mnchange(
     eta0: float = 0.1,
     max_iter: int = TrimConfig.max_iter,
     tol: float = TrimConfig.tol,
-) -> dict:
+) -> tuple[dict, dict[str, str]]:
     """Structure change detection between two Gaussian MNs.
 
     Three conditions per dimension d: the untrimmed fit on contaminated
@@ -204,7 +190,6 @@ def run_mnchange(
     beats the delta=0 objective within the 50-iteration stop window the
     fit returns the zero vector.
     """
-    out = Path(out_dir)
     ds = [int(d) for d in d_values]
     if not ds:
         raise ValueError("d_values must be nonempty")
@@ -221,24 +206,18 @@ def run_mnchange(
         "eta0": eta0, "max_iter": max_iter, "tol": tol,
     }
     base = TrimConfig(eta0=eta0, max_iter=max_iter, tol=tol, seed=seed, regularizer="l1", lam=lam_heatmap)
-    # Every config, pair and sample is checked or drawn before the first
-    # write, so bad arguments exit without leaving partial output.
     trimmed = replace(base, nu=nu)
-    keep_count(nu, n + MN_OUTLIERS)
-    samples = []
+    fmap = PairwiseQuadraticFeatures()
+    comment = _config_comment(config)
+    files: dict[str, str] = {}
+    aucs: dict[str, dict[str, float]] = {}
+    unbounded: dict[str, dict[str, int]] = {}
     for d, s in zip(ds, _child_seeds(seed, len(ds))):
         data_seeds = _child_seeds(s, 2)
         pair = gen_gaussian_mn_pair(d, n_changed, seed=s)
         xp_clean = sample_gaussian(pair.theta_p, n, seed=data_seeds[0])
         xq = sample_gaussian(pair.theta_q, n, seed=data_seeds[1])
         xp_out = inject_outliers(xp_clean, [outlier_value] * d, MN_OUTLIERS)
-        samples.append((d, pair, xp_out, xp_clean, xq))
-
-    fmap = PairwiseQuadraticFeatures()
-    comment = _config_comment(config)
-    aucs: dict[str, dict[str, float]] = {}
-    unbounded: dict[str, dict[str, int]] = {}
-    for d, pair, xp_out, xp_clean, xq in samples:
         PhiQ = featurize(xq, fmap)
         phi_out = featurize(xp_out, fmap)
         conditions = [
@@ -246,25 +225,19 @@ def run_mnchange(
             ("trdre_outlier", phi_out, trimmed),
             ("dre_gold", featurize(xp_clean, fmap), base),
         ]
-        write_csv(out / f"delta_star_d{d}.csv", pair.delta_star, comment=comment)
+        files[f"delta_star_d{d}.csv"] = csv_text(pair.delta_star, comment=comment)
         aucs[str(d)], unbounded[str(d)] = {}, {}
         for name, PhiP, cfg in conditions:
             heat = fit_featurized(PhiP, PhiQ, cfg)
             curve = support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg, threshold)
-            write_csv(
-                out / f"delta_hat_{name}_d{d}.csv",
-                differential_precision_matrix(heat.delta_best, d),
-                comment=comment,
+            files[f"delta_hat_{name}_d{d}.csv"] = csv_text(
+                differential_precision_matrix(heat.delta_best, d), comment=comment
             )
-            write_csv(
-                out / f"curve_{name}_d{d}.csv",
-                [[lam, tnr, tpr] for tnr, tpr, lam in curve.points],
-                header=["lambda", "tnr", "tpr"],
-                comment=comment,
-            )
+            points = [[lam, tnr, tpr] for tnr, tpr, lam in curve.points]
+            files[f"curve_{name}_d{d}.csv"] = csv_text(points, header=["lambda", "tnr", "tpr"], comment=comment)
             aucs[str(d)][name] = curve.auc
             unbounded[str(d)][name] = [heat.stop_reason, *curve.stop_reasons].count("unbounded")
 
     summary = {"config": config, "auc": aucs, "unbounded_fits": unbounded}
-    write_json(out / "summary.json", summary)
-    return summary
+    files["summary.json"] = json_text(summary)
+    return summary, files

@@ -246,13 +246,6 @@ def _evaluate(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> tuple[np.
     return lr, sm
 
 
-def log_normalizer(delta: np.ndarray, PhiQ: np.ndarray) -> float:
-    """log of the empirical normalizer: log mean_j exp <delta, PhiQ_j>."""
-    delta, PhiQ = _checked(delta, PhiQ)
-    value, _ = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
-    return value
-
-
 def softmax_weights(delta: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
     """softmax_j(<delta, PhiQ_j>): nonnegative, sums to 1, overflow-safe.
 
@@ -265,7 +258,7 @@ def softmax_weights(delta: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
 
 
 def log_ratios(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
-    """log rhat at each row of Phi: Phi @ delta - log_normalizer(delta, PhiQ).
+    """log rhat at each row of Phi: Phi @ delta - log mean_j exp <delta, PhiQ_j>.
 
     The one evaluator of a fitted ratio outside the ascent loop, and the
     first output of the loop's own kernel _evaluate; Phi holds the

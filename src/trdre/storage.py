@@ -5,9 +5,9 @@ byte-order mark (files are written without one), finite numeric cells
 only. Leading lines whose first token is not a number (column headers,
 '#' comment lines carrying the resolved config) are skipped on read.
 Floats are written with repr, the shortest round-tripping form; integer
-cells are written without a decimal point. Every writer goes through a
-temp-file-plus-rename so outputs are atomic; identical content therefore
-yields byte-identical files.
+cells are written without a decimal point. csv_text and json_text render
+a file's text; commit writes a command's files all or none, each through
+a temp-file-plus-rename. Identical content yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -57,12 +57,33 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def write_json(path, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def commit(files) -> None:
+    """Write every file of `files` ({path: text}) or none of them: reject a
+    target that is a directory, stage each text beside its target, rename
+    the stages in once all are written, and remove the stages on a failure."""
+    paths = [Path(p) for p in files]
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
+    stages = [path.with_name(f".{path.name}.{i}.stage") for i, path in enumerate(paths)]
+    try:
+        for stage, text in zip(stages, files.values()):
+            write_text_atomic(stage, text)
+        for stage, path in zip(stages, paths):
+            os.replace(stage, path)
+    finally:
+        for stage in stages:
+            if os.path.exists(stage):
+                os.unlink(stage)
 
 
-def write_csv(path, rows, header: list[str] | None = None, comment: str | None = None) -> None:
-    """Write numeric rows; `comment` becomes a single leading '# ...' line."""
+def json_text(obj) -> str:
+    """obj as JSON text with sorted keys."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def csv_text(rows, header: list[str] | None = None, comment: str | None = None) -> str:
+    """Numeric rows as CSV text; `comment` becomes a single leading '# ...' line."""
     lines = []
     if comment is not None:
         lines.append("# " + comment)
@@ -70,7 +91,12 @@ def write_csv(path, rows, header: list[str] | None = None, comment: str | None =
         lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, rows, header: list[str] | None = None, comment: str | None = None) -> None:
+    """Write csv_text(rows, header, comment) to path atomically."""
+    write_text_atomic(path, csv_text(rows, header, comment))
 
 
 def read_numeric_csv(path) -> np.ndarray:

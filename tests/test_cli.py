@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 
@@ -72,6 +73,22 @@ class TestFitCommand:
                           "--out", str(out)]) == 0
         for name in ("fit_result.json", "kept_indices.csv", "trimmed_indices.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_inputs_recorded_by_content_not_path(self, sample_csvs, tmp_path, monkeypatch):
+        xp, xq = sample_csvs
+        (tmp_path / "sub").mkdir()
+        # The same fit, typed from the inputs' directory and from a subdirectory.
+        for cwd, prefix, out in ((tmp_path, "", "a"), (tmp_path / "sub", "../", "../b")):
+            monkeypatch.chdir(cwd)
+            assert main(["fit", "--xp", prefix + xp.name, "--xq", prefix + xq.name, "--nu", "0.9",
+                         "--out", out]) == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        for name in ("fit_result.json", "kept_indices.csv", "trimmed_indices.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        inputs = json.loads((a / "fit_result.json").read_text())["inputs"]
+        data = xp.read_bytes()
+        assert inputs["xp"] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        assert inputs["xq"]["bytes"] == xq.stat().st_size
 
     def test_missing_input_exits_2_naming_file(self, tmp_path, capsys):
         rc = main(["fit", "--xp", str(tmp_path / "absent.csv"),
@@ -195,6 +212,12 @@ class TestFitCommand:
         printed = capsys.readouterr().out
         assert f"[trdre] stop_reason=unbounded after {payload['iterations_run']} iterations" in printed
         assert "[verify] no finite maximizer: objective" in printed
+        # The optimum checks have no optimum to judge; the others still run.
+        assert "FAIL" not in printed
+        assert "[verify] stationarity n/a (no finite maximizer)" in printed
+        assert "[verify] 1-d grid oracle n/a (no finite maximizer)" in printed
+        assert "[verify] weight structure PASS" in printed
+        assert "[verify] self-normalization PASS" in printed
 
     def test_bounded_fit_prints_stop_reason_without_certificate(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
@@ -424,6 +447,73 @@ class TestExperimentCommand:
         assert not out.exists() or not any(out.iterdir())
 
 
+class TestAllFilesOrNone:
+    """A failure at a command's last output leaves every output as it was."""
+
+    @pytest.fixture()
+    def inputs(self, sample_csvs, tmp_path):
+        xp, xq = sample_csvs
+        pair, prec = tmp_path / "pair.json", tmp_path / "prec.csv"
+        assert main(["gen", "mnpair", "--d", "4", "--n-changed", "2", "--out", str(pair)]) == 0
+        write_csv(prec, np.eye(2) * 2.0)
+        return {"xp": xp, "xq": xq, "pair": pair, "prec": prec}
+
+    @staticmethod
+    def _listing(out):
+        return sorted((str(p.relative_to(out)), p.is_dir()) for p in out.rglob("*"))
+
+    @pytest.mark.parametrize(
+        "argv, first, last",
+        [
+            ("fit --xp {xp} --xq {xq} --nu 0.8 --out {out}", "fit_result.json", "trimmed_indices.csv"),
+            ("experiment truncation1d --n 200 --max-iter 50 --out {out}", "summary.json", "fit_result.json"),
+            ("experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --max-iter 50 --out {out}",
+             "results.csv", "summary.json"),
+            ("experiment mnchange --d-list 4,5 --n 40 --n-changed 2 --lambda-grid 0.3 --max-iter 20 --out {out}",
+             "delta_star_d4.csv", "summary.json"),
+            ("gen mnpair --d 4 --n-changed 2 --out {out}/pair.json", None, "pair.json"),
+            ("gen mnsamples --pair {pair} --which q --n 5 --out {out}/s.csv", None, "s.csv"),
+            ("gen gaussian --precision {prec} --n 5 --out {out}/g.csv", None, "g.csv"),
+            ("gen outlier1d --n-good 8 --n-out 2 --b 3 --out-xp {out}/xp.csv --out-xq {out}/xq.csv",
+             "xp.csv", "xq.csv"),
+            ("gen truncation1d --n 10 --out-xp {out}/xp.csv --out-xq {out}/xq.csv", "xp.csv", "xq.csv"),
+        ],
+        ids=["fit", "truncation1d", "outlier1d", "mnchange", "mnpair", "mnsamples", "gaussian",
+             "gen_outlier1d", "gen_truncation1d"],
+    )
+    def test_directory_at_last_output_exits_2_writing_nothing(self, inputs, tmp_path, capsys, argv, first, last):
+        out = tmp_path / "out"
+        (out / last).mkdir(parents=True)
+        if first is not None:
+            (out / first).write_text("older\n")
+        before = self._listing(out)
+        rc = main(argv.format(out=out, **inputs).split())
+        assert rc == 2
+        assert str(out / last) in capsys.readouterr().err
+        assert self._listing(out) == before
+        if first is not None:
+            assert (out / first).read_text() == "older\n"
+
+    def test_mnchange_failure_at_second_d_exits_3_writing_nothing(self, tmp_path, monkeypatch, capsys):
+        real = experiments.fit_featurized
+        calls = []
+
+        def diverge_after_first_d(PhiP, PhiQ, cfg):
+            calls.append(PhiP.shape)
+            if len(calls) > 3:  # three heat-map fits per d: the fourth is d = 5's first
+                raise estimator.FitDivergedError(1, float("inf"))
+            return real(PhiP, PhiQ, cfg)
+
+        monkeypatch.setattr(experiments, "fit_featurized", diverge_after_first_d)
+        out = tmp_path / "mn"
+        rc = main(["experiment", "mnchange", "--d-list", "4,5", "--n", "40", "--n-changed", "2",
+                   "--lambda-grid", "0.3", "--max-iter", "20", "--out", str(out)])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert len(calls) == 4
+        assert not out.exists()
+
+
 def _typed(kwargs):
     # repr tells 1 from 1.0 and [6, 8] from [6.0, 8.0]
     return {k: repr(v) for k, v in kwargs.items()}
@@ -446,6 +536,7 @@ class TestFlagsReachParameters:
             def record(*args, _real=real, _name=name, **kwargs):
                 inspect.signature(_real).bind(*args, **kwargs)
                 calls.append((_name, args, kwargs))
+                return {}, {}
 
             monkeypatch.setattr(experiments, f"run_{name}", record)
         return calls
@@ -454,7 +545,7 @@ class TestFlagsReachParameters:
     def test_only_out_reaches_runner_with_seed(self, runner_calls, tmp_path, name):
         out = str(tmp_path / "o")
         assert main(["experiment", name, "--out", out]) == 0
-        assert runner_calls == [(name, (), {"out_dir": out, "seed": 42})]
+        assert runner_calls == [(name, (), {"seed": 42})]
 
     @pytest.mark.parametrize(
         "name, flags, expected",
@@ -479,7 +570,7 @@ class TestFlagsReachParameters:
         assert main(["experiment", name, *flags, *RUN_FLAGS, "--out", out]) == 0
         [(called, args, kwargs)] = runner_calls
         assert (called, args) == (name, ())
-        assert _typed(kwargs) == _typed({**expected, **RUN_KWARGS, "out_dir": out})
+        assert _typed(kwargs) == _typed({**expected, **RUN_KWARGS})
 
     @pytest.fixture()
     def trim_configs(self, monkeypatch):

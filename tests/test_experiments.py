@@ -1,4 +1,6 @@
 import inspect
+import io
+import json
 import sys
 
 import numpy as np
@@ -30,26 +32,27 @@ def test_fit_defaults_are_trim_config_defaults(runner):
 
 
 class TestTruncationRunner:
-    def test_summary_fields_and_curve_files(self, tmp_path):
-        summary = run_truncation1d(tmp_path, n=500, max_iter=400, seed=5)
+    def test_summary_fields_and_curve_files(self):
+        summary, files = run_truncation1d(n=500, max_iter=400, seed=5)
         assert abs(summary["delta_hat"] - summary["delta_star"]) < 0.3
         assert summary["kkt_weight_ok"] is True
         assert 0.5 - 1 / 500 <= summary["kept_fraction"] <= 0.5 + 1 / 500
-        curve = np.loadtxt(tmp_path / "ratio_curve.csv", delimiter=",", skiprows=2)
+        curve = np.loadtxt(io.StringIO(files["ratio_curve.csv"]), delimiter=",", skiprows=2)
         assert curve.shape == (401, 3)
-        assert (tmp_path / "fit_result.json").exists()
+        assert sorted(files) == ["fit_result.json", "ratio_curve.csv", "summary.json"]
+        assert json.loads(files["summary.json"]) == summary
         assert summary["stop_reason"] in ("window", "max_iter")
         assert summary["converged"] == (summary["stop_reason"] == "window")
 
 
 class TestMnchangeUnboundedCounts:
-    def test_counts_match_the_fits(self, tmp_path):
+    def test_counts_match_the_fits(self):
         # The outlier at 10 lies beyond every x_q, so the untrimmed fit on
         # contaminated data has no maximizer at a tiny lambda (the heat-map
         # fit and the first grid point); trimming drops it. lambda = 5
         # bounds every fit.
-        summary = run_mnchange(tmp_path, d_values=(4,), n=30, n_changed=2, lambda_grid=(1e-3, 5.0),
-                               lam_heatmap=1e-3, max_iter=300)
+        summary, _ = run_mnchange(d_values=(4,), n=30, n_changed=2, lambda_grid=(1e-3, 5.0),
+                                  lam_heatmap=1e-3, max_iter=300)
         assert summary["unbounded_fits"] == {"4": {"dre_outlier": 2, "trdre_outlier": 0, "dre_gold": 0}}
 
 
@@ -59,13 +62,14 @@ class TestOutlierRunner:
             raise AssertionError("fit started before the b grid was checked")
 
         monkeypatch.setattr(experiments, "fit_featurized", no_fit)
+        monkeypatch.chdir(tmp_path)  # a runner writes nothing, not even beside itself
         with pytest.raises(ValueError, match="b must be finite"):
-            run_outlier1d(tmp_path, n_good=40, n_out=10, n_q=50, b_grid=(1.0, float("inf")))
+            run_outlier1d(n_good=40, n_out=10, n_q=50, b_grid=(1.0, float("inf")))
         assert not any(tmp_path.iterdir())
 
 
 class TestMnchangeFeaturizesOnce:
-    def test_three_featurize_calls_per_d(self, tmp_path, monkeypatch):
+    def test_three_featurize_calls_per_d(self, monkeypatch):
         # xq, the contaminated and the clean numerator: each featurized once
         # and shared by the heat-map fit and the support curve.
         calls = []
@@ -80,6 +84,5 @@ class TestMnchangeFeaturizesOnce:
                 for attr, value in list(vars(mod).items()):
                     if value is original:
                         monkeypatch.setattr(mod, attr, counting)
-        run_mnchange(tmp_path, d_values=(4, 5), n=40, n_changed=2,
-                     lambda_grid=(0.1, 0.3), max_iter=10)
+        run_mnchange(d_values=(4, 5), n=40, n_changed=2, lambda_grid=(0.1, 0.3), max_iter=10)
         assert len(calls) == 3 * 2

@@ -16,7 +16,6 @@ from trdre.ratio_model import (
     as_sample_matrix,
     feature_map_from_name,
     featurize,
-    log_normalizer,
     log_ratios,
     median_pairwise_distance,
     softmax_weights,
@@ -134,6 +133,11 @@ class TestFeaturize:
             feature_map_from_name("cubic")
         with pytest.raises(ValueError):
             feature_map_from_name("rbf")
+
+
+def log_normalizer(delta, PhiQ):
+    """log mean_j exp <delta, PhiQ_j>: minus the log ratio at the zero feature vector."""
+    return -log_ratios(delta, np.zeros((1, np.shape(PhiQ)[-1])), PhiQ)[0]
 
 
 class TestLogNormalizer:

@@ -6,9 +6,10 @@ import pytest
 
 from trdre.storage import (
     CsvParseError,
+    commit,
+    json_text,
     read_numeric_csv,
     write_csv,
-    write_json,
     write_text_atomic,
 )
 
@@ -44,13 +45,27 @@ class TestAtomicWrite:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCommit:
+    def test_writes_every_file(self, tmp_path):
+        commit({tmp_path / "a.txt": "one\n", str(tmp_path / "sub" / "b.txt"): "two\n"})
+        assert (tmp_path / "a.txt").read_text() == "one\n"
+        assert (tmp_path / "sub" / "b.txt").read_text() == "two\n"
+        assert sorted(f.name for f in tmp_path.rglob("*")) == ["a.txt", "b.txt", "sub"]
+
+    def test_failure_while_staging_writes_nothing(self, tmp_path):
+        (tmp_path / "a.txt").write_text("older\n")
+        (tmp_path / "blocker").write_text("a file, so blocker/b.txt cannot be staged\n")
+        with pytest.raises(OSError):
+            commit({tmp_path / "a.txt": "new\n", tmp_path / "blocker" / "b.txt": "x\n"})
+        assert (tmp_path / "a.txt").read_text() == "older\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.txt", "blocker"]
+
+
 class TestJson:
-    def test_sorted_keys_round_trip(self, tmp_path):
+    def test_sorted_keys_round_trip(self):
         import json
 
-        p = tmp_path / "s.json"
-        write_json(p, {"b": 1, "a": [1.5, None]})
-        text = p.read_text()
+        text = json_text({"b": 1, "a": [1.5, None]})
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"a": [1.5, None], "b": 1}
 
