@@ -47,18 +47,21 @@ The loop, the oracles (objective, gradient, assign_weights) and
 kkt_check all evaluate delta through one kernel, ratio_model._evaluate
 (log_ratios returns its first output), and rank through one helper,
 _trim, so the oracles check the loop's own arithmetic. Every
-feature-matrix product goes through np.dot, for the reason the
-ratio_model docstring gives.
+feature-matrix product goes through np.dot, and each step's two pairs
+of them through ratio_model._dot_pair, which may run a pair on two
+threads without changing a bit; the ratio_model docstring gives the
+reasons.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .ratio_model import FeatureMap, _evaluate, as_sample_matrix, featurize
+from .ratio_model import FeatureMap, _dot_pair, _evaluate, as_sample_matrix, featurize
 
 REGULARIZERS = ("none", "l1", "l2sq")
 STOP_REASONS = ("window", "max_iter", "unbounded")
@@ -201,7 +204,8 @@ def _data_gradient(
     PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float
 ) -> np.ndarray:
     """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio sum."""
-    return np.dot(PhiP.T, w) - nu * np.dot(PhiQ.T, sm)
+    gp, gq = _dot_pair(PhiP.T, w, PhiQ.T, sm)
+    return gp - nu * gq
 
 
 def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
@@ -289,7 +293,9 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
 
     delta = np.zeros(m)
     trace: list[tuple[int, float]] = []
-    best_hist = np.empty(cfg.max_iter)
+    # The running best of the last 51 iterations: the window rule compares
+    # this iteration's with the one 50 iterations back.
+    best_hist: deque[float] = deque(maxlen=51)
     best_obj = -np.inf
     delta_best = delta.copy()
     w_best = np.zeros(n_p)
@@ -312,11 +318,11 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
             delta_best = delta.copy()
             w_best = w
             t_hat = float(low[-1])
-        best_hist[it] = best_obj
+        best_hist.append(best_obj)
         if obj > ceiling:
             stop_reason = "unbounded"
             break
-        if it >= 50 and best_hist[it] - best_hist[it - 50] < cfg.tol:
+        if it >= 50 and best_hist[-1] - best_hist[0] < cfg.tol:
             stop_reason = "window"
             break
 

@@ -32,6 +32,25 @@ view may differ in the last bit; featurize never returns one).
 tests/test_estimator.py checks the ascent loop bit for bit against a
 frozen copy of its @ form.
 
+Each ascent step computes two pairs of independent products, PhiQ delta
+with PhiP delta, and PhiP^T w with PhiQ^T softmax. _dot_pair runs the two
+of a pair on two threads (np.dot releases the GIL) when all of these
+hold: both matrices have at least 2**20 entries, the process may run on
+two CPUs, and the environment pins OpenBLAS to one thread per call (a
+multi-threaded BLAS already uses the second CPU, and two such calls at
+once oversubscribe it). Each product is the same np.dot call whichever
+thread runs it, so no output bit depends on the path. Measured on a
+2-vCPU KVM guest (Intel Xeon, OpenBLAS 0.3.31, one BLAS thread), handing
+a product to the worker and back costs about 15-20 us: a 5000-by-1 pair
+took 7-10 us serially and 21-30 us overlapped. A 1500-by-1500 pair took
+1.6-1.7 ms serially and 0.9-1.0 ms overlapped while the host left the
+second vCPU free, and 2-8% longer than serially while it did not. At 501
+by 325 overlap won in one window (98 against 64 us) and lost in another
+(112 against 135 us); break-even lies at about 0.5-1M entries, and the
+floor sits above it. A caller never waits long for a worker whose CPU is
+taken (see _DotWorker): without that rule, 3 of 10 benchmark runs of a
+1500-by-1500 rbf fit were slower than serial, one by a factor of 2.2.
+
 Softmax weights that underflow below the smallest normal double
 (np.finfo(float).tiny) are flushed to exactly 0. Subnormal operands make
 the PhiQ.T @ softmax matvec of every ascent step several times slower
@@ -50,6 +69,9 @@ x86-64), more than a 1-D experiment at paper scale spends fitting.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,10 +260,137 @@ def _checked(delta, PhiQ) -> tuple[np.ndarray, np.ndarray]:
     return delta, PhiQ
 
 
+_OVERLAP_MIN_SIZE = 1 << 20  # entries each matrix needs before _dot_pair overlaps
+# OpenBLAS takes its thread count from the first of these holding a positive integer.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_single_threaded() -> bool:
+    """Whether the environment pins OpenBLAS to one thread per call."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n == 1
+    return False
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_LATE = 1.25  # a worker product this many times the caller's expected time is late
+
+
+class _DotWorker:
+    """One daemon thread that computes np.dot(A, x) while its caller
+    computes a second product; np.dot releases the GIL inside the BLAS.
+
+    A worker whose CPU is taken by other work can fall far behind, and a
+    caller that waited for it would run at that CPU's speed. So the caller
+    waits only until the worker's product is late: until it has taken
+    _LATE times the caller's own product time, scaled by the two matrices'
+    sizes. Past that the caller computes the product itself and drops the
+    worker's copy, and it runs later pairs serially until the worker is
+    idle again.
+    """
+
+    def __init__(self) -> None:
+        self._go = threading.Lock()  # held while there is no job; pair releases it
+        self._go.acquire()
+        self._job: tuple | None = None
+        self.idle = True
+        threading.Thread(target=self._serve, name="trdre-dot", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            box, done = self._job[2:]
+            try:  # no local name for A: the thread must not keep it alive
+                box.append(np.dot(*self._job[:2]))
+            except BaseException as exc:  # raised again in the caller
+                box.append(exc)
+            self._job = None
+            self.idle = True
+            done.release()
+
+    def pair(self, A, x, B, y) -> tuple[np.ndarray, np.ndarray]:
+        box, done = [], threading.Lock()
+        done.acquire()
+        self.idle = False
+        self._job = (A, x, box, done)
+        self._go.release()
+        start = time.perf_counter()
+        try:
+            second = np.dot(B, y)
+        except BaseException as exc:
+            second = exc
+        now = time.perf_counter()
+        due = start + _LATE * (now - start) * np.size(A) / max(np.size(B), 1)
+        if done.acquire(timeout=max(due - now, 0.0)):
+            first = box[0]
+        else:
+            try:
+                first = np.dot(A, x)
+            except BaseException as exc:
+                first = exc
+        # The serial order's error: the first product's, else the second's.
+        for out in (first, second):
+            if isinstance(out, BaseException):
+                raise out
+        return first, second
+
+
+_overlap: bool | None = None  # the machine allows overlap; decided at the first large pair
+_worker: _DotWorker | None = None
+_worker_lock = threading.Lock()  # one pair on the worker at a time
+
+
+def _forget_worker() -> None:
+    """In a forked child the worker thread does not exist: start afresh."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _dot_pair(A, x, B, y) -> tuple[np.ndarray, np.ndarray]:
+    """(np.dot(A, x), np.dot(B, y)), the two at once when that pays.
+
+    The first product runs on the worker thread while the caller runs the
+    second, if both matrices have at least _OVERLAP_MIN_SIZE entries, the
+    process may use two CPUs and OpenBLAS runs one thread per call (see
+    the module docstring). Either way each output is the same np.dot call
+    on the same operands, so its bits do not depend on the path taken.
+    """
+    global _overlap, _worker
+    if min(np.size(A), np.size(B)) >= _OVERLAP_MIN_SIZE:
+        if _overlap is None:
+            _overlap = _cpu_count() >= 2 and _blas_single_threaded()
+        # A second caller thread, finding the worker in use, runs serially.
+        if _overlap and _worker_lock.acquire(blocking=False):
+            try:
+                if _worker is None:
+                    _worker = _DotWorker()
+                if _worker.idle:
+                    return _worker.pair(A, x, B, y)
+            finally:
+                _worker_lock.release()
+    return np.dot(A, x), np.dot(B, y)
+
+
 def _evaluate(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log rhat(x; delta) at every row of Phi, and softmax(PhiQ delta); no checks."""
-    logN, sm = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
-    lr = np.dot(Phi, delta)
+    zq, lr = _dot_pair(PhiQ, delta, Phi, delta)
+    logN, sm = _log_mean_exp_and_softmax(zq)
     lr -= logN
     return lr, sm
 

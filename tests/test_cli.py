@@ -230,6 +230,13 @@ class TestFitCommand:
         assert "[trdre] stop_reason=window after" in printed
         assert "no finite maximizer" not in printed
 
+    def test_huge_max_iter_exits_0(self, sample_csvs, tmp_path):
+        xp, xq = sample_csvs
+        out = tmp_path / "o"
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8",
+                     "--max-iter", "100000000000", "--out", str(out)]) == 0
+        assert json.loads((out / "fit_result.json").read_text())["stop_reason"] == "window"
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["fit", "--bogus"]) == 2
 

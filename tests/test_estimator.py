@@ -326,6 +326,12 @@ class TestFit:
         res_p = fit(xp[rng.permutation(60)], xq[rng.permutation(70)], LinearFeatures(), cfg)
         assert np.allclose(res.delta_best, res_p.delta_best, atol=1e-12)
 
+    def test_huge_max_iter_allocates_nothing_up_front(self):
+        rng = np.random.default_rng(16)
+        res = fit_featurized(rng.standard_normal((30, 2)) + 0.5, rng.standard_normal((40, 2)),
+                             TrimConfig(nu=0.9, max_iter=10**12))
+        assert res.stop_reason == "window"
+
     def test_diverged_fit_raises(self):
         # The gradient is bounded by the feature magnitudes, so divergence
         # needs a step large enough that eta * g itself overflows.
@@ -528,6 +534,64 @@ class TestSharedKernel:
         assert abs(objective(delta, res.w_best, PhiP, PhiQ, cfg) - res.objective_best) < 1e-12
         expected = straight_line_stationarity(delta, res.w_best, PhiP, PhiQ, lam, regularizer)
         assert abs(kkt_check(res, PhiP, PhiQ, cfg).stationarity - expected) < 1e-10
+
+
+class TestOverlapBitIdentity:
+    """The worker thread of ratio_model._dot_pair changes no bit of a fit,
+    an oracle or kkt_check."""
+
+    CONFIGS = [
+        TrimConfig(nu=nu, lam=lam, regularizer=reg, max_iter=300)
+        for reg, lam in (("none", 0.0), ("l1", 0.05), ("l2sq", 0.05))
+        for nu in (0.85, 1.0)
+    ]
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(29)
+        Xp = rng.standard_normal((80, 4)) + np.array([0.6, 0.0, 0.0, 0.0])
+        Xp[:8] += 3.0
+        Xq = rng.standard_normal((90, 4))
+        fmap = PairwiseQuadraticFeatures()
+        return featurize(Xp, fmap), featurize(Xq, fmap)
+
+    def outputs(self, PhiP, PhiQ):
+        out, iterations = [], 0
+        for cfg in self.CONFIGS:
+            res = fit_featurized(PhiP, PhiQ, cfg)
+            iterations += res.iterations_run
+            d = res.delta_best
+            out += [
+                res.delta_best.tobytes(), res.w_best.tobytes(), res.objective_best, res.t_hat,
+                res.trace, res.iterations_run, res.stop_reason,
+                objective(d, res.w_best, PhiP, PhiQ, cfg),
+                gradient(d, res.w_best, PhiP, PhiQ).tobytes(),
+                log_ratios(d, PhiP, PhiQ).tobytes(),
+                kkt_check(res, PhiP, PhiQ, cfg),
+            ]
+        return out, iterations
+
+    def test_threaded_equals_serial(self, data, overlap):
+        ran = overlap(True)
+        threaded, iterations = self.outputs(*data)
+        # every iteration evaluates through the worker, and most also step
+        assert len(ran) > iterations > 50 * len(self.CONFIGS)
+        ran = overlap(False)
+        serial, _ = self.outputs(*data)
+        assert not ran
+        assert threaded == serial
+
+    def test_mismatched_weights_still_raise(self, data, overlap):
+        PhiP, PhiQ = data
+        delta = np.full(PhiP.shape[1], 0.01)
+        ran = overlap(True)
+        with pytest.raises(ValueError):
+            gradient(delta, np.ones(PhiP.shape[0] - 1), PhiP, PhiQ)
+        assert len(ran) == 2  # _evaluate's pair, then the gradient's
+        w = np.full(PhiP.shape[0], 1.0 / PhiP.shape[0])
+        threaded = gradient(delta, w, PhiP, PhiQ)
+        overlap(False)
+        assert threaded.tobytes() == gradient(delta, w, PhiP, PhiQ).tobytes()
 
 
 class TestSerialization:

@@ -1,10 +1,11 @@
-"""Importing trdre loads numpy and no scipy module.
+"""Importing trdre loads numpy and no scipy module, and starts no thread.
 
 scipy costs several tenths of a second at import, more than a paper-scale
 1-D experiment spends fitting, so only the generators that need it
-(Gaussian MN samples, truncated normals) import it, on first use. Each
-check runs in a fresh interpreter, since this test process has scipy
-loaded already.
+(Gaussian MN samples, truncated normals) import it, on first use. The
+worker thread of ratio_model._dot_pair starts only for feature matrices
+far larger than these runs use. Each check runs in a fresh interpreter,
+since this test process has scipy loaded already.
 """
 
 import os
@@ -16,12 +17,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
 import sys
+import threading
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 import trdre, trdre.cli, trdre.experiments
-print("import", scipy_modules())
+print("import", scipy_modules(), threading.active_count())
 
 import numpy as np
 from trdre.cli import main
@@ -35,7 +37,7 @@ assert main(["fit", "--xp", out + "/xp.csv", "--xq", out + "/xq.csv", "--feature
              "--max-iter", "50", "--out", out + "/fit"]) == 0
 assert main(["experiment", "outlier1d", "--n-good", "80", "--n-out", "20", "--n-q", "100",
              "--b-grid", "3", "--max-iter", "50", "--out", out + "/o1"]) == 0
-print("run", scipy_modules())
+print("run", scipy_modules(), threading.active_count())
 """
 
 
@@ -46,4 +48,4 @@ def test_import_and_cli_runs_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = [ln for ln in done.stdout.splitlines() if ln.startswith(("import ", "run "))]
-    assert lines == ["import []", "run []"]
+    assert lines == ["import [] 1", "run [] 1"]

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,11 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
+from trdre import ratio_model
 from trdre.estimator import _data_gradient
 from trdre.ratio_model import (
     GaussianKernelFeatures,
     LinearFeatures,
     PairwiseQuadraticFeatures,
+    _blas_single_threaded,
+    _dot_pair,
     _pairwise_distances,
     as_sample_matrix,
     feature_map_from_name,
@@ -276,3 +283,156 @@ class TestSelfNormalization:
             delta = rng.standard_normal(d)
             ratios = np.exp(log_ratios(delta, PhiQ, PhiQ))
             assert abs(ratios.mean() - 1.0) < 1e-10
+
+
+class TestDotPair:
+    """_dot_pair's worker thread returns np.dot's bits and np.dot's errors."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(8)
+        Xp, Xq = rng.standard_normal((70, 4)) + 0.4, rng.standard_normal((90, 4))
+        fmap = GaussianKernelFeatures(Xq[:30])
+        return featurize(Xp, fmap), featurize(Xq, fmap), rng.standard_normal(30)
+
+    def products(self, PhiP, PhiQ, delta):
+        w = np.full(PhiP.shape[0], 1.0 / PhiP.shape[0])
+        sm = softmax_weights(delta, PhiQ)
+        return [
+            *_dot_pair(PhiQ, delta, PhiP, delta),
+            *_dot_pair(PhiP.T, w, PhiQ.T, sm),
+            *_dot_pair(np.asfortranarray(PhiQ), delta, np.asfortranarray(PhiP), delta),
+            log_ratios(delta, PhiP, PhiQ),
+            log_ratios(delta, PhiQ, PhiQ),
+            log_ratios(delta, np.asfortranarray(PhiP), np.asfortranarray(PhiQ)),
+        ]
+
+    def test_threaded_equals_serial(self, data, overlap):
+        ran = overlap(True)
+        threaded = self.products(*data)
+        assert len(ran) == 6
+        ran = overlap(False)
+        serial = self.products(*data)
+        assert not ran
+        assert len(threaded) == len(serial)
+        for a, b in zip(threaded, serial):
+            assert a.tobytes() == b.tobytes()
+        assert np.array_equal(serial[0], np.dot(data[1], data[2]))
+
+    def test_errors_are_np_dots(self, data, overlap):
+        PhiP, PhiQ, delta = data
+        ran = overlap(True)
+        # The first product's error, as the serial order raises it.
+        with pytest.raises(ValueError, match=r"\(70,30\) and \(29,\)"):
+            _dot_pair(PhiP, delta[:-1], PhiQ, delta[:-2])
+        with pytest.raises(ValueError, match=r"\(90,30\) and \(28,\)"):
+            _dot_pair(PhiP, delta, PhiQ, delta[:-2])
+        assert len(ran) == 2
+        # The worker serves the next pair as before.
+        zp, zq = _dot_pair(PhiP, delta, PhiQ, delta)
+        assert zp.tobytes() == np.dot(PhiP, delta).tobytes()
+        assert zq.tobytes() == np.dot(PhiQ, delta).tobytes()
+
+    def test_late_worker_is_overtaken(self, data, overlap, monkeypatch):
+        PhiP, PhiQ, delta = data
+        ran = overlap(True)
+        monkeypatch.setattr(ratio_model, "_LATE", 1.25)
+        resume = threading.Event()
+
+        class StalledOnWorker:
+            """PhiP, but converting it stalls the worker thread, as if its CPU were taken."""
+
+            def __array__(self, dtype=None, copy=None):
+                if threading.current_thread().name == "trdre-dot":
+                    resume.wait(30.0)
+                return PhiP
+
+        try:
+            start = time.perf_counter()
+            zp, zq = _dot_pair(StalledOnWorker(), delta, PhiQ, delta)
+            assert time.perf_counter() - start < 10.0  # computed here, not waited for
+            assert zp.tobytes() == np.dot(PhiP, delta).tobytes()
+            assert zq.tobytes() == np.dot(PhiQ, delta).tobytes()
+            # While the worker is held up, pairs run serially.
+            assert not ratio_model._worker.idle
+            zp, _ = _dot_pair(PhiP, delta, PhiQ, delta)
+            assert len(ran) == 1 and zp.tobytes() == np.dot(PhiP, delta).tobytes()
+        finally:
+            resume.set()
+        deadline = time.monotonic() + 30.0
+        while not ratio_model._worker.idle and time.monotonic() < deadline:
+            time.sleep(0.01)
+        _dot_pair(PhiP, delta, PhiQ, delta)
+        assert len(ran) == 2  # the idle worker takes pairs again
+
+    def test_concurrent_callers_get_their_own_products(self, overlap):
+        # More caller threads than cores, switching often: a caller that
+        # finds the worker busy runs its pair serially, and no caller ever
+        # receives another caller's product.
+        rng = np.random.default_rng(9)
+        mats = [rng.standard_normal((40 + i, 12)) for i in range(6)]
+        vecs = [rng.standard_normal(12) for _ in range(6)]
+        ran = overlap(True)
+        bad = []
+
+        def call(i):
+            A, B = mats[i], mats[(i + 1) % 6]
+            x, y = vecs[i], vecs[(i + 2) % 6]
+            for _ in range(300):
+                first, second = _dot_pair(A, x, B, y)
+                if first.tobytes() != np.dot(A, x).tobytes() or second.tobytes() != np.dot(B, y).tobytes():
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+        assert ran  # the worker served some of the pairs
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self, data, overlap):
+        PhiP, PhiQ, delta = data
+        overlap(True)
+        _dot_pair(PhiP, delta, PhiQ, delta)
+        assert ratio_model._worker is not None
+        pid = os.fork()
+        if pid == 0:  # the child: the parent's worker thread was not copied
+            try:
+                fresh = ratio_model._worker is None
+                zp, _ = _dot_pair(PhiP, delta, PhiQ, delta)
+                os._exit(0 if fresh and zp.tobytes() == np.dot(PhiP, delta).tobytes() else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child waited on a worker thread that does not exist")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.parametrize("env,single", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        # OpenBLAS skips a variable that holds no positive integer.
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, False),
+    ])
+    def test_blas_thread_count_from_environment(self, monkeypatch, env, single):
+        for var in ratio_model._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert _blas_single_threaded() is single
