@@ -19,6 +19,7 @@ from .estimator import (
     fit,
     fit_featurized,
     fit_kliep,
+    fit_many,
     fit_result_to_dict,
     gradient,
     kkt_check,

@@ -51,17 +51,36 @@ feature-matrix product goes through np.dot, and each step's two pairs
 of them through ratio_model._dot_pair, which may run a pair on two
 threads without changing a bit; the ratio_model docstring gives the
 reasons.
+
+fit_many runs a list of independent fits, the sweeps of the experiments
+and evaluation modules, and returns their results in task order. Where
+the machine allows, it spreads them over this process and forked
+children, one process per allowed CPU (see _processes). Each fit is the
+same single-threaded fit_featurized call whichever process runs it, so
+no output bit depends on the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .ratio_model import FeatureMap, _dot_pair, _evaluate, as_sample_matrix, featurize
+from . import ratio_model
+from .ratio_model import (
+    FeatureMap,
+    _blas_single_threaded,
+    _cpu_count,
+    _dot_pair,
+    _evaluate,
+    as_sample_matrix,
+    featurize,
+)
 
 REGULARIZERS = ("none", "l1", "l2sq")
 STOP_REASONS = ("window", "max_iter", "unbounded")
@@ -118,6 +137,10 @@ class FitDivergedError(RuntimeError):
             f"objective became non-finite at iteration {iteration} "
             f"(||delta||_inf = {delta_norm:.3g}); try a smaller eta0"
         )
+
+    def __reduce__(self):
+        # The default rebuilds from self.args, the message alone.
+        return type(self), (self.iteration, self.delta_norm)
 
 
 @dataclass
@@ -346,6 +369,169 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
         iterations_run=len(trace),
         stop_reason=stop_reason,
     )
+
+
+def _processes(n_tasks: int) -> int:
+    """How many processes fit_many runs n_tasks fits on: one per CPU in
+    the affinity mask, at most n_tasks, or 1 for a serial loop.
+
+    It forks only where that is safe and pays: os.fork exists, there are
+    two tasks or more, the process may use two CPUs or more, OpenBLAS is
+    pinned to one thread per call (ratio_model._blas_single_threaded; a
+    multi-threaded BLAS already fills the CPUs, and its thread pool would
+    be forked mid-use), and this process runs one thread (a fork copies
+    only the calling thread, so a lock another thread holds stays held in
+    the child forever).
+    """
+    if (
+        not hasattr(os, "fork")
+        or n_tasks < 2
+        or threading.active_count() != 1
+        or not _blas_single_threaded()
+    ):
+        return 1
+    return min(_cpu_count(), n_tasks)
+
+
+def _take(queue: int) -> int | None:
+    """The next task index off the queue pipe; None once it is empty."""
+    got = os.read(queue, 1)
+    return got[0] if got else None
+
+
+def _work(tasks: list, queue: int) -> dict[int, FitResult | Exception]:
+    """Run the tasks whose indices this process takes off the queue.
+
+    A fit that raises ends the work: its exception is the outcome, and
+    the rest of the queue is emptied so that no process starts a later
+    task, as a serial loop would stop there.
+    """
+    done: dict[int, FitResult | Exception] = {}
+    for i in iter(lambda: _take(queue), None):
+        try:
+            done[i] = fit_featurized(*tasks[i])
+        except Exception as exc:  # the serial loop's error, handed to the caller
+            done[i] = exc
+            while _take(queue) is not None:
+                pass
+    return done
+
+
+def _child(tasks: list, queue: int, out: int) -> None:
+    """A forked worker: run tasks off the queue, write the pickled
+    outcomes to out, and end the process without returning."""
+    code = 1
+    try:
+        data = memoryview(pickle.dumps(_work(tasks, queue), pickle.HIGHEST_PROTOCOL))
+        while data:
+            data = data[os.write(out, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd: int) -> bytearray:
+    data = bytearray()
+    while chunk := os.read(fd, 1 << 16):  # a pipe holds 64 KiB
+        data += chunk
+    return data
+
+
+# One byte names a task on the queue pipe, and a round's queue is written
+# whole before the first fork: 256 bytes fit in any pipe's buffer.
+_ROUND = 256
+
+
+def _fit_round(tasks: list, processes: int) -> dict[int, FitResult | Exception]:
+    """Outcomes of tasks (at most _ROUND) run on this process and
+    processes - 1 forked children, keyed by index.
+
+    Every process takes the next index off one queue pipe whenever it is
+    free, so a CPU that other work slows holds up only its own tasks.
+    Children inherit the tasks at the fork and send back their outcomes
+    once the queue is empty. An index missing from the result was taken
+    by a child that ended without sending it. Children are reaped before
+    this returns, and killed first if it raises.
+    """
+    fds, children = [], {}  # children: pid -> read end of its result pipe
+    overlap = ratio_model._overlap
+    if processes > 1:
+        # Every product runs serially while a round is out: the CPUs are
+        # taken, and a child has no copy of the parent's worker thread.
+        ratio_model._overlap = False
+    try:
+        queue, w = os.pipe()
+        fds.append(queue)
+        os.write(w, bytes(range(len(tasks))))
+        os.close(w)
+        for _ in range(processes - 1):
+            try:
+                r, w = os.pipe()
+            except OSError:  # out of descriptors: run on the processes there are
+                break
+            fds.append(r)
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes, likewise
+                os.close(w)
+                break
+            if pid == 0:
+                _child(tasks, queue, w)
+            os.close(w)
+            children[pid] = r
+        done = _work(tasks, queue)
+        for pid in list(children):
+            data = _read_all(children[pid])
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status == 0:  # a child writes all its outcomes, then exits 0
+                done.update(pickle.loads(data))
+        return done
+    except BaseException:
+        import signal  # here, so that importing trdre does not load it (about 1 ms)
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in children:
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+        ratio_model._overlap = overlap
+
+
+def fit_many(tasks) -> list[FitResult]:
+    """fit_featurized(PhiP, PhiQ, cfg) for each task (PhiP, PhiQ, cfg),
+    the results in task order.
+
+    When _processes allows, the fits run on this process and forked
+    children, each on whichever process is free; otherwise one after
+    another. Either way each result is the one fit_featurized returns for
+    that task in a serial loop, bit for bit, since every fit runs the
+    same single-threaded code. So is the error: the exception of the
+    first task in task order that fails, with the same type and message,
+    and no later task starts once a process has seen it fail. Its
+    position in the list is stored as the exception's task_index. A task
+    whose forked process ended without sending its outcome raises
+    RuntimeError naming the task.
+    """
+    tasks = list(tasks)
+    results: list[FitResult] = []
+    for start in range(0, len(tasks), _ROUND):
+        batch = tasks[start:start + _ROUND]
+        done = _fit_round(batch, _processes(len(batch)))
+        for i in range(len(batch)):
+            outcome = done.get(i)
+            if not isinstance(outcome, FitResult):
+                if outcome is None:
+                    outcome = RuntimeError(
+                        f"task {start + i} of fit_many got no result: the forked process that took it ended early"
+                    )
+                outcome.task_index = start + i
+                raise outcome
+            results.append(outcome)
+    return results
 
 
 def fit(Xp, Xq, feature_map: FeatureMap, cfg: TrimConfig) -> FitResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimator import FitDivergedError, TrimConfig, fit_featurized
+from .estimator import FitDivergedError, TrimConfig, fit_many
 from .ratio_model import LinearFeatures, featurize
 from .synthetic import OUTLIER_MU_Q, TRUNCATION_MU_Q, TRUNCATION_NU, _child_seeds, gen_outlier_1d, gen_truncation_1d
 
@@ -131,19 +131,20 @@ def support_curve(
     precision difference. Each grid point runs one l1 fit and scores the
     recovered precision difference against delta_star at the fixed
     detection threshold. Each fit keeps cfg's nu, eta0 and stopping rule,
-    and its stop reason is recorded.
-    A diverged fit is re-raised annotated with the lambda at which it
-    occurred.
+    and its stop reason is recorded. The fits are one estimator.fit_many
+    batch, so they may run on several CPUs; the curve does not depend on
+    it. A diverged fit is re-raised annotated with the first lambda, in
+    grid order, at which one occurred.
     """
     grid = validate_lambda_grid(lambda_grid)
     d = np.asarray(delta_star).shape[0]
 
+    try:
+        fits = fit_many([(PhiP, PhiQ, replace(cfg, lam=lam, regularizer="l1")) for lam in grid])
+    except FitDivergedError as exc:
+        raise RuntimeError(f"fit failed at lambda={grid[exc.task_index]}: {exc}") from exc
     points, reasons = [], []
-    for lam in grid:
-        try:
-            res = fit_featurized(PhiP, PhiQ, replace(cfg, lam=lam, regularizer="l1"))
-        except FitDivergedError as exc:
-            raise RuntimeError(f"fit failed at lambda={lam}: {exc}") from exc
+    for lam, res in zip(grid, fits):
         dh = differential_precision_matrix(res.delta_best, d)
         tpr, tnr = support_metrics(dh, delta_star, threshold)
         points.append((tnr, tpr, lam))
@@ -185,7 +186,9 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
     contaminates 20% of gen_outlier_1d's numerator with a uniform blob at
     b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Each fit
     runs at most 2000 iterations. Child seeds come from _child_seeds(seed),
-    so the whole table is reproducible.
+    so the whole table is reproducible. All samples are drawn first, and
+    the fits are one estimator.fit_many batch, which may run them on
+    several CPUs without changing the table.
     """
     if protocol not in _SCALING_PROTOCOLS:
         raise ValueError(f"protocol must be one of {_SCALING_PROTOCOLS}, got {protocol!r}")
@@ -197,19 +200,17 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
 
     seeds = _child_seeds(seed, len(ns) * repeats)
     fmap = LinearFeatures()
-    table = []
+    target = -TRUNCATION_MU_Q if protocol == "truncation" else -OUTLIER_MU_Q
+    tasks = []
     for i, n in enumerate(ns):
-        errs = []
-        for j in range(repeats):
-            s = seeds[i * repeats + j]
+        for s in seeds[i * repeats:(i + 1) * repeats]:
             if protocol == "truncation":
                 xp, xq = gen_truncation_1d(n, nu=TRUNCATION_NU, seed=s)
-                nu, target = TRUNCATION_NU, -TRUNCATION_MU_Q
+                nu = TRUNCATION_NU
             else:
                 n_out = max(1, int(round(0.2 * n)))
                 xp, xq = gen_outlier_1d(n - n_out, n_out, b=6.0, seed=s, n_q=n)
-                nu, target = (n - n_out) / n, -OUTLIER_MU_Q
-            res = fit_featurized(featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu, max_iter=2000))
-            errs.append(abs(float(res.delta_best[0]) - target))
-        table.append((n, float(np.mean(errs))))
-    return table
+                nu = (n - n_out) / n
+            tasks.append((featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu, max_iter=2000)))
+    errs = [abs(float(res.delta_best[0]) - target) for res in fit_many(tasks)]
+    return [(n, float(np.mean(errs[i * repeats:(i + 1) * repeats]))) for i, n in enumerate(ns)]

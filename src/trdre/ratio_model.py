@@ -348,6 +348,7 @@ class _DotWorker:
 
 
 _overlap: bool | None = None  # the machine allows overlap; decided at the first large pair
+# (estimator.fit_many holds it False while its forked children run)
 _worker: _DotWorker | None = None
 _worker_lock = threading.Lock()  # one pair on the worker at a time
 

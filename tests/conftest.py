@@ -1,6 +1,6 @@
 import pytest
 
-from trdre import ratio_model
+from trdre import estimator, ratio_model
 
 
 @pytest.fixture()
@@ -28,5 +28,31 @@ def overlap(monkeypatch):
         monkeypatch.setattr(ratio_model, "_OVERLAP_MIN_SIZE", 0 if on else 1 << 62)
         ran.clear()
         return ran
+
+    return switch
+
+
+@pytest.fixture()
+def forking(monkeypatch):
+    """forking(on) -> list with one entry per round fit_many forked for.
+
+    With on, every batch of two tasks or more runs on this process and
+    up to two forked children, whatever the CPU count, the BLAS settings
+    and the threads running; with off, every batch runs serially.
+    """
+    forked = []
+    run_round = estimator._fit_round
+
+    def counted(tasks, processes):
+        if processes > 1:
+            forked.append(processes)
+        return run_round(tasks, processes)
+
+    monkeypatch.setattr(estimator, "_fit_round", counted)
+
+    def switch(on):
+        monkeypatch.setattr(estimator, "_processes", (lambda n: min(n, 3)) if on else (lambda n: 1))
+        forked.clear()
+        return forked
 
     return switch

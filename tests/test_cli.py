@@ -502,22 +502,22 @@ class TestAllFilesOrNone:
             assert (out / first).read_text() == "older\n"
 
     def test_mnchange_failure_at_second_d_exits_3_writing_nothing(self, tmp_path, monkeypatch, capsys):
-        real = experiments.fit_featurized
+        real = experiments.fit_many
         calls = []
 
-        def diverge_after_first_d(PhiP, PhiQ, cfg):
-            calls.append(PhiP.shape)
-            if len(calls) > 3:  # three heat-map fits per d: the fourth is d = 5's first
+        def diverge_after_first_d(tasks):
+            calls.append(len(tasks))
+            if len(calls) > 1:  # one batch of three heat-map fits per d: the second is d = 5's
                 raise estimator.FitDivergedError(1, float("inf"))
-            return real(PhiP, PhiQ, cfg)
+            return real(tasks)
 
-        monkeypatch.setattr(experiments, "fit_featurized", diverge_after_first_d)
+        monkeypatch.setattr(experiments, "fit_many", diverge_after_first_d)
         out = tmp_path / "mn"
         rc = main(["experiment", "mnchange", "--d-list", "4,5", "--n", "40", "--n-changed", "2",
                    "--lambda-grid", "0.3", "--max-iter", "20", "--out", str(out)])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
-        assert len(calls) == 4
+        assert calls == [3, 3]
         assert not out.exists()
 
 

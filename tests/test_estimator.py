@@ -1,4 +1,7 @@
 import math
+import os
+import pickle
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from trdre import estimator, ratio_model
 from trdre.baselines import brute_force_maxmin_1d, enumerate_weight_vertices
 from trdre.estimator import (
     STOP_REASONS,
@@ -19,6 +23,7 @@ from trdre.estimator import (
     fit,
     fit_featurized,
     fit_kliep,
+    fit_many,
     fit_result_to_dict,
     gradient,
     keep_count,
@@ -343,6 +348,12 @@ class TestFit:
         ):
             fit(xp, xq, LinearFeatures(), TrimConfig(eta0=1e308))
 
+    def test_diverged_error_survives_pickling(self):
+        exc = pickle.loads(pickle.dumps(FitDivergedError(3, 1e300)))
+        assert type(exc) is FitDivergedError
+        assert (exc.iteration, exc.delta_norm) == (3, 1e300)
+        assert str(exc) == str(FitDivergedError(3, 1e300))
+
     def test_large_l1_penalty_gives_exact_zeros(self):
         rng = np.random.default_rng(19)
         xp = rng.standard_normal((40, 2)) + 0.2
@@ -592,6 +603,151 @@ class TestOverlapBitIdentity:
         threaded = gradient(delta, w, PhiP, PhiQ)
         overlap(False)
         assert threaded.tobytes() == gradient(delta, w, PhiP, PhiQ).tobytes()
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestFitMany:
+    """fit_many returns, bit for bit, what a serial loop of fit_featurized
+    returns or raises, whether or not it forks, and leaves no process
+    behind."""
+
+    CONFIGS = TestOverlapBitIdentity.CONFIGS
+
+    @pytest.fixture(scope="class")
+    def tasks(self):
+        rng = np.random.default_rng(31)
+        out = []
+        for cfg in self.CONFIGS:
+            Xp = rng.standard_normal((70, 3)) + np.array([0.5, 0.0, 0.0])
+            Xp[:6] += 3.0
+            Xq = rng.standard_normal((80, 3))
+            fmap = PairwiseQuadraticFeatures()
+            out.append((featurize(Xp, fmap), featurize(Xq, fmap), cfg))
+        return out
+
+    @staticmethod
+    def parent_starts_late(monkeypatch):
+        """The calling process takes its first task 0.3 s after forking, so
+        the children take the first tasks and send back their outcomes."""
+        parent, work = os.getpid(), estimator._work
+
+        def late(tasks, queue):
+            if os.getpid() == parent:
+                time.sleep(0.3)
+            return work(tasks, queue)
+
+        monkeypatch.setattr(estimator, "_work", late)
+
+    @staticmethod
+    def bits(results):
+        return [
+            (r.delta_best.tobytes(), r.w_best.tobytes(), r.objective_best, r.t_hat, r.trace,
+             r.iterations_run, r.stop_reason)
+            for r in results
+        ]
+
+    def test_forked_equals_serial(self, tasks, forking):
+        forked = forking(True)
+        in_processes = self.bits(fit_many(tasks))
+        assert forked == [3]
+        _no_children_left()
+        assert not forking(False)
+        assert self.bits(fit_many(tasks)) == in_processes
+        assert in_processes == self.bits([fit_featurized(*t) for t in tasks])
+        assert fit_many([]) == []
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_first_failing_task_in_task_order_raises(self, tasks, forking, monkeypatch, on):
+        (P0, Q0, cfg), (P2, Q2, _) = tasks[0], tasks[2]
+        batch = [tasks[0], (P0, Q0, replace(cfg, eta0=1e308)), tasks[1],
+                 (P2, Q2, replace(cfg, eta0=1e308)), tasks[2]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FitDivergedError) as serial:
+                fit_featurized(*batch[1])
+            with pytest.raises(FitDivergedError) as fourth:
+                fit_featurized(*batch[3])
+            assert str(serial.value) != str(fourth.value)
+            forking(on)
+            if on:
+                self.parent_starts_late(monkeypatch)  # a child's error crosses the pipe
+            with pytest.raises(FitDivergedError) as raised:
+                fit_many(batch)
+        assert str(raised.value) == str(serial.value)
+        assert (raised.value.iteration, raised.value.task_index) == (serial.value.iteration, 1)
+        _no_children_left()
+
+    def test_rounds_keep_task_order(self, tasks, forking, monkeypatch):
+        monkeypatch.setattr(estimator, "_ROUND", 4)  # 11 tasks: rounds of 4, 4 and 3
+        batch = (tasks * 2)[:11]
+        forked = forking(True)
+        assert self.bits(fit_many(batch)) == self.bits([fit_featurized(*t) for t in batch])
+        assert forked == [3, 3, 3]
+        P, Q, cfg = batch[6]
+        batch[6] = (P, Q, replace(cfg, eta0=1e308))
+        with pytest.raises(FitDivergedError) as raised, np.errstate(over="ignore", invalid="ignore"):
+            fit_many(batch)
+        assert raised.value.task_index == 6
+        assert forked == [3, 3, 3, 3, 3]  # no third round after the failure
+        _no_children_left()
+
+    def test_child_that_dies_is_named(self, tasks, forking, monkeypatch):
+        parent, real = os.getpid(), estimator.fit_featurized
+
+        def die_in_children(*task):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(*task)
+
+        monkeypatch.setattr(estimator, "fit_featurized", die_in_children)
+        self.parent_starts_late(monkeypatch)
+        forking(True)
+        with pytest.raises(RuntimeError, match="task 0 of fit_many got no result") as raised:
+            fit_many(tasks[:3])
+        assert raised.value.task_index == 0
+        _no_children_left()
+
+    def test_interrupted_parent_kills_its_children(self, tasks, forking, monkeypatch):
+        parent = os.getpid()
+
+        def interrupt(*task):
+            if os.getpid() != parent:
+                time.sleep(60)
+            time.sleep(0.2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(estimator, "fit_featurized", interrupt)
+        forking(True)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            fit_many(tasks[:3])
+        assert time.monotonic() - start < 30.0
+        _no_children_left()
+
+    def test_overlap_is_off_only_while_a_round_is_out(self, tasks, forking, overlap, monkeypatch):
+        overlap(True)
+        seen, parent, real = [], os.getpid(), estimator.fit_featurized
+
+        def record(*task):
+            if os.getpid() == parent:
+                seen.append(ratio_model._overlap)
+            else:
+                time.sleep(0.2)  # the parent takes the other task meanwhile
+            return real(*task)
+
+        monkeypatch.setattr(estimator, "fit_featurized", record)
+        forking(False)
+        fit_many(tasks[:2])
+        forking(True)
+        fit_many(tasks[:1])  # one task never forks
+        assert seen == [True, True, True]
+        fit_many(tasks[:2])
+        assert seen[3:] in ([False], [False, False])  # the child may start too late to take one
+        assert ratio_model._overlap is True
 
 
 class TestSerialization:

@@ -203,6 +203,26 @@ class TestSupportCurve:
         with pytest.raises(ValueError, match="matching feature dimension"):
             support_curve(PhiP, PhiQ[:, :-1], pair.delta_star, [0.1], TrimConfig())
 
+    @pytest.mark.parametrize("on", [True, False])
+    def test_first_diverged_lambda_is_named(self, mn_data, forking, on):
+        # A penalty above every gradient entry keeps delta at 0, so only the
+        # two small lambdas diverge.
+        pair, PhiP, PhiQ = mn_data
+        forking(on)
+        with pytest.raises(RuntimeError, match=r"fit failed at lambda=0\.001: objective became non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            support_curve(PhiP, PhiQ, pair.delta_star, [1e-3, 1e-2, 1e3], TrimConfig(eta0=1e308))
+
+    def test_forked_equals_serial(self, mn_data, forking):
+        pair, PhiP, PhiQ = mn_data
+        cfg = TrimConfig(nu=0.9, eta0=0.1, max_iter=300)
+        grid = [1e-3, 1e-2, 5e-2, 1e-1, 1.0]
+        forked = forking(True)
+        curve = support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg)
+        assert forked == [3]
+        assert not forking(False)
+        assert support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg) == curve
+
 
 class TestRatioCurveError:
     def test_zero_for_matching_model(self):
@@ -247,6 +267,14 @@ class TestErrorScaling:
         a = error_scaling("outlier", [200], repeats=2, seed=1)
         b = error_scaling("outlier", [200], repeats=2, seed=1)
         assert a == b
+
+    @pytest.mark.parametrize("protocol", ["truncation", "outlier"])
+    def test_forked_equals_serial(self, forking, protocol):
+        forked = forking(True)
+        table = error_scaling(protocol, [100, 300], repeats=3, seed=4)
+        assert forked == [3]
+        assert not forking(False)
+        assert error_scaling(protocol, [100, 300], repeats=3, seed=4) == table
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,18 @@ class TestTruncationRunner:
         assert summary["converged"] == (summary["stop_reason"] == "window")
 
 
+@pytest.mark.parametrize("runner,kwargs", [
+    (run_outlier1d, dict(n_good=160, n_out=40, n_q=200, b_grid=(0.0, 3.0, 6.0), max_iter=300)),
+    (run_mnchange, dict(d_values=(4, 5), n=40, n_changed=2, lambda_grid=(1e-3, 0.1, 0.5), max_iter=100)),
+])
+def test_files_do_not_depend_on_forking(runner, kwargs, forking):
+    forked = forking(True)
+    summary, files = runner(**kwargs)
+    assert forked
+    assert not forking(False)
+    assert runner(**kwargs) == (summary, files)
+
+
 class TestMnchangeUnboundedCounts:
     def test_counts_match_the_fits(self):
         # The outlier at 10 lies beyond every x_q, so the untrimmed fit on
@@ -61,7 +73,7 @@ class TestOutlierRunner:
         def no_fit(*args, **kwargs):
             raise AssertionError("fit started before the b grid was checked")
 
-        monkeypatch.setattr(experiments, "fit_featurized", no_fit)
+        monkeypatch.setattr(experiments, "fit_many", no_fit)
         monkeypatch.chdir(tmp_path)  # a runner writes nothing, not even beside itself
         with pytest.raises(ValueError, match="b must be finite"):
             run_outlier1d(n_good=40, n_out=10, n_q=50, b_grid=(1.0, float("inf")))

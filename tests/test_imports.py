@@ -4,8 +4,11 @@ scipy costs several tenths of a second at import, more than a paper-scale
 1-D experiment spends fitting, so only the generators that need it
 (Gaussian MN samples, truncated normals) import it, on first use. The
 worker thread of ratio_model._dot_pair starts only for feature matrices
-far larger than these runs use. Each check runs in a fresh interpreter,
-since this test process has scipy loaded already.
+far larger than these runs use. estimator.fit_many forks with os alone:
+multiprocessing and concurrent.futures cost about 24 ms to import, as
+much as a sweep at paper scale gains from a second CPU, and neither is
+loaded. Its forked children are all reaped. Each check runs in a fresh
+interpreter, since this test process has scipy loaded already.
 """
 
 import os
@@ -16,14 +19,17 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
+import os
 import sys
 import threading
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    pools = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+    return sorted(scipy), pools, threading.active_count()
 
 import trdre, trdre.cli, trdre.experiments
-print("import", scipy_modules(), threading.active_count())
+print("import", *loaded())
 
 import numpy as np
 from trdre.cli import main
@@ -37,7 +43,11 @@ assert main(["fit", "--xp", out + "/xp.csv", "--xq", out + "/xq.csv", "--feature
              "--max-iter", "50", "--out", out + "/fit"]) == 0
 assert main(["experiment", "outlier1d", "--n-good", "80", "--n-out", "20", "--n-q", "100",
              "--b-grid", "3", "--max-iter", "50", "--out", out + "/o1"]) == 0
-print("run", scipy_modules(), threading.active_count())
+print("run", *loaded())
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no children left")
 """
 
 
@@ -48,4 +58,5 @@ def test_import_and_cli_runs_load_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     lines = [ln for ln in done.stdout.splitlines() if ln.startswith(("import ", "run "))]
-    assert lines == ["import [] 1", "run [] 1"]
+    assert lines == ["import [] [] 1", "run [] [] 1"]
+    assert "no children left" in done.stdout
