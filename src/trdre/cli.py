@@ -203,11 +203,11 @@ def cmd_fit(args) -> int:
         payload["inputs"][key] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     kept = result.kept_indices
     trimmed = np.setdiff1d(np.arange(PhiP.shape[0]), kept)
-    commit({
-        out / "fit_result.json": json_text(payload),
-        out / "kept_indices.csv": csv_text([[int(i)] for i in kept], header=["index"]),
-        out / "trimmed_indices.csv": csv_text([[int(i)] for i in trimmed], header=["index"]),
-    })
+    commit([
+        (out / "fit_result.json", json_text(payload)),
+        (out / "kept_indices.csv", csv_text([[int(i)] for i in kept], header=["index"])),
+        (out / "trimmed_indices.csv", csv_text([[int(i)] for i in trimmed], header=["index"])),
+    ])
     print(f"[trdre] wrote {out / 'fit_result.json'} (objective_best={result.objective_best!r})")
     print(f"[trdre] stop_reason={result.stop_reason} after {result.iterations_run} iterations")
 
@@ -255,7 +255,7 @@ def cmd_experiment(args) -> int:
     del kwargs["command"]
     name, out = kwargs.pop("experiment"), Path(kwargs.pop("out"))
     _, files = getattr(experiments, f"run_{name}")(**kwargs)
-    commit({out / file_name: text for file_name, text in files.items()})
+    commit([(out / file_name, text) for file_name, text in files.items()])
     print(f"[trdre] experiment {name} written to {out}")
     return EXIT_OK
 
@@ -263,8 +263,8 @@ def cmd_experiment(args) -> int:
 def cmd_gen(args) -> int:
     if args.generator == "mnpair":
         pair = gen_gaussian_mn_pair(args.d, args.n_changed, args.seed)
-        files = {
-            args.out: json_text({
+        files = [(
+            args.out, json_text({
                 "d": args.d,
                 "n_changed": args.n_changed,
                 "seed": args.seed,
@@ -272,8 +272,8 @@ def cmd_gen(args) -> int:
                 "theta_q": [[float(v) for v in row] for row in pair.theta_q],
                 "delta_star": [[float(v) for v in row] for row in pair.delta_star],
                 "changed_edges": [[int(i), int(j)] for i, j in pair.changed_edges],
-            })
-        }
+            }),
+        )]
     elif args.generator == "mnsamples":
         with open(args.pair, encoding="utf-8") as fh:
             pair = json.load(fh)
@@ -282,11 +282,11 @@ def cmd_gen(args) -> int:
             raise ValueError(f"{args.pair}: missing key {key!r}")
         theta = np.asarray(pair[key], dtype=float)
         X = sample_gaussian(theta, args.n, args.seed)
-        files = {args.out: csv_text(X, comment=f"which={args.which} n={args.n} seed={args.seed}")}
+        files = [(args.out, csv_text(X, comment=f"which={args.which} n={args.n} seed={args.seed}"))]
     elif args.generator == "gaussian":
         theta = read_numeric_csv(args.precision)
         X = sample_gaussian(theta, args.n, args.seed)
-        files = {args.out: csv_text(X, comment=f"n={args.n} seed={args.seed}")}
+        files = [(args.out, csv_text(X, comment=f"n={args.n} seed={args.seed}"))]
     else:
         if args.generator == "outlier1d":
             xp, xq = gen_outlier_1d(args.n_good, args.n_out, args.b, args.seed, n_q=args.n_q)
@@ -294,7 +294,7 @@ def cmd_gen(args) -> int:
         else:
             xp, xq = gen_truncation_1d(args.n, args.nu, args.seed)
             note = f"n={args.n} nu={args.nu} seed={args.seed}"
-        files = {args.out_xp: csv_text(xp, comment=note), args.out_xq: csv_text(xq, comment=note)}
+        files = [(args.out_xp, csv_text(xp, comment=note)), (args.out_xq, csv_text(xq, comment=note))]
     commit(files)
     print("[trdre] gen done")
     return EXIT_OK

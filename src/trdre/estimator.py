@@ -47,10 +47,30 @@ The loop, the oracles (objective, gradient, assign_weights) and
 kkt_check all evaluate delta through one kernel, ratio_model._evaluate
 (log_ratios returns its first output), and rank through one helper,
 _trim, so the oracles check the loop's own arithmetic. Every
-feature-matrix product goes through np.dot, and each step's two pairs
-of them through ratio_model._dot_pair, which may run a pair on two
-threads without changing a bit; the ratio_model docstring gives the
-reasons.
+feature-matrix product goes through np.dot.
+
+Each ascent step computes two pairs of independent products, PhiQ delta
+with PhiP delta, and PhiP^T w with PhiQ^T softmax. A fit runs the two of
+each pair on two threads (np.dot releases the GIL) when all of these
+hold: both matrices have at least 2**20 entries, the process may run on
+two CPUs, and the environment pins OpenBLAS to one thread per call (a
+multi-threaded BLAS already uses the second CPU, and two such calls at
+once oversubscribe it). fit_featurized then starts one worker thread
+(_DotWorker) and stops it before it returns or raises, so no thread
+outlives a fit; the oracles and kkt_check, single evaluations, run
+serially. Each product is the same np.dot call whichever thread runs
+it, so no output bit depends on the path. Measured on a 2-vCPU KVM guest
+(Intel Xeon, OpenBLAS 0.3.31, one BLAS thread), handing a product to the
+worker and back costs about 15-20 us: a 5000-by-1 pair took 7-10 us
+serially and 21-30 us overlapped. A 1500-by-1500 pair took 1.6-1.7 ms
+serially and 0.9-1.0 ms overlapped while the host left the second vCPU
+free, and 2-8% longer than serially while it did not. At 501 by 325
+overlap won in one window (98 against 64 us) and lost in another (112
+against 135 us); break-even lies at about 0.5-1M entries, and the floor
+sits above it. A caller never waits long for a worker whose CPU is
+taken (see _DotWorker): without that rule, 3 of 10 benchmark runs of a
+1500-by-1500 rbf fit were slower than serial, one by a factor of 2.2.
+Starting and stopping the worker costs about 0.1 ms a fit.
 
 fit_many runs a list of independent fits, the sweeps of the experiments
 and evaluation modules, and returns their results in task order. Where
@@ -66,21 +86,13 @@ import math
 import os
 import pickle
 import threading
+import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import ratio_model
-from .ratio_model import (
-    FeatureMap,
-    _blas_single_threaded,
-    _cpu_count,
-    _dot_pair,
-    _evaluate,
-    as_sample_matrix,
-    featurize,
-)
+from .ratio_model import FeatureMap, _dot_pair, _evaluate, as_sample_matrix, featurize
 
 REGULARIZERS = ("none", "l1", "l2sq")
 STOP_REASONS = ("window", "max_iter", "unbounded")
@@ -121,8 +133,8 @@ class TrimConfig:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
         if self.eta0 <= 0.0 or not np.isfinite(self.eta0):
             raise ValueError(f"eta0 must be a positive real, got {self.eta0}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be a finite positive real, got {self.tol}")
 
@@ -224,10 +236,11 @@ def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _data_gradient(
-    PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float
+    PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float, pair=_dot_pair
 ) -> np.ndarray:
-    """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio sum."""
-    gp, gq = _dot_pair(PhiP.T, w, PhiQ.T, sm)
+    """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio sum;
+    pair computes the two products, as in ratio_model._evaluate."""
+    gp, gq = pair(PhiP.T, w, PhiQ.T, sm)
     return gp - nu * gq
 
 
@@ -297,6 +310,112 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
+_OVERLAP_MIN_SIZE = 1 << 20  # entries each matrix needs before a fit overlaps its products
+# OpenBLAS takes its thread count from the first of these holding a positive integer.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_single_threaded() -> bool:
+    """Whether the environment pins OpenBLAS to one thread per call."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n == 1
+    return False
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_LATE = 1.25  # a worker product this many times the caller's expected time is late
+
+
+class _DotWorker:
+    """A thread that computes np.dot(A, x) while its caller computes a
+    second product; np.dot releases the GIL inside the BLAS. The caller
+    starts it, passes pair where a pair function is taken, and stops it.
+
+    A worker whose CPU is taken by other work can fall far behind, and a
+    caller that waited for it would run at that CPU's speed. So the caller
+    waits only until the worker's product is late: until it has taken
+    _LATE times the caller's own product time, scaled by the two matrices'
+    sizes. Past that the caller computes the product itself and drops the
+    worker's copy, and it runs later pairs serially until the worker is
+    idle again.
+    """
+
+    def __init__(self) -> None:
+        self._go = threading.Lock()  # held while there is no job; pair and stop release it
+        self._go.acquire()
+        self._job: tuple | None = None  # None when _go is released: the thread ends
+        self._done: threading.Lock | None = None  # released once the last job is done
+        self.idle = True
+        self._thread = threading.Thread(target=self._serve, name="trdre-dot", daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            box, done = self._job[2:]
+            try:  # no local name for A: the thread must not keep it alive
+                box.append(np.dot(*self._job[:2]))
+            except BaseException as exc:  # raised again in the caller
+                box.append(exc)
+            self._job = None
+            self.idle = True
+            done.release()
+
+    def pair(self, A, x, B, y) -> tuple[np.ndarray, np.ndarray]:
+        if not self.idle:
+            return _dot_pair(A, x, B, y)
+        box, done = [], threading.Lock()
+        done.acquire()
+        self.idle, self._done = False, done
+        self._job = (A, x, box, done)
+        self._go.release()
+        start = time.perf_counter()
+        try:
+            second = np.dot(B, y)
+        except BaseException as exc:
+            second = exc
+        now = time.perf_counter()
+        due = start + _LATE * (now - start) * np.size(A) / max(np.size(B), 1)
+        if done.acquire(timeout=max(due - now, 0.0)):
+            first = box[0]
+        else:
+            try:
+                first = np.dot(A, x)
+            except BaseException as exc:
+                first = exc
+        # The serial order's error: the first product's, else the second's.
+        for out in (first, second):
+            if isinstance(out, BaseException):
+                raise out
+        return first, second
+
+    def stop(self) -> None:
+        """Wait for the product in hand, if any, then end the thread."""
+        if not self.idle:
+            self._done.acquire()
+        self._go.release()
+        self._thread.join()
+
+
+# True while a round of forked fits is out; forked children inherit it.
+# Every fit then runs its products serially: the CPUs are taken.
+_round_out = False
+
+
 def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
     """Run the ascent-and-trimming loop on already-featurized samples.
 
@@ -328,37 +447,51 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     linear = cfg.regularizer != "l2sq" or cfg.lam == 0.0
     ceiling = unbounded_threshold(nu_eff, PhiQ.shape[0]) if linear else math.inf
 
-    for it in range(cfg.max_iter):
-        lr, sm = _evaluate(delta, PhiP, PhiQ)
-        w, low = _trim(lr, k)
-        obj = float(low.sum() / n_p - cfg.lam * _reg_value(delta, cfg))
-        if not math.isfinite(obj):
-            raise FitDivergedError(it, float(np.max(np.abs(delta))))
+    # This fit's worker thread, where the rule in the module docstring holds.
+    worker = None
+    if (
+        not _round_out
+        and min(PhiP.size, PhiQ.size) >= _OVERLAP_MIN_SIZE
+        and _cpu_count() >= 2
+        and _blas_single_threaded()
+    ):
+        worker = _DotWorker()
+    pair = _dot_pair if worker is None else worker.pair
+    try:
+        for it in range(cfg.max_iter):
+            lr, sm = _evaluate(delta, PhiP, PhiQ, pair)
+            w, low = _trim(lr, k)
+            obj = float(low.sum() / n_p - cfg.lam * _reg_value(delta, cfg))
+            if not math.isfinite(obj):
+                raise FitDivergedError(it, float(np.max(np.abs(delta))))
 
-        trace.append((it, obj))
-        if obj > best_obj:
-            best_obj = obj
-            delta_best = delta.copy()
-            w_best = w
-            t_hat = float(low[-1])
-        best_hist.append(best_obj)
-        if obj > ceiling:
-            stop_reason = "unbounded"
-            break
-        if it >= 50 and best_hist[-1] - best_hist[0] < cfg.tol:
-            stop_reason = "window"
-            break
+            trace.append((it, obj))
+            if obj > best_obj:
+                best_obj = obj
+                delta_best = delta.copy()
+                w_best = w
+                t_hat = float(low[-1])
+            best_hist.append(best_obj)
+            if obj > ceiling:
+                stop_reason = "unbounded"
+                break
+            if it >= 50 and best_hist[-1] - best_hist[0] < cfg.tol:
+                stop_reason = "window"
+                break
 
-        eta = cfg.eta0 / math.sqrt(it + 1.0)
-        # nu_eff = k / n_p, not sum(w): the two can differ in the last bit.
-        g = _data_gradient(PhiP, PhiQ, w, sm, nu_eff)
-        # "none" has the zero gradient: g - lam * 0 is g, bit for bit.
-        if cfg.regularizer == "l1":
-            delta = soft_threshold(delta + eta * g, eta * cfg.lam)
-        elif cfg.regularizer == "l2sq":
-            delta = delta + eta * (g - cfg.lam * _reg_subgradient(delta, cfg))
-        else:
-            delta = delta + eta * g
+            eta = cfg.eta0 / math.sqrt(it + 1.0)
+            # nu_eff = k / n_p, not sum(w): the two can differ in the last bit.
+            g = _data_gradient(PhiP, PhiQ, w, sm, nu_eff, pair)
+            # "none" has the zero gradient: g - lam * 0 is g, bit for bit.
+            if cfg.regularizer == "l1":
+                delta = soft_threshold(delta + eta * g, eta * cfg.lam)
+            elif cfg.regularizer == "l2sq":
+                delta = delta + eta * (g - cfg.lam * _reg_subgradient(delta, cfg))
+            else:
+                delta = delta + eta * g
+    finally:
+        if worker is not None:
+            worker.stop()
 
     return FitResult(
         delta_best=delta_best,
@@ -377,7 +510,7 @@ def _processes(n_tasks: int) -> int:
 
     It forks only where that is safe and pays: os.fork exists, there are
     two tasks or more, the process may use two CPUs or more, OpenBLAS is
-    pinned to one thread per call (ratio_model._blas_single_threaded; a
+    pinned to one thread per call (_blas_single_threaded; a
     multi-threaded BLAS already fills the CPUs, and its thread pool would
     be forked mid-use), and this process runs one thread (a fork copies
     only the calling thread, so a lock another thread holds stays held in
@@ -453,12 +586,11 @@ def _fit_round(tasks: list, processes: int) -> dict[int, FitResult | Exception]:
     by a child that ended without sending it. Children are reaped before
     this returns, and killed first if it raises.
     """
+    global _round_out
     fds, children = [], {}  # children: pid -> read end of its result pipe
-    overlap = ratio_model._overlap
+    round_out = _round_out
     if processes > 1:
-        # Every product runs serially while a round is out: the CPUs are
-        # taken, and a child has no copy of the parent's worker thread.
-        ratio_model._overlap = False
+        _round_out = True
     try:
         queue, w = os.pipe()
         fds.append(queue)
@@ -498,7 +630,7 @@ def _fit_round(tasks: list, processes: int) -> dict[int, FitResult | Exception]:
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
-        ratio_model._overlap = overlap
+        _round_out = round_out
 
 
 def fit_many(tasks) -> list[FitResult]:

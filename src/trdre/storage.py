@@ -58,16 +58,22 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def commit(files) -> None:
-    """Write every file of `files` ({path: text}) or none of them: reject a
-    target that is a directory, stage each text beside its target, rename
-    the stages in once all are written, and remove the stages on a failure."""
-    paths = [Path(p) for p in files]
+    """Write every file of `files` ((path, text) pairs) or none of them:
+    reject a target that is a directory or the same file as another, stage
+    each text beside its target, rename the stages in once all are
+    written, and remove the stages on a failure."""
+    paths = [Path(p) for p, _ in files]
+    seen = set()
     for path in paths:
         if path.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
+        real = path.resolve()
+        if real in seen:
+            raise ValueError(f"two outputs name the same file: {real}")
+        seen.add(real)
     stages = [path.with_name(f".{path.name}.{i}.stage") for i, path in enumerate(paths)]
     try:
-        for stage, text in zip(stages, files.values()):
+        for stage, (_, text) in zip(stages, files):
             write_text_atomic(stage, text)
         for stage, path in zip(stages, paths):
             os.replace(stage, path)

@@ -1,31 +1,33 @@
 import pytest
 
-from trdre import estimator, ratio_model
+from trdre import estimator
 
 
 @pytest.fixture()
 def overlap(monkeypatch):
-    """overlap(on) -> list with one entry per pair the worker thread ran.
+    """overlap(on) -> list with one entry per pair handed to a worker thread.
 
-    Sets ratio_model._dot_pair's size floor to 0 (on: every pair of
-    matrices overlaps) or to a size no matrix reaches (off: none does).
-    The CPU and BLAS conditions are taken as met, and the caller waits for
-    the worker however long it takes, so with on the worker's product is
-    the one returned for every pair, wherever the test runs.
+    Sets estimator's overlap floor to 0 (on: every fit starts a worker
+    thread) or to a size no matrix reaches (off: none does). The CPU and
+    BLAS conditions are taken as met, and the caller waits for the worker
+    however long it takes, so with on the worker's product is the one
+    returned for every pair of a fit's loop, wherever the test runs.
     """
     ran = []
-    pair = ratio_model._DotWorker.pair
+    pair = estimator._DotWorker.pair
 
     def counted(self, *args):
-        ran.append(1)
+        if self.idle:
+            ran.append(1)
         return pair(self, *args)
 
-    monkeypatch.setattr(ratio_model._DotWorker, "pair", counted)
-    monkeypatch.setattr(ratio_model, "_overlap", True)
-    monkeypatch.setattr(ratio_model, "_LATE", 1e6)
+    monkeypatch.setattr(estimator._DotWorker, "pair", counted)
+    monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(estimator, "_blas_single_threaded", lambda: True)
+    monkeypatch.setattr(estimator, "_LATE", 1e6)
 
     def switch(on):
-        monkeypatch.setattr(ratio_model, "_OVERLAP_MIN_SIZE", 0 if on else 1 << 62)
+        monkeypatch.setattr(estimator, "_OVERLAP_MIN_SIZE", 0 if on else 1 << 62)
         ran.clear()
         return ran
 

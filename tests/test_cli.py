@@ -501,6 +501,16 @@ class TestAllFilesOrNone:
         if first is not None:
             assert (out / first).read_text() == "older\n"
 
+    @pytest.mark.parametrize("argv", [
+        "gen truncation1d --n 5 --out-xp a.csv --out-xq ./a.csv",
+        "gen outlier1d --b 3 --out-xp a.csv --out-xq a.csv",
+    ], ids=["two_spellings", "one_spelling"])
+    def test_outputs_naming_one_file_exit_2_writing_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 2
+        assert f"two outputs name the same file: {tmp_path.resolve() / 'a.csv'}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_mnchange_failure_at_second_d_exits_3_writing_nothing(self, tmp_path, monkeypatch, capsys):
         real = experiments.fit_many
         calls = []

@@ -1,6 +1,8 @@
 import math
 import os
 import pickle
+import sys
+import threading
 import time
 from dataclasses import fields, replace
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trdre import estimator, ratio_model
+from trdre import estimator
 from trdre.baselines import brute_force_maxmin_1d, enumerate_weight_vertices
 from trdre.estimator import (
     STOP_REASONS,
@@ -84,6 +86,15 @@ class TestTrimConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             TrimConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, float("inf"), float("nan"), "3", None])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            TrimConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_is_accepted(self):
+        res = fit_featurized(np.ones((4, 1)), np.ones((5, 1)), TrimConfig(max_iter=np.int64(3)))
+        assert res.iterations_run == 3 and res.stop_reason == "max_iter"
 
 
 class TestKeepCount:
@@ -548,8 +559,8 @@ class TestSharedKernel:
 
 
 class TestOverlapBitIdentity:
-    """The worker thread of ratio_model._dot_pair changes no bit of a fit,
-    an oracle or kkt_check."""
+    """A fit's worker thread changes no bit of the fit, nor of an oracle or
+    kkt_check, which run serially."""
 
     CONFIGS = [
         TrimConfig(nu=nu, lam=lam, regularizer=reg, max_iter=300)
@@ -598,11 +609,38 @@ class TestOverlapBitIdentity:
         ran = overlap(True)
         with pytest.raises(ValueError):
             gradient(delta, np.ones(PhiP.shape[0] - 1), PhiP, PhiQ)
-        assert len(ran) == 2  # _evaluate's pair, then the gradient's
+        assert not ran  # single evaluations run serially
         w = np.full(PhiP.shape[0], 1.0 / PhiP.shape[0])
         threaded = gradient(delta, w, PhiP, PhiQ)
         overlap(False)
         assert threaded.tobytes() == gradient(delta, w, PhiP, PhiQ).tobytes()
+
+    def test_concurrent_fits_equal_serial(self, data, overlap):
+        # Two user threads fit at once, each with its own worker thread:
+        # four threads on at most two cores, switching often.
+        PhiP, PhiQ = data
+        cfgs = self.CONFIGS[:2]
+        ran = overlap(True)
+        got = [None] * len(cfgs)
+
+        def run(i):
+            got[i] = fit_featurized(PhiP, PhiQ, cfgs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(ran) > sum(r.iterations_run for r in got)
+        overlap(False)
+        for cfg, res in zip(cfgs, got):
+            assert TestFitMany.bits([res]) == TestFitMany.bits([fit_featurized(PhiP, PhiQ, cfg)])
 
 
 def _no_children_left():
@@ -734,7 +772,7 @@ class TestFitMany:
 
         def record(*task):
             if os.getpid() == parent:
-                seen.append(ratio_model._overlap)
+                seen.append(estimator._round_out)
             else:
                 time.sleep(0.2)  # the parent takes the other task meanwhile
             return real(*task)
@@ -744,10 +782,31 @@ class TestFitMany:
         fit_many(tasks[:2])
         forking(True)
         fit_many(tasks[:1])  # one task never forks
-        assert seen == [True, True, True]
+        assert seen == [False, False, False]
         fit_many(tasks[:2])
-        assert seen[3:] in ([False], [False, False])  # the child may start too late to take one
-        assert ratio_model._overlap is True
+        assert seen[3:] in ([True], [True, True])  # the child may start too late to take one
+        assert estimator._round_out is False
+
+    def test_no_thread_outlives_a_fit(self, tasks, overlap, monkeypatch):
+        ran = overlap(True)  # every fit starts a worker thread; the CPU and BLAS rules hold
+        before = threading.active_count()
+        fit_featurized(*tasks[0])
+        assert ran and threading.active_count() == before
+        P, Q, cfg = tasks[0]
+        with pytest.raises(FitDivergedError), np.errstate(over="ignore", invalid="ignore"):
+            fit_featurized(P, Q, replace(cfg, eta0=1e308))
+        assert threading.active_count() == before
+        # So the next sweep forks.
+        forked, run_round = [], estimator._fit_round
+
+        def counted(tasks, processes):
+            forked.append(processes)
+            return run_round(tasks, processes)
+
+        monkeypatch.setattr(estimator, "_fit_round", counted)
+        assert self.bits(fit_many(tasks[:2])) == self.bits([fit_featurized(*t) for t in tasks[:2]])
+        assert forked == [2]
+        _no_children_left()
 
 
 class TestSerialization:

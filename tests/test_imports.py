@@ -2,9 +2,9 @@
 
 scipy costs several tenths of a second at import, more than a paper-scale
 1-D experiment spends fitting, so only the generators that need it
-(Gaussian MN samples, truncated normals) import it, on first use. The
-worker thread of ratio_model._dot_pair starts only for feature matrices
-far larger than these runs use. estimator.fit_many forks with os alone:
+(Gaussian MN samples, truncated normals) import it, on first use. A fit
+starts a worker thread only for feature matrices far larger than these
+runs use, and stops it before returning. estimator.fit_many forks with os alone:
 multiprocessing and concurrent.futures cost about 24 ms to import, as
 much as a sweep at paper scale gains from a second CPU, and neither is
 loaded. Its forked children are all reaped. Each check runs in a fresh

@@ -1,6 +1,4 @@
 import math
-import os
-import sys
 import threading
 import time
 
@@ -11,14 +9,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
-from trdre import ratio_model
-from trdre.estimator import _data_gradient
+from trdre import estimator
+from trdre.estimator import _blas_single_threaded, _data_gradient, _DotWorker
 from trdre.ratio_model import (
     GaussianKernelFeatures,
     LinearFeatures,
     PairwiseQuadraticFeatures,
-    _blas_single_threaded,
     _dot_pair,
+    _evaluate,
     _pairwise_distances,
     as_sample_matrix,
     feature_map_from_name,
@@ -286,7 +284,9 @@ class TestSelfNormalization:
 
 
 class TestDotPair:
-    """_dot_pair's worker thread returns np.dot's bits and np.dot's errors."""
+    """estimator's worker thread returns np.dot's bits and np.dot's errors,
+    as the serial pair _dot_pair does, and _evaluate gives the same bits
+    with either pair."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -295,48 +295,53 @@ class TestDotPair:
         fmap = GaussianKernelFeatures(Xq[:30])
         return featurize(Xp, fmap), featurize(Xq, fmap), rng.standard_normal(30)
 
-    def products(self, PhiP, PhiQ, delta):
+    @pytest.fixture()
+    def worker(self):
+        worker = _DotWorker()
+        yield worker
+        worker.stop()
+        assert not worker._thread.is_alive()
+
+    def products(self, pair, PhiP, PhiQ, delta):
         w = np.full(PhiP.shape[0], 1.0 / PhiP.shape[0])
         sm = softmax_weights(delta, PhiQ)
         return [
-            *_dot_pair(PhiQ, delta, PhiP, delta),
-            *_dot_pair(PhiP.T, w, PhiQ.T, sm),
-            *_dot_pair(np.asfortranarray(PhiQ), delta, np.asfortranarray(PhiP), delta),
-            log_ratios(delta, PhiP, PhiQ),
-            log_ratios(delta, PhiQ, PhiQ),
-            log_ratios(delta, np.asfortranarray(PhiP), np.asfortranarray(PhiQ)),
+            *pair(PhiQ, delta, PhiP, delta),
+            *pair(PhiP.T, w, PhiQ.T, sm),
+            *pair(np.asfortranarray(PhiQ), delta, np.asfortranarray(PhiP), delta),
+            *_evaluate(delta, PhiP, PhiQ, pair),
+            *_evaluate(delta, PhiQ, PhiQ, pair),
+            *_evaluate(delta, np.asfortranarray(PhiP), np.asfortranarray(PhiQ), pair),
         ]
 
-    def test_threaded_equals_serial(self, data, overlap):
+    def test_threaded_equals_serial(self, data, overlap, worker):
         ran = overlap(True)
-        threaded = self.products(*data)
+        threaded = self.products(worker.pair, *data)
         assert len(ran) == 6
-        ran = overlap(False)
-        serial = self.products(*data)
-        assert not ran
+        serial = self.products(_dot_pair, *data)
         assert len(threaded) == len(serial)
         for a, b in zip(threaded, serial):
             assert a.tobytes() == b.tobytes()
         assert np.array_equal(serial[0], np.dot(data[1], data[2]))
 
-    def test_errors_are_np_dots(self, data, overlap):
+    def test_errors_are_np_dots(self, data, overlap, worker):
         PhiP, PhiQ, delta = data
         ran = overlap(True)
         # The first product's error, as the serial order raises it.
         with pytest.raises(ValueError, match=r"\(70,30\) and \(29,\)"):
-            _dot_pair(PhiP, delta[:-1], PhiQ, delta[:-2])
+            worker.pair(PhiP, delta[:-1], PhiQ, delta[:-2])
         with pytest.raises(ValueError, match=r"\(90,30\) and \(28,\)"):
-            _dot_pair(PhiP, delta, PhiQ, delta[:-2])
+            worker.pair(PhiP, delta, PhiQ, delta[:-2])
         assert len(ran) == 2
         # The worker serves the next pair as before.
-        zp, zq = _dot_pair(PhiP, delta, PhiQ, delta)
+        zp, zq = worker.pair(PhiP, delta, PhiQ, delta)
         assert zp.tobytes() == np.dot(PhiP, delta).tobytes()
         assert zq.tobytes() == np.dot(PhiQ, delta).tobytes()
 
     def test_late_worker_is_overtaken(self, data, overlap, monkeypatch):
         PhiP, PhiQ, delta = data
         ran = overlap(True)
-        monkeypatch.setattr(ratio_model, "_LATE", 1.25)
+        monkeypatch.setattr(estimator, "_LATE", 1.25)
         resume = threading.Event()
 
         class StalledOnWorker:
@@ -347,78 +352,36 @@ class TestDotPair:
                     resume.wait(30.0)
                 return PhiP
 
+        worker = _DotWorker()
         try:
             start = time.perf_counter()
-            zp, zq = _dot_pair(StalledOnWorker(), delta, PhiQ, delta)
+            zp, zq = worker.pair(StalledOnWorker(), delta, PhiQ, delta)
             assert time.perf_counter() - start < 10.0  # computed here, not waited for
             assert zp.tobytes() == np.dot(PhiP, delta).tobytes()
             assert zq.tobytes() == np.dot(PhiQ, delta).tobytes()
             # While the worker is held up, pairs run serially.
-            assert not ratio_model._worker.idle
-            zp, _ = _dot_pair(PhiP, delta, PhiQ, delta)
+            assert not worker.idle
+            zp, _ = worker.pair(PhiP, delta, PhiQ, delta)
             assert len(ran) == 1 and zp.tobytes() == np.dot(PhiP, delta).tobytes()
+            resume.set()
+            deadline = time.monotonic() + 30.0
+            while not worker.idle and time.monotonic() < deadline:
+                time.sleep(0.01)
+            worker.pair(PhiP, delta, PhiQ, delta)
+            assert len(ran) == 2  # the idle worker takes pairs again
+            # stop waits for a product the caller dropped, then ends the thread.
+            resume.clear()
+            worker.pair(StalledOnWorker(), delta, PhiQ, delta)
+            assert not worker.idle
+            timer = threading.Timer(0.2, resume.set)
+            timer.start()
+            worker.stop()
+            assert resume.is_set() and not worker._thread.is_alive()
+            timer.join(10.0)
         finally:
             resume.set()
-        deadline = time.monotonic() + 30.0
-        while not ratio_model._worker.idle and time.monotonic() < deadline:
-            time.sleep(0.01)
-        _dot_pair(PhiP, delta, PhiQ, delta)
-        assert len(ran) == 2  # the idle worker takes pairs again
-
-    def test_concurrent_callers_get_their_own_products(self, overlap):
-        # More caller threads than cores, switching often: a caller that
-        # finds the worker busy runs its pair serially, and no caller ever
-        # receives another caller's product.
-        rng = np.random.default_rng(9)
-        mats = [rng.standard_normal((40 + i, 12)) for i in range(6)]
-        vecs = [rng.standard_normal(12) for _ in range(6)]
-        ran = overlap(True)
-        bad = []
-
-        def call(i):
-            A, B = mats[i], mats[(i + 1) % 6]
-            x, y = vecs[i], vecs[(i + 2) % 6]
-            for _ in range(300):
-                first, second = _dot_pair(A, x, B, y)
-                if first.tobytes() != np.dot(A, x).tobytes() or second.tobytes() != np.dot(B, y).tobytes():
-                    bad.append(i)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert not bad
-        assert ran  # the worker served some of the pairs
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_starts_its_own_worker(self, data, overlap):
-        PhiP, PhiQ, delta = data
-        overlap(True)
-        _dot_pair(PhiP, delta, PhiQ, delta)
-        assert ratio_model._worker is not None
-        pid = os.fork()
-        if pid == 0:  # the child: the parent's worker thread was not copied
-            try:
-                fresh = ratio_model._worker is None
-                zp, _ = _dot_pair(PhiP, delta, PhiQ, delta)
-                os._exit(0 if fresh and zp.tobytes() == np.dot(PhiP, delta).tobytes() else 1)
-            finally:
-                os._exit(2)
-        deadline = time.monotonic() + 30.0
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, 9)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child waited on a worker thread that does not exist")
-        assert os.waitstatus_to_exitcode(done[1]) == 0
+            if worker._thread.is_alive():
+                worker.stop()
 
     @pytest.mark.parametrize("env,single", [
         ({}, False),
@@ -431,7 +394,7 @@ class TestDotPair:
         ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, False),
     ])
     def test_blas_thread_count_from_environment(self, monkeypatch, env, single):
-        for var in ratio_model._BLAS_THREAD_VARS:
+        for var in estimator._BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)

@@ -47,7 +47,7 @@ class TestAtomicWrite:
 
 class TestCommit:
     def test_writes_every_file(self, tmp_path):
-        commit({tmp_path / "a.txt": "one\n", str(tmp_path / "sub" / "b.txt"): "two\n"})
+        commit([(tmp_path / "a.txt", "one\n"), (str(tmp_path / "sub" / "b.txt"), "two\n")])
         assert (tmp_path / "a.txt").read_text() == "one\n"
         assert (tmp_path / "sub" / "b.txt").read_text() == "two\n"
         assert sorted(f.name for f in tmp_path.rglob("*")) == ["a.txt", "b.txt", "sub"]
@@ -56,7 +56,7 @@ class TestCommit:
         (tmp_path / "a.txt").write_text("older\n")
         (tmp_path / "blocker").write_text("a file, so blocker/b.txt cannot be staged\n")
         with pytest.raises(OSError):
-            commit({tmp_path / "a.txt": "new\n", tmp_path / "blocker" / "b.txt": "x\n"})
+            commit([(tmp_path / "a.txt", "new\n"), (tmp_path / "blocker" / "b.txt", "x\n")])
         assert (tmp_path / "a.txt").read_text() == "older\n"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["a.txt", "blocker"]
 
