@@ -70,7 +70,8 @@ against 135 us); break-even lies at about 0.5-1M entries, and the floor
 sits above it. A caller never waits long for a worker whose CPU is
 taken (see _DotWorker): without that rule, 3 of 10 benchmark runs of a
 1500-by-1500 rbf fit were slower than serial, one by a factor of 2.2.
-Starting and stopping the worker costs about 0.1 ms a fit.
+Starting the worker, handing it one 5000-by-1 pair and stopping it took
+a median 0.11 ms on the same guest.
 
 fit_many runs a list of independent fits, the sweeps of the experiments
 and evaluation modules, and returns their results in task order. Where
@@ -82,6 +83,7 @@ no output bit depends on the number of CPUs.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import pickle
@@ -342,6 +344,8 @@ class _DotWorker:
     """A thread that computes np.dot(A, x) while its caller computes a
     second product; np.dot releases the GIL inside the BLAS. The caller
     starts it, passes pair where a pair function is taken, and stops it.
+    Each product runs in a copy of the caller's context at that call, so
+    the caller's np.errstate applies on both threads.
 
     A worker whose CPU is taken by other work can fall far behind, and a
     caller that waited for it would run at that CPU's speed. So the caller
@@ -353,62 +357,40 @@ class _DotWorker:
     """
 
     def __init__(self) -> None:
-        self._go = threading.Lock()  # held while there is no job; pair and stop release it
-        self._go.acquire()
-        self._job: tuple | None = None  # None when _go is released: the thread ends
-        self._done: threading.Lock | None = None  # released once the last job is done
-        self.idle = True
-        self._thread = threading.Thread(target=self._serve, name="trdre-dot", daemon=True)
-        self._thread.start()
+        # Imported here, not with the module: concurrent.futures (with the
+        # logging it loads) takes about 5 ms, and only a large fit needs it.
+        from concurrent.futures import ThreadPoolExecutor, TimeoutError
 
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            box, done = self._job[2:]
-            try:  # no local name for A: the thread must not keep it alive
-                box.append(np.dot(*self._job[:2]))
-            except BaseException as exc:  # raised again in the caller
-                box.append(exc)
-            self._job = None
-            self.idle = True
-            done.release()
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="trdre-dot")
+        self._late = TimeoutError  # not the builtin TimeoutError before Python 3.11
+        self._job = None  # the last product handed to the thread
+
+    @property
+    def idle(self) -> bool:
+        return self._job is None or self._job.done()
 
     def pair(self, A, x, B, y) -> tuple[np.ndarray, np.ndarray]:
         if not self.idle:
             return _dot_pair(A, x, B, y)
-        box, done = [], threading.Lock()
-        done.acquire()
-        self.idle, self._done = False, done
-        self._job = (A, x, box, done)
-        self._go.release()
+        self._job = job = self._pool.submit(contextvars.copy_context().run, np.dot, A, x)
         start = time.perf_counter()
         try:
             second = np.dot(B, y)
-        except BaseException as exc:
+        except Exception as exc:  # raised once the first product is in, as the serial order would
             second = exc
         now = time.perf_counter()
         due = start + _LATE * (now - start) * np.size(A) / max(np.size(B), 1)
-        if done.acquire(timeout=max(due - now, 0.0)):
-            first = box[0]
-        else:
-            try:
-                first = np.dot(A, x)
-            except BaseException as exc:
-                first = exc
-        # The serial order's error: the first product's, else the second's.
-        for out in (first, second):
-            if isinstance(out, BaseException):
-                raise out
+        try:
+            first = job.result(timeout=max(due - now, 0.0))
+        except self._late:
+            first = np.dot(A, x)
+        if isinstance(second, Exception):
+            raise second
         return first, second
 
     def stop(self) -> None:
         """Wait for the product in hand, if any, then end the thread."""
-        if not self.idle:
-            self._done.acquire()
-        self._go.release()
-        self._thread.join()
+        self._pool.shutdown(wait=True)
 
 
 # True while a round of forked fits is out; forked children inherit it.
@@ -555,19 +537,11 @@ def _child(tasks: list, queue: int, out: int) -> None:
     outcomes to out, and end the process without returning."""
     code = 1
     try:
-        data = memoryview(pickle.dumps(_work(tasks, queue), pickle.HIGHEST_PROTOCOL))
-        while data:
-            data = data[os.write(out, data):]
+        with open(out, "wb") as f:
+            pickle.dump(_work(tasks, queue), f, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_all(fd: int) -> bytearray:
-    data = bytearray()
-    while chunk := os.read(fd, 1 << 16):  # a pipe holds 64 KiB
-        data += chunk
-    return data
 
 
 # One byte names a task on the queue pipe, and a round's queue is written
@@ -613,7 +587,8 @@ def _fit_round(tasks: list, processes: int) -> dict[int, FitResult | Exception]:
             children[pid] = r
         done = _work(tasks, queue)
         for pid in list(children):
-            data = _read_all(children[pid])
+            with open(children[pid], "rb", closefd=False) as f:
+                data = f.read()
             status = os.waitpid(pid, 0)[1]
             del children[pid]
             if status == 0:  # a child writes all its outcomes, then exits 0

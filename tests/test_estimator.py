@@ -4,6 +4,7 @@ import pickle
 import sys
 import threading
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -602,6 +603,15 @@ class TestOverlapBitIdentity:
         serial, _ = self.outputs(*data)
         assert not ran
         assert threaded == serial
+
+    def test_threaded_fit_keeps_the_callers_errstate(self, data, overlap):
+        ran = overlap(True)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("always")
+            with pytest.raises(FitDivergedError):
+                fit_featurized(*data, replace(self.CONFIGS[0], eta0=1e308))
+        assert ran
+        assert [w.message for w in caught] == []
 
     def test_mismatched_weights_still_raise(self, data, overlap):
         PhiP, PhiQ = data

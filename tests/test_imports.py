@@ -4,11 +4,12 @@ scipy costs several tenths of a second at import, more than a paper-scale
 1-D experiment spends fitting, so only the generators that need it
 (Gaussian MN samples, truncated normals) import it, on first use. A fit
 starts a worker thread only for feature matrices far larger than these
-runs use, and stops it before returning. estimator.fit_many forks with os alone:
-multiprocessing and concurrent.futures cost about 24 ms to import, as
-much as a sweep at paper scale gains from a second CPU, and neither is
-loaded. Its forked children are all reaped. Each check runs in a fresh
-interpreter, since this test process has scipy loaded already.
+runs use, and stops it before returning; concurrent.futures, which that
+worker is built on, is loaded only by a fit that starts one.
+estimator.fit_many forks with os alone, and multiprocessing, about 7 ms
+to import, is not loaded. Its forked children are all reaped. Each
+check runs in a fresh interpreter, since this test process has scipy
+loaded already.
 """
 
 import os

@@ -283,6 +283,11 @@ class TestSelfNormalization:
             assert abs(ratios.mean() - 1.0) < 1e-10
 
 
+def _dot_threads() -> list[threading.Thread]:
+    """The live threads of estimator's overlap workers."""
+    return [t for t in threading.enumerate() if t.name.startswith("trdre-dot")]
+
+
 class TestDotPair:
     """estimator's worker thread returns np.dot's bits and np.dot's errors,
     as the serial pair _dot_pair does, and _evaluate gives the same bits
@@ -300,7 +305,7 @@ class TestDotPair:
         worker = _DotWorker()
         yield worker
         worker.stop()
-        assert not worker._thread.is_alive()
+        assert not _dot_threads()
 
     def products(self, pair, PhiP, PhiQ, delta):
         w = np.full(PhiP.shape[0], 1.0 / PhiP.shape[0])
@@ -338,6 +343,16 @@ class TestDotPair:
         assert zp.tobytes() == np.dot(PhiP, delta).tobytes()
         assert zq.tobytes() == np.dot(PhiQ, delta).tobytes()
 
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_float_errors_follow_the_callers_errstate(self, data, overlap, worker, threaded):
+        PhiP, PhiQ, delta = data
+        ran = overlap(True)
+        pair = worker.pair if threaded else _dot_pair
+        huge = np.full(PhiP.shape, 1e300)  # only the first product overflows
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            pair(huge, huge[0], PhiQ, delta)
+        assert len(ran) == threaded
+
     def test_late_worker_is_overtaken(self, data, overlap, monkeypatch):
         PhiP, PhiQ, delta = data
         ran = overlap(True)
@@ -348,9 +363,15 @@ class TestDotPair:
             """PhiP, but converting it stalls the worker thread, as if its CPU were taken."""
 
             def __array__(self, dtype=None, copy=None):
-                if threading.current_thread().name == "trdre-dot":
+                if threading.current_thread().name.startswith("trdre-dot"):
                     resume.wait(30.0)
                 return PhiP
+
+        def settle():
+            deadline = time.monotonic() + 30.0
+            while not worker.idle and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert worker.idle
 
         worker = _DotWorker()
         try:
@@ -364,24 +385,24 @@ class TestDotPair:
             zp, _ = worker.pair(PhiP, delta, PhiQ, delta)
             assert len(ran) == 1 and zp.tobytes() == np.dot(PhiP, delta).tobytes()
             resume.set()
-            deadline = time.monotonic() + 30.0
-            while not worker.idle and time.monotonic() < deadline:
-                time.sleep(0.01)
+            settle()
             worker.pair(PhiP, delta, PhiQ, delta)
             assert len(ran) == 2  # the idle worker takes pairs again
             # stop waits for a product the caller dropped, then ends the thread.
+            # The caller may have overtaken the last product too: wait for it,
+            # so that the worker takes the next one.
+            settle()
             resume.clear()
             worker.pair(StalledOnWorker(), delta, PhiQ, delta)
-            assert not worker.idle
+            assert len(ran) == 3 and not worker.idle
             timer = threading.Timer(0.2, resume.set)
             timer.start()
             worker.stop()
-            assert resume.is_set() and not worker._thread.is_alive()
+            assert resume.is_set() and not _dot_threads()
             timer.join(10.0)
         finally:
             resume.set()
-            if worker._thread.is_alive():
-                worker.stop()
+            worker.stop()
 
     @pytest.mark.parametrize("env,single", [
         ({}, False),
