@@ -11,9 +11,12 @@ delta the inner minimum is attained at a polytope vertex: weight 1/n_p on
 the k_keep = round(nu * n_p) samples with the smallest log-ratio, weight 0
 elsewhere. The outer loop therefore alternates, per iteration:
 
-    1. rank X_p by log-ratio under the current delta,
-    2. assign the extreme-point weights w,
+    1. rank X_p by log-ratio under the current delta: by the order of
+       X_p's rows the loop carries, while it ranks the log-ratios with
+       no tie at the cut, else by a value sort;
+    2. assign the extreme-point weights w;
     3. step delta along the (sub)gradient with rate eta0 / sqrt(it + 1),
+       reusing the last step's PhiP^T w when the kept set is unchanged,
 
 while tracking the best (objective, delta, w) triple visited. With nu = 1
 every weight is 1/n_p and the procedure is exactly the classical
@@ -45,9 +48,28 @@ gradient into the step ("none" has the zero gradient).
 
 The loop, the oracles (objective, gradient, assign_weights) and
 kkt_check all evaluate delta through one kernel, ratio_model._evaluate
-(log_ratios returns its first output), and rank through one helper,
-_trim, so the oracles check the loop's own arithmetic. Every
-feature-matrix product goes through np.dot.
+(log_ratios returns its first output; gradient takes its softmax alone,
+from the same np.dot(PhiQ, delta)), so the oracles check the loop's own
+arithmetic. The loop and assign_weights rank through one helper, _trim.
+Every feature-matrix product goes through np.dot.
+
+Once delta settles, the kept set stops changing: in one pass of the
+outlier_1d benchmark (56 fits at n_p = 5000) it repeated on 3,646 of
+3,674 steps. So the loop carries, from step to step, the weights w its
+last step took and PhiP^T w. A step whose kept set equals the last
+step's computes PhiQ^T softmax alone. The first time that happens, the
+loop also takes one np.argsort of the log-ratios as its order of X_p's
+rows, if that order has no tie at the cut. From then on _trim first
+tries the order: where the log-ratios taken in that order are
+non-decreasing with no tie at the cut, the k smallest are the first k of
+them and the kept set is the order's first k, so no sort runs and w is
+the last step's. The first time the order fails, the fit drops it and
+sorts on every later step. Every value, weight and product is the one the
+value sort gives, bit for bit: the order's values are the same numbers,
+its kept set is the stable argsort's, and a reused product was computed
+from equal weights. A fit whose ranking changes every step (the rbf and
+quadratic benchmark fits) pays at most one argsort and one O(n_p)
+comparison of the weights per step.
 
 Each ascent step computes two pairs of independent products, PhiQ delta
 with PhiP delta, and PhiP^T w with PhiQ^T softmax. A fit runs the two of
@@ -94,7 +116,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .ratio_model import FeatureMap, _dot_pair, _evaluate, as_sample_matrix, featurize
+from .ratio_model import FeatureMap, _dot_pair, _evaluate, as_sample_matrix, featurize, softmax_weights
 
 REGULARIZERS = ("none", "l1", "l2sq")
 STOP_REASONS = ("window", "max_iter", "unbounded")
@@ -208,42 +230,63 @@ def keep_count(nu: float, n_p: int) -> int:
     return k
 
 
-def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights 1/n_p on the k smallest log-ratios, and those k values in
-    ascending order.
+def _trim(
+    lr: np.ndarray, k: int, order: np.ndarray | None = None, w: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Weights 1/n_p on the k smallest log-ratios, those k values in
+    ascending order, and whether order ranked them.
 
     Ties at the threshold t = k-th smallest value go to the lower index:
     every lr <= t is kept, then the surplus indices where lr == t are
     dropped from the highest index down, which leaves the kept set of a
     stable argsort. A value sort plus these O(n) masks costs a fraction
-    of the argsort (about 8x less at n = 5000). The vectorized sort may
-    permute or duplicate signed zeros, so a block of zeros among the k
-    values is refilled from lr in index order. The values are then
-    bitwise those of lr at the stable argsort's first k indices, and the
-    last one is lr at the last kept index tied at t. lr must be NaN-free.
-    The weights are keep * (1 / n): 1.0 * fl(1/n) is fl(1/n), the bits of
-    keep / n, for a multiply in place of a divide.
+    of the argsort (about 8x less at n = 5000). The weights are
+    keep * (1 / n): 1.0 * fl(1/n) is fl(1/n), the bits of keep / n, for a
+    multiply in place of a divide.
+
+    order, if given, is a permutation of lr's indices, and w the weights
+    of its first k. Where g = lr.take(order) is non-decreasing with no tie
+    at the cut (g[k] > g[k - 1], or k = n), the k smallest values are
+    g[:k] and the kept set is order[:k], which no other index ties with:
+    w itself is returned, no sort runs, and the flag is True. Otherwise
+    the value sort runs, and the flag is False.
+
+    Either way the vectorized sort or the order may permute signed zeros,
+    so a block of zeros among the k values is refilled from lr in index
+    order. The values are then bitwise those of lr at the stable
+    argsort's first k indices, and the last one is lr at the last kept
+    index tied at t. A NaN fails the order's checks; on the sort path lr
+    must be NaN-free.
     """
-    low = np.sort(lr)[:k]
-    t = low[-1]
-    keep = lr <= t
-    surplus = np.count_nonzero(keep) - k
-    if surplus:
-        keep[np.flatnonzero(lr == t)[-surplus:]] = False
-    if low[0] <= 0.0 <= t:
-        i, j = low.searchsorted(0.0, "left"), low.searchsorted(0.0, "right")
-        if j > i:
+    n = lr.size
+    held = False
+    if order is not None:
+        g = lr.take(order)
+        held = (k == n or g[k] > g[k - 1]) and bool((g[1:] >= g[:-1]).all())
+    if held:
+        low = g[:k]
+    else:
+        low = np.sort(lr)[:k]
+        t = low[-1]
+        keep = lr <= t
+        surplus = np.count_nonzero(keep) - k
+        if surplus:
+            keep[np.flatnonzero(lr == t)[-surplus:]] = False
+        w = keep * (1.0 / n)
+    if low[0] <= 0.0 <= low[-1]:
+        i = low.searchsorted(0.0, "left")
+        if low[i] == 0.0:
+            j = low.searchsorted(0.0, "right")
             low[i:j] = lr[lr == 0.0][: j - i]
-    return keep * (1.0 / lr.size), low
+    return w, low, held
 
 
 def _data_gradient(
-    PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float, pair=_dot_pair
+    PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float
 ) -> np.ndarray:
-    """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio sum;
-    pair computes the two products, as in ratio_model._evaluate."""
-    gp, gq = pair(PhiP.T, w, PhiQ.T, sm)
-    return gp - nu * gq
+    """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio
+    sum; the ascent loop forms the same difference from its own products."""
+    return np.dot(PhiP.T, w) - nu * np.dot(PhiQ.T, sm)
 
 
 def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
@@ -258,7 +301,7 @@ def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
         raise ValueError("log_ratio_values must be a nonempty vector")
     if not np.all(np.isfinite(lr)):
         raise ValueError("log_ratio_values must be finite")
-    w, _ = _trim(lr, keep_count(nu, lr.size))
+    w, _, _ = _trim(lr, keep_count(nu, lr.size))
     return w
 
 
@@ -293,12 +336,15 @@ def gradient(delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarra
     """d/d delta of the weighted log-ratio sum at fixed weights.
 
     Equals Phi_p^T w - nu * Phi_q^T softmax(PhiQ delta) with nu = sum(w);
-    the regularizer term is not included.
+    the regularizer term is not included. The softmax is the loop's, from
+    np.dot(PhiQ, delta) alone.
     """
     delta = np.asarray(delta, dtype=float)
     w = np.asarray(w, dtype=float)
-    _, sm = _evaluate(delta, PhiP, PhiQ)
-    return _data_gradient(PhiP, PhiQ, w, sm, float(np.sum(w)))
+    if PhiP.shape[1:] != delta.shape:
+        # PhiP^T w has PhiP's column count, and one column would broadcast.
+        raise ValueError(f"delta has shape {delta.shape}, expected ({PhiP.shape[1]},)")
+    return _data_gradient(PhiP, PhiQ, w, softmax_weights(delta, PhiQ), float(np.sum(w)))
 
 
 def unbounded_threshold(nu_eff: float, n_q: int) -> float:
@@ -439,10 +485,16 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     ):
         worker = _DotWorker()
     pair = _dot_pair if worker is None else worker.pair
+    # Carried from step to step (see the module docstring): the weights the
+    # last step took and PhiP^T times them, and the order of X_p's rows.
+    w_step = gp = order = None
+    may_order = True
     try:
         for it in range(cfg.max_iter):
             lr, sm = _evaluate(delta, PhiP, PhiQ, pair)
-            w, low = _trim(lr, k)
+            w, low, held = _trim(lr, k, order, w_step)
+            if not held:
+                order = None
             obj = float(low.sum() / n_p - cfg.lam * _reg_value(delta, cfg))
             if not math.isfinite(obj):
                 raise FitDivergedError(it, float(np.max(np.abs(delta))))
@@ -462,8 +514,20 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
                 break
 
             eta = cfg.eta0 / math.sqrt(it + 1.0)
+            if w is w_step or w_step is not None and (w == w_step).all():
+                # The last step's kept set: gp is PhiP^T w still.
+                gq = np.dot(PhiQ.T, sm)
+                if may_order:
+                    # Any argsort: the order is used only while it has no tie at the cut.
+                    may_order = False
+                    order = np.argsort(lr)
+                    if k < n_p and not lr[order[k]] > lr[order[k - 1]]:
+                        order = None
+            else:
+                gp, gq = pair(PhiP.T, w, PhiQ.T, sm)
+                w_step = w
             # nu_eff = k / n_p, not sum(w): the two can differ in the last bit.
-            g = _data_gradient(PhiP, PhiQ, w, sm, nu_eff, pair)
+            g = gp - nu_eff * gq
             # "none" has the zero gradient: g - lam * 0 is g, bit for bit.
             if cfg.regularizer == "l1":
                 delta = soft_threshold(delta + eta * g, eta * cfg.lam)

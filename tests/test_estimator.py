@@ -39,6 +39,7 @@ from trdre.ratio_model import (
     GaussianKernelFeatures,
     LinearFeatures,
     PairwiseQuadraticFeatures,
+    _evaluate,
     featurize,
     log_ratios,
 )
@@ -186,32 +187,70 @@ def stable_argsort_trim(lr, k):
     return w, lr[kept]
 
 
-def assert_trim_matches_reference(lr):
+ORDER_KINDS = ("sorted", "reversed", "random", "tied")
+
+
+def an_order(lr, k, kind, rng):
+    """A permutation of lr's indices: its stable argsort, that reversed, a
+    random one, or the stable argsort with the block of values tied at the
+    k-th smallest reversed, which puts a tie at the cut wherever the block
+    straddles it."""
+    order = np.argsort(lr, kind="stable")
+    if kind == "reversed":
+        return order[::-1].copy()
+    if kind == "random":
+        return rng.permutation(lr.size)
+    if kind == "tied":
+        g = lr[order]
+        lo, hi = np.searchsorted(g, g[k - 1], "left"), np.searchsorted(g, g[k - 1], "right")
+        order[lo:hi] = order[lo:hi][::-1]
+    return order
+
+
+def assert_trim_matches_reference(lr, kind=None, seed=0):
+    rng = np.random.default_rng(seed)
     for k in range(1, lr.size + 1):
-        w, low = _trim(lr, k)
+        order = kept = None
+        if kind is not None:
+            order = an_order(lr, k, kind, rng)
+            kept = np.zeros(lr.size)
+            kept[order[:k]] = 1.0 / lr.size
+        w, low, held = _trim(lr, k, order, kept)
         ref_w, ref_low = stable_argsort_trim(lr, k)
         assert w.tobytes() == ref_w.tobytes()
         assert low.tobytes() == ref_low.tobytes()
         # t_hat, including the sign of a zero threshold.
         assert np.float64(low[-1]).tobytes() == np.float64(ref_low[-1]).tobytes()
+        tie_free = k == lr.size or ref_low[-1] < np.sort(lr)[k]
+        if kind is None or kind == "tied" and not tie_free:
+            assert not held
+        elif kind == "sorted":
+            assert held == tie_free
+        # Where the order holds, the weights of its first k are returned as given.
+        assert (w is kept) == held
 
 
 class TestTrim:
-    """_trim ranks by a value sort; it must select what a stable argsort selects."""
+    """_trim ranks by a value sort, or by a given order where that order
+    ranks lr with no tie at the cut; either way it must select what a
+    stable argsort selects."""
 
     @given(
         arrays(float, st.integers(1, 40).map(lambda n: (n,)),
                elements=st.sampled_from([-np.inf, -0.0, 0.0, np.inf])
                | st.integers(-3, 3).map(float)),
+        st.sampled_from((None, *ORDER_KINDS)),
+        st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_stable_argsort(self, lr):
-        assert_trim_matches_reference(lr)
+    def test_matches_stable_argsort(self, lr, kind, seed):
+        assert_trim_matches_reference(lr, kind, seed)
 
     def test_signed_zeros_at_scale(self):
         rng = np.random.default_rng(28)
         lr = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=300)
-        assert_trim_matches_reference(lr)
+        for kind in (None, *ORDER_KINDS):
+            assert_trim_matches_reference(lr, kind)
 
 
 class TestObjective:
@@ -255,6 +294,20 @@ class TestGradient:
     def test_hand_value(self):
         g = gradient(np.zeros(1), np.array([0.5, 0.5]), np.array([[1.0], [3.0]]), np.array([[0.0], [2.0]]))
         assert np.allclose(g, [1.0], atol=1e-12)
+
+    def test_softmax_bits_are_the_kernels(self):
+        rng = np.random.default_rng(15)
+        PhiP, PhiQ = rng.standard_normal((30, 3)), rng.standard_normal((40, 3))
+        delta, w = rng.standard_normal(3), assign_weights(rng.standard_normal(30), 0.8)
+        _, sm = _evaluate(delta, PhiP, PhiQ)
+        want = np.dot(PhiP.T, w) - float(np.sum(w)) * np.dot(PhiQ.T, sm)
+        assert gradient(delta, w, PhiP, PhiQ).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m_p", [1, 3])
+    def test_features_not_matching_delta_raise(self, m_p):
+        # PhiP^T w of one column would broadcast against two coefficients.
+        with pytest.raises(ValueError, match="delta has shape"):
+            gradient(np.zeros(2), np.full(4, 0.25), np.ones((4, m_p)), np.ones((3, 2)))
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -597,8 +650,12 @@ class TestOverlapBitIdentity:
     def test_threaded_equals_serial(self, data, overlap):
         ran = overlap(True)
         threaded, iterations = self.outputs(*data)
-        # every iteration evaluates through the worker, and most also step
-        assert len(ran) > iterations > 50 * len(self.CONFIGS)
+        # Every iteration evaluates through the worker. A step hands it a
+        # second pair only when its kept set changed; a repeated one reuses
+        # PhiP^T w and computes PhiQ^T softmax alone (1549 pairs in 1034
+        # iterations; a pair on every step would make 2063).
+        assert iterations < len(ran) < 1.9 * iterations
+        assert iterations > 50 * len(self.CONFIGS)
         ran = overlap(False)
         serial, _ = self.outputs(*data)
         assert not ran
@@ -928,17 +985,60 @@ def _pinned_cases():
     Xq = 1.2 * rng.standard_normal((160, 5))
     quad, lin = PairwiseQuadraticFeatures(), LinearFeatures()
     rbf = GaussianKernelFeatures(Xq[:40])
+    # Integer-valued 1-D data: the cut of nu = 0.75 falls inside a block of
+    # equal values, so an order of X_p's rows never ranks it.
+    rng = np.random.default_rng(5)
+    xp_int = np.concatenate([rng.integers(-3, 4, 400), rng.integers(4, 6, 100)]).astype(float)
+    xq_int = rng.integers(-4, 3, 500).astype(float)
+    # Outliers first, so that at delta = 0 (every log-ratio tied) the lowest
+    # indices keep them; steps large enough that delta is thresholded back to
+    # exactly 0 after an order was taken, and leaves 0 again.
+    rng = np.random.default_rng(12)
+    xp_l1 = np.concatenate([rng.uniform(2.6, 3.4, 30), rng.normal(0.4, 1.0, 270)])
+    xq_l1 = rng.normal(0.0, 1.0, 300)
     return {
         "linear_m1_nu0.8": (xp1, xq1, lin, TrimConfig(nu=0.8)),
         "linear_m1_nu1": (xp1, xq1, lin, TrimConfig(nu=1.0)),
+        "linear_m1_negative_slope": (-xp1, -xq1, lin, TrimConfig(nu=0.8)),
+        "linear_m1_negative_slope_nu1": (-xp1, -xq1, lin, TrimConfig(nu=1.0)),
+        "linear_m1_integer_ties": (xp_int, xq_int, lin, TrimConfig(nu=0.75)),
+        "linear_m1_l1_back_to_zero": (
+            xp_l1, xq_l1, lin, TrimConfig(nu=0.9, lam=0.02, regularizer="l1", eta0=8.0)
+        ),
         "quadratic_l1": (Xp, Xq, quad, TrimConfig(nu=0.9, lam=0.05, regularizer="l1", max_iter=600)),
         "linear_l2sq": (Xp, Xq, lin, TrimConfig(nu=0.85, lam=0.1, regularizer="l2sq", max_iter=600)),
         "rbf": (Xp[:60], Xq, rbf, TrimConfig(nu=0.9, max_iter=300)),
     }
 
 
+def _steps_of(case, monkeypatch):
+    """Fit a pinned case and return, per iteration, (delta, whether _trim
+    was given an order, whether that order held), and the fit's features."""
+    xp, xq, fmap, cfg = _pinned_cases()[case]
+    PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
+    steps = []
+    evaluate, trim = estimator._evaluate, estimator._trim
+
+    def evaluated(delta, *args):
+        steps.append([delta.copy()])
+        return evaluate(delta, *args)
+
+    def trimmed(lr, k, order=None, w=None):
+        out = trim(lr, k, order, w)
+        steps[-1] += [order is not None, out[2]]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(estimator, "_evaluate", evaluated)
+        m.setattr(estimator, "_trim", trimmed)
+        res = fit_featurized(PhiP, PhiQ, cfg)
+    assert len(steps) == res.iterations_run
+    return steps, PhiP, PhiQ, cfg
+
+
 class TestLoopMatchesFrozenReference:
-    """np.dot products and the in-place softmax leave every bit of a fit as it was."""
+    """np.dot products, the in-place softmax and the ranking and gradient
+    carried from step to step leave every bit of a fit as it was."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", list(_pinned_cases()))
@@ -969,3 +1069,37 @@ class TestLoopMatchesFrozenReference:
         assert np.float64(res.t_hat).tobytes() == np.float64(t_hat).tobytes()
         assert np.array(res.trace).tobytes() == np.array(trace).tobytes()
         assert (res.iterations_run, res.converged) == (iterations, converged)
+
+    def test_pinned_cases_reach_their_paths(self, monkeypatch):
+        steps, *_ = _steps_of("linear_m1_negative_slope", monkeypatch)
+        assert sum(held for _, _, held in steps) > 0.9 * len(steps)
+        # The cut is tied on every step: each order taken is dropped at once.
+        steps, *_ = _steps_of("linear_m1_integer_ties", monkeypatch)
+        assert not any(given for _, given, _ in steps)
+        steps, *_ = _steps_of("linear_m1_l1_back_to_zero", monkeypatch)
+        held = [i for i, (_, _, h) in enumerate(steps) if h]
+        back = [i for i, (d, given, h) in enumerate(steps) if given and not h and not d.any()]
+        assert held and back and held[0] < back[0] and steps[-1][0].any()
+
+    def test_one_kept_set_product_per_change(self, monkeypatch):
+        """PhiP^T w is computed on the first step and on each step whose kept
+        set differs from the last step's: 2 products over the pinned 1-D
+        trimmed fit's 66 steps."""
+        steps, PhiP, PhiQ, cfg = _steps_of("linear_m1_nu0.8", monkeypatch)
+        products, pair = [], estimator._dot_pair
+
+        def counted(A, x, B, y):
+            products.append(A.base is PhiP)
+            return pair(A, x, B, y)
+
+        monkeypatch.setattr(estimator, "_dot_pair", counted)
+        res = fit_featurized(PhiP, PhiQ, cfg)
+        k = keep_count(cfg.nu, PhiP.shape[0])
+        # The loop stops by the window rule, so its last iteration takes no step.
+        assert res.stop_reason == "window"
+        kept = [
+            stable_argsort_trim(log_ratios(delta, PhiP, PhiQ), k)[0].tobytes()
+            for delta, _, _ in steps[:-1]
+        ]
+        changes = 1 + sum(a != b for a, b in zip(kept, kept[1:]))
+        assert sum(products) == changes == 2 < len(kept) == 66
