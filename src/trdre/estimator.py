@@ -71,17 +71,21 @@ from equal weights. A fit whose ranking changes every step (the rbf and
 quadratic benchmark fits) pays at most one argsort and one O(n_p)
 comparison of the weights per step.
 
+Both parallel paths below pass one gate and one size rule. _cpus() is
+the number of CPUs in the affinity mask where the environment pins
+OpenBLAS to one thread per call, and 1 otherwise: a multi-threaded BLAS
+already uses the other CPUs, two such calls at once oversubscribe them,
+and its thread pool would be forked mid-use. A fit is large
+(_large(PhiP, PhiQ)) when both matrices have at least 2**20 entries.
+
 Each ascent step computes two pairs of independent products, PhiQ delta
-with PhiP delta, and PhiP^T w with PhiQ^T softmax. A fit runs the two of
-each pair on two threads (np.dot releases the GIL) when all of these
-hold: both matrices have at least 2**20 entries, the process may run on
-two CPUs, and the environment pins OpenBLAS to one thread per call (a
-multi-threaded BLAS already uses the second CPU, and two such calls at
-once oversubscribe it). fit_featurized then starts one worker thread
-(_DotWorker) and stops it before it returns or raises, so no thread
-outlives a fit; the oracles and kkt_check, single evaluations, run
-serially. Each product is the same np.dot call whichever thread runs
-it, so no output bit depends on the path. Measured on a 2-vCPU KVM guest
+with PhiP delta, and PhiP^T w with PhiQ^T softmax. A large fit runs the
+two of each pair on two threads (np.dot releases the GIL) when _cpus()
+is 2 or more. fit_featurized then starts one worker thread (_DotWorker)
+and stops it before it returns or raises, so no thread outlives a fit;
+the oracles and kkt_check, single evaluations, run serially. Each
+product is the same np.dot call whichever thread runs it, so no output
+bit depends on the path. Measured on a 2-vCPU KVM guest
 (Intel Xeon, OpenBLAS 0.3.31, one BLAS thread), handing a product to the
 worker and back costs about 15-20 us: a 5000-by-1 pair took 7-10 us
 serially and 21-30 us overlapped. A 1500-by-1500 pair took 1.6-1.7 ms
@@ -98,9 +102,11 @@ a median 0.11 ms on the same guest.
 fit_many runs a list of independent fits, the sweeps of the experiments
 and evaluation modules, and returns their results in task order. Where
 the machine allows, it spreads them over this process and forked
-children, one process per allowed CPU (see _processes). Each fit is the
-same single-threaded fit_featurized call whichever process runs it, so
-no output bit depends on the number of CPUs.
+children, one process per CPU that _cpus() counts (see _processes). A
+batch that holds a large fit runs serially, so a forked round never
+holds a fit that could start a worker thread and the two paths never
+nest. Each fit is the same single-threaded fit_featurized call whichever
+process runs it, so no output bit depends on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -157,7 +163,7 @@ class TrimConfig:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
         if self.eta0 <= 0.0 or not np.isfinite(self.eta0):
             raise ValueError(f"eta0 must be a positive real, got {self.eta0}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be a finite positive real, got {self.tol}")
@@ -358,29 +364,32 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-_OVERLAP_MIN_SIZE = 1 << 20  # entries each matrix needs before a fit overlaps its products
-# OpenBLAS takes its thread count from the first of these holding a positive integer.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_OVERLAP_MIN_SIZE = 1 << 20  # entries each matrix of a large fit has
 
 
-def _blas_single_threaded() -> bool:
-    """Whether the environment pins OpenBLAS to one thread per call."""
-    for var in _BLAS_THREAD_VARS:
+def _large(PhiP, PhiQ) -> bool:
+    """Whether a fit on these matrices is large (see the module docstring)."""
+    return min(np.size(PhiP), np.size(PhiQ)) >= _OVERLAP_MIN_SIZE
+
+
+def _cpus() -> int:
+    """CPUs a fit or sweep may use: those in the affinity mask (all, where
+    the OS has none) if the environment pins OpenBLAS to one thread per
+    call, else 1. OpenBLAS takes its thread count from the first of the
+    variables below that holds a positive integer."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             n = int(os.environ.get(var, ""))
         except ValueError:
             continue
-        if n > 0:
-            return n == 1
-    return False
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+        if n > 1:
+            return 1
+        if n == 1:
+            try:
+                return len(os.sched_getaffinity(0))
+            except AttributeError:
+                return os.cpu_count() or 1
+    return 1
 
 
 _LATE = 1.25  # a worker product this many times the caller's expected time is late
@@ -439,11 +448,6 @@ class _DotWorker:
         self._pool.shutdown(wait=True)
 
 
-# True while a round of forked fits is out; forked children inherit it.
-# Every fit then runs its products serially: the CPUs are taken.
-_round_out = False
-
-
 def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
     """Run the ascent-and-trimming loop on already-featurized samples.
 
@@ -455,6 +459,9 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     PhiQ = np.asarray(PhiQ, dtype=float)
     if PhiP.ndim != 2 or PhiQ.ndim != 2 or PhiP.shape[1] != PhiQ.shape[1]:
         raise ValueError("PhiP and PhiQ must be 2-D with matching feature dimension")
+    for name, Phi in (("PhiP", PhiP), ("PhiQ", PhiQ)):
+        if Phi.shape[0] == 0:
+            raise ValueError(f"{name} has no rows")
     if not (np.all(np.isfinite(PhiP)) and np.all(np.isfinite(PhiQ))):
         raise ValueError("PhiP and PhiQ must be finite")
     n_p, m = PhiP.shape
@@ -476,14 +483,7 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     ceiling = unbounded_threshold(nu_eff, PhiQ.shape[0]) if linear else math.inf
 
     # This fit's worker thread, where the rule in the module docstring holds.
-    worker = None
-    if (
-        not _round_out
-        and min(PhiP.size, PhiQ.size) >= _OVERLAP_MIN_SIZE
-        and _cpu_count() >= 2
-        and _blas_single_threaded()
-    ):
-        worker = _DotWorker()
+    worker = _DotWorker() if _large(PhiP, PhiQ) and _cpus() >= 2 else None
     pair = _dot_pair if worker is None else worker.pair
     # Carried from step to step (see the module docstring): the weights the
     # last step took and PhiP^T times them, and the order of X_p's rows.
@@ -550,26 +550,24 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     )
 
 
-def _processes(n_tasks: int) -> int:
-    """How many processes fit_many runs n_tasks fits on: one per CPU in
-    the affinity mask, at most n_tasks, or 1 for a serial loop.
+def _processes(tasks: list) -> int:
+    """How many processes fit_many runs tasks on: one per CPU that _cpus()
+    counts, at most one per task, or 1 for a serial loop.
 
     It forks only where that is safe and pays: os.fork exists, there are
-    two tasks or more, the process may use two CPUs or more, OpenBLAS is
-    pinned to one thread per call (_blas_single_threaded; a
-    multi-threaded BLAS already fills the CPUs, and its thread pool would
-    be forked mid-use), and this process runs one thread (a fork copies
-    only the calling thread, so a lock another thread holds stays held in
-    the child forever).
+    two tasks or more, no task is _large (a large fit takes a second CPU
+    with its worker thread instead, so the two paths never nest), and this
+    process runs one thread (a fork copies only the calling thread, so a
+    lock another thread holds stays held in the child forever).
     """
     if (
         not hasattr(os, "fork")
-        or n_tasks < 2
+        or len(tasks) < 2
         or threading.active_count() != 1
-        or not _blas_single_threaded()
+        or any(_large(P, Q) for P, Q, _ in tasks)
     ):
         return 1
-    return min(_cpu_count(), n_tasks)
+    return min(_cpus(), len(tasks))
 
 
 def _take(queue: int) -> int | None:
@@ -624,11 +622,7 @@ def _fit_round(tasks: list, processes: int) -> dict[int, FitResult | Exception]:
     by a child that ended without sending it. Children are reaped before
     this returns, and killed first if it raises.
     """
-    global _round_out
     fds, children = [], {}  # children: pid -> read end of its result pipe
-    round_out = _round_out
-    if processes > 1:
-        _round_out = True
     try:
         queue, w = os.pipe()
         fds.append(queue)
@@ -669,7 +663,6 @@ def _fit_round(tasks: list, processes: int) -> dict[int, FitResult | Exception]:
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)
-        _round_out = round_out
 
 
 def fit_many(tasks) -> list[FitResult]:
@@ -691,7 +684,7 @@ def fit_many(tasks) -> list[FitResult]:
     results: list[FitResult] = []
     for start in range(0, len(tasks), _ROUND):
         batch = tasks[start:start + _ROUND]
-        done = _fit_round(batch, _processes(len(batch)))
+        done = _fit_round(batch, _processes(batch))
         for i in range(len(batch)):
             outcome = done.get(i)
             if not isinstance(outcome, FitResult):

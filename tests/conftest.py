@@ -7,11 +7,11 @@ from trdre import estimator
 def overlap(monkeypatch):
     """overlap(on) -> list with one entry per pair handed to a worker thread.
 
-    Sets estimator's overlap floor to 0 (on: every fit starts a worker
-    thread) or to a size no matrix reaches (off: none does). The CPU and
-    BLAS conditions are taken as met, and the caller waits for the worker
-    however long it takes, so with on the worker's product is the one
-    returned for every pair of a fit's loop, wherever the test runs.
+    Sets estimator's overlap floor to 0 (on: every fit is large and
+    starts a worker thread) or to a size no matrix reaches (off: none
+    does). _cpus() reads 2, and the caller waits for the worker however
+    long it takes, so with on the worker's product is the one returned
+    for every pair of a fit's loop, wherever the test runs.
     """
     ran = []
     pair = estimator._DotWorker.pair
@@ -22,8 +22,7 @@ def overlap(monkeypatch):
         return pair(self, *args)
 
     monkeypatch.setattr(estimator._DotWorker, "pair", counted)
-    monkeypatch.setattr(estimator, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(estimator, "_blas_single_threaded", lambda: True)
+    monkeypatch.setattr(estimator, "_cpus", lambda: 2)
     monkeypatch.setattr(estimator, "_LATE", 1e6)
 
     def switch(on):
@@ -39,8 +38,9 @@ def forking(monkeypatch):
     """forking(on) -> list with one entry per round fit_many forked for.
 
     With on, every batch of two tasks or more runs on this process and
-    up to two forked children, whatever the CPU count, the BLAS settings
-    and the threads running; with off, every batch runs serially.
+    up to two forked children, whatever the CPU count, the BLAS settings,
+    the threads running and the tasks' sizes; with off, every batch runs
+    serially.
     """
     forked = []
     run_round = estimator._fit_round
@@ -53,7 +53,7 @@ def forking(monkeypatch):
     monkeypatch.setattr(estimator, "_fit_round", counted)
 
     def switch(on):
-        monkeypatch.setattr(estimator, "_processes", (lambda n: min(n, 3)) if on else (lambda n: 1))
+        monkeypatch.setattr(estimator, "_processes", (lambda tasks: min(len(tasks), 3)) if on else (lambda tasks: 1))
         forked.clear()
         return forked
 

@@ -89,7 +89,7 @@ class TestTrimConfig:
         with pytest.raises(ValueError):
             TrimConfig(**kwargs)
 
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, float("inf"), float("nan"), "3", None])
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, float("inf"), float("nan"), "3", None, True])
     def test_max_iter_must_be_an_integer(self, max_iter):
         with pytest.raises(ValueError, match="max_iter"):
             TrimConfig(max_iter=max_iter)
@@ -440,6 +440,14 @@ class TestFit:
         (PhiP if side == "p" else PhiQ)[3, 1] = bad
         with pytest.raises(ValueError, match="must be finite"):
             fit_featurized(PhiP, PhiQ, TrimConfig(nu=0.8))
+
+    @pytest.mark.parametrize("side", ["PhiP", "PhiQ"])
+    def test_matrix_without_rows_rejected(self, side):
+        # An empty PhiQ failed inside the loop with "math domain error".
+        Phi = {"PhiP": np.ones((4, 2)), "PhiQ": np.ones((5, 2))}
+        Phi[side] = np.empty((0, 2))
+        with pytest.raises(ValueError, match=f"{side} has no rows"):
+            fit_featurized(Phi["PhiP"], Phi["PhiQ"], TrimConfig())
 
 
 def _unbounded_1d(seed=33):
@@ -833,29 +841,50 @@ class TestFitMany:
         assert time.monotonic() - start < 30.0
         _no_children_left()
 
-    def test_overlap_is_off_only_while_a_round_is_out(self, tasks, forking, overlap, monkeypatch):
+    def test_a_large_task_keeps_its_batch_serial(self, tasks, overlap, monkeypatch):
+        # The two parallel paths never nest: a batch that holds a large fit
+        # runs in this process, where each large fit starts its worker thread.
+        floor = estimator._OVERLAP_MIN_SIZE
         overlap(True)
-        seen, parent, real = [], os.getpid(), estimator.fit_featurized
+        rounds, workers, parent = [], [], os.getpid()
+        run_round, worker = estimator._fit_round, estimator._DotWorker
 
-        def record(*task):
-            if os.getpid() == parent:
-                seen.append(estimator._round_out)
-            else:
-                time.sleep(0.2)  # the parent takes the other task meanwhile
-            return real(*task)
+        def counted_round(batch, processes):
+            rounds.append(processes)
+            return run_round(batch, processes)
 
-        monkeypatch.setattr(estimator, "fit_featurized", record)
-        forking(False)
-        fit_many(tasks[:2])
-        forking(True)
-        fit_many(tasks[:1])  # one task never forks
-        assert seen == [False, False, False]
-        fit_many(tasks[:2])
-        assert seen[3:] in ([True], [True, True])  # the child may start too late to take one
-        assert estimator._round_out is False
+        class CountedWorker(worker):
+            def __init__(self):
+                workers.append(os.getpid())
+                super().__init__()
+
+        monkeypatch.setattr(estimator, "_fit_round", counted_round)
+        monkeypatch.setattr(estimator, "_DotWorker", CountedWorker)
+        serial = self.bits([fit_featurized(*t) for t in tasks[:3]])
+        assert workers == [parent] * 3
+        workers.clear()
+        assert self.bits(fit_many(tasks[:3])) == serial  # every task is large
+        assert rounds == [1] and workers == [parent] * 3
+        # Only the middle task is large: the batch still runs serially.
+        (P1, Q1, c1), (P, Q, c), (P2, Q2, c2) = tasks[:3]
+        batch = [(P1[:35], Q1[:40], c1), (P, Q, c), (P2[:35], Q2[:40], c2)]
+        monkeypatch.setattr(estimator, "_OVERLAP_MIN_SIZE", min(P.size, Q.size))
+        serial = self.bits([fit_featurized(*t) for t in batch])
+        rounds.clear()
+        workers.clear()
+        assert self.bits(fit_many(batch)) == serial
+        assert rounds == [1] and workers == [parent]
+        # At the real floor no task is large, and the same batch forks on the
+        # two CPUs _cpus() reads.
+        monkeypatch.setattr(estimator, "_OVERLAP_MIN_SIZE", floor)
+        rounds.clear()
+        assert self.bits(fit_many(batch)) == serial
+        assert rounds == [2] and workers == [parent]
+        _no_children_left()
 
     def test_no_thread_outlives_a_fit(self, tasks, overlap, monkeypatch):
-        ran = overlap(True)  # every fit starts a worker thread; the CPU and BLAS rules hold
+        floor = estimator._OVERLAP_MIN_SIZE
+        ran = overlap(True)  # every fit starts a worker thread; _cpus() reads 2
         before = threading.active_count()
         fit_featurized(*tasks[0])
         assert ran and threading.active_count() == before
@@ -863,7 +892,8 @@ class TestFitMany:
         with pytest.raises(FitDivergedError), np.errstate(over="ignore", invalid="ignore"):
             fit_featurized(P, Q, replace(cfg, eta0=1e308))
         assert threading.active_count() == before
-        # So the next sweep forks.
+        # So the next sweep of small fits forks.
+        monkeypatch.setattr(estimator, "_OVERLAP_MIN_SIZE", floor)
         forked, run_round = [], estimator._fit_round
 
         def counted(tasks, processes):

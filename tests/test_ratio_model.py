@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import time
 
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
 from trdre import estimator
-from trdre.estimator import _blas_single_threaded, _data_gradient, _DotWorker
+from trdre.estimator import _cpus, _data_gradient, _DotWorker
 from trdre.ratio_model import (
     GaussianKernelFeatures,
     LinearFeatures,
@@ -415,8 +416,20 @@ class TestDotPair:
         ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "3"}, False),
     ])
     def test_blas_thread_count_from_environment(self, monkeypatch, env, single):
-        for var in estimator._BLAS_THREAD_VARS:
+        # One CPU unless OpenBLAS is pinned to one thread; then the affinity mask's count.
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert _blas_single_threaded() is single
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _cpus() == (3 if single else 1)
+
+    @pytest.mark.parametrize("mask,count", [({0}, 1), ({1, 3}, 2), (set(range(5)), 5), (None, 4)])
+    def test_cpus_counts_the_affinity_mask(self, monkeypatch, mask, count):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        if mask is None:  # an OS without affinity masks: every CPU counts
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+        assert _cpus() == count
