@@ -156,6 +156,10 @@ class TrimConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        for name in ("nu", "lam", "eta0", "max_iter", "tol", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
         _check_nu(self.nu)
         if self.lam < 0.0 or not np.isfinite(self.lam):
             raise ValueError(f"lam must be a finite nonnegative real, got {self.lam}")
@@ -163,7 +167,7 @@ class TrimConfig:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
         if self.eta0 <= 0.0 or not np.isfinite(self.eta0):
             raise ValueError(f"eta0 must be a positive real, got {self.eta0}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be a finite positive real, got {self.tol}")

@@ -192,14 +192,18 @@ def run_mnchange(
     fit returns the zero vector.
     """
     ds = [int(d) for d in d_values]
+    d_text = ",".join(str(d) for d in ds)
     if not ds:
         raise ValueError("d_values must be nonempty")
+    if len(set(ds)) < len(ds):
+        # Each d names its files and its auc entry: a repeat would overwrite them.
+        raise ValueError(f"d_values must not repeat a dimension, got {d_text}")
     grid = validate_lambda_grid(lambda_grid)
     validate_threshold(threshold)
     if n_changed < 1:
         raise ValueError(f"n_changed must be at least 1 (TPR needs a changed edge), got {n_changed}")
     config = {
-        "experiment": "mnchange", "d_values": ",".join(str(d) for d in ds), "n": n,
+        "experiment": "mnchange", "d_values": d_text, "n": n,
         "n_changed": n_changed, "nu": nu, "lam_heatmap": lam_heatmap,
         "lambda_grid_size": len(grid), "lambda_grid_min": min(grid),
         "lambda_grid_max": max(grid), "outlier_value": outlier_value,

@@ -32,16 +32,6 @@ view may differ in the last bit; featurize never returns one).
 tests/test_estimator.py checks the ascent loop bit for bit against a
 frozen copy of its @ form.
 
-Softmax weights that underflow below the smallest normal double
-(np.finfo(float).tiny) are flushed to exactly 0. Subnormal operands make
-the PhiQ.T @ softmax matvec of every ascent step several times slower
-(about 8x, measured on x86-64 with OpenBLAS), while the mass they carry,
-under n_q * tiny in total, cannot change a sum of normal-sized terms.
-The flush builds its mask only when the smallest weight lies below tiny;
-otherwise the mask would change nothing. On the 2-vCPU Xeon guest with
-numpy 2.4 the check and the mask each cost about 3 us at n_q = 5000, so
-the check is worth little there.
-
 The rbf bandwidth heuristic (median_pairwise_distance) computes the
 pairwise distances in numpy, summing the squared coordinate differences
 one column at a time from zero, the order scipy.spatial.distance.pdist
@@ -211,16 +201,11 @@ def featurize(X, feature_map: FeatureMap) -> np.ndarray:
     return Phi
 
 
-_TINY = np.finfo(float).tiny
-
-
 def _log_mean_exp_and_softmax(z: np.ndarray) -> tuple[float, np.ndarray]:
     """Return (log mean exp(z), softmax(z)) with max subtraction.
 
-    Softmax weights below the smallest normal double are set to exactly
-    0 (see the module docstring); the mask is built only when the
-    smallest weight is below it. One buffer holds z - max, its exp and
-    the weights; z itself is left unchanged.
+    One buffer holds z - max, its exp and the weights; z itself is left
+    unchanged.
     """
     m = float(z.max())
     w = z - m
@@ -228,8 +213,6 @@ def _log_mean_exp_and_softmax(z: np.ndarray) -> tuple[float, np.ndarray]:
     s = float(w.sum())
     w /= s
     w /= w.sum()
-    if w.min() < _TINY:
-        w[w < _TINY] = 0.0
     return m + np.log(s / z.size), w
 
 
@@ -264,11 +247,7 @@ def _evaluate(
 
 
 def softmax_weights(delta: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
-    """softmax_j(<delta, PhiQ_j>): nonnegative, sums to 1, overflow-safe.
-
-    Weights below np.finfo(float).tiny are returned as exact zeros, so no
-    weight is subnormal.
-    """
+    """softmax_j(<delta, PhiQ_j>): nonnegative, sums to 1, overflow-safe."""
     delta, PhiQ = _checked(delta, PhiQ)
     _, w = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
     return w

@@ -411,13 +411,14 @@ class TestExperimentCommand:
             (["--d-list", "6", "--nu", "0.001"], "keeps no samples"),
             (["--d-list", "6,1"], "d must be at least 2"),
             (["--d-list", ""], "d_values must be nonempty"),
+            (["--d-list", "4,4"], "d_values must not repeat a dimension, got 4,4"),
             (["--d-list", "6", "--threshold", "nan"], "threshold must be a finite nonnegative real"),
             (["--d-list", "6", "--threshold", "inf"], "threshold must be a finite nonnegative real"),
             (["--d-list", "6", "--threshold", "-1"], "threshold must be a finite nonnegative real"),
             (["--d-list", "6", "--n-changed", "0"], "n_changed must be at least 1"),
         ],
-        ids=["nu", "nu_keeps_none", "d", "empty", "threshold_nan", "threshold_inf", "threshold_negative",
-             "n_changed_0"],
+        ids=["nu", "nu_keeps_none", "d", "empty", "d_repeated", "threshold_nan", "threshold_inf",
+             "threshold_negative", "n_changed_0"],
     )
     def test_bad_mnchange_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "mn"

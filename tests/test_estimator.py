@@ -83,10 +83,14 @@ class TestTrimConfig:
             {"nu": 0.0}, {"nu": 1.5}, {"lam": -0.1}, {"regularizer": "ridge"},
             {"eta0": 0.0}, {"max_iter": 0}, {"tol": 0.0}, {"tol": float("nan")},
             {"tol": float("inf")},
+            {"nu": True}, {"lam": True, "regularizer": "l1"}, {"eta0": True}, {"tol": True},
+            {"seed": True}, {"nu": np.True_}, {"lam": np.True_, "regularizer": "l1"},
+            {"eta0": np.True_}, {"max_iter": np.True_}, {"tol": np.True_}, {"seed": np.False_},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # The message names the field: the first one given.
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must"):
             TrimConfig(**kwargs)
 
     @pytest.mark.parametrize("max_iter", [2.5, 3.0, float("inf"), float("nan"), "3", None, True])
