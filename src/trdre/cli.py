@@ -68,10 +68,10 @@ def int_list(text: str) -> list[int]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The flags every experiment shares besides --seed."""
-    p.add_argument("--eta0", type=float)
+    """The flags fit and every experiment share besides --seed."""
+    p.add_argument("--eta0", type=float, help="base step size")
     p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=float, help="best-objective window tolerance")
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -100,10 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--nu", type=float, help="kept-weight fraction in (0, 1], 1 = no trimming")
     p_fit.add_argument("--lambda", dest="lam", type=float, help="regularizer scale")
     p_fit.add_argument("--regularizer", choices=REGULARIZERS)
-    p_fit.add_argument("--eta0", type=float, help="base step size")
-    p_fit.add_argument("--max-iter", type=int)
-    p_fit.add_argument("--tol", type=float, help="best-objective window tolerance")
-    p_fit.add_argument("--out", required=True, help="output directory")
+    _add_run_flags(p_fit)
     p_fit.add_argument(
         "--verify", action="store_true", default=False, help="run optimality self-checks and print results"
     )
@@ -184,8 +181,6 @@ def cmd_fit(args) -> int:
     if args.rbf_bandwidth is not None and args.features != "rbf":
         raise ValueError(f"--rbf-bandwidth applies only to --features rbf, got --features {args.features}")
     cfg = TrimConfig(**{k: v for k, v in vars(args).items() if k in _TRIM_FIELDS})
-    if cfg.lam > 0.0 and cfg.regularizer == "none":
-        raise ValueError("--lambda applies only to --regularizer l1 or l2sq, got --regularizer none")
     Xp = read_numeric_csv(args.xp)
     Xq = read_numeric_csv(args.xq)
     if Xp.shape[1] != Xq.shape[1]:

@@ -41,10 +41,10 @@ unchanged. The check applies to the penalties that scale linearly:
 "none", "l1", and "l2sq" at lam = 0. An unbounded problem whose iterates
 never cross the ceiling ends by one of the other two rules.
 
-Regularizers: "none", "l1" (R = sum |delta_i|), "l2sq" (R = sum delta_i^2).
-The l1 step is proximal (soft-thresholding after the gradient step) so
-coefficients reach exact zeros; the other two fold the regularizer's
-gradient into the step ("none" has the zero gradient).
+Regularizers: "none" (lam must be 0), "l1" (R = sum |delta_i|) and "l2sq"
+(R = sum delta_i^2). The l1 step is proximal (soft-thresholding after the
+gradient step) so coefficients reach exact zeros; the other two fold the
+regularizer's gradient into the step ("none" has the zero gradient).
 
 The loop, the oracles (objective, gradient, assign_weights) and
 kkt_check all evaluate delta through one kernel, ratio_model._evaluate
@@ -140,11 +140,11 @@ class TrimConfig:
     """Hyperparameters for a trimmed ratio fit.
 
     nu is the kept-weight budget (1 = no trimming), lam scales the
-    regularizer, eta0 the base step size. The loop stops at max_iter,
-    once the best objective improves by less than tol over a 50-iteration
-    window, or once an iterate proves that no finite maximizer exists
-    (see the module docstring). seed is carried along for provenance in
-    serialized results; the fit itself is deterministic.
+    regularizer (and is 0 with "none"), eta0 the base step size. The loop
+    stops at max_iter, once the best objective improves by less than tol
+    over a 50-iteration window, or once an iterate proves that no finite
+    maximizer exists (see the module docstring). seed is carried along for
+    provenance in serialized results; the fit itself is deterministic.
     """
 
     nu: float = 1.0
@@ -156,7 +156,8 @@ class TrimConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        for name in ("nu", "lam", "eta0", "max_iter", "tol", "seed"):
+        kinds = {"nu": float, "lam": float, "eta0": float, "max_iter": int, "tol": float, "seed": int}
+        for name in kinds:
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
@@ -165,12 +166,19 @@ class TrimConfig:
             raise ValueError(f"lam must be a finite nonnegative real, got {self.lam}")
         if self.regularizer not in REGULARIZERS:
             raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {self.regularizer!r}")
+        if self.lam > 0.0 and self.regularizer == "none":
+            raise ValueError(f"lam must be 0 with regularizer 'none', got {self.lam}")
         if self.eta0 <= 0.0 or not np.isfinite(self.eta0):
             raise ValueError(f"eta0 must be a positive real, got {self.eta0}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be a finite positive real, got {self.tol}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        # Stored as Python numbers: a numpy scalar would not serialize to JSON.
+        for name, kind in kinds.items():
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 class FitDivergedError(RuntimeError):
@@ -321,15 +329,6 @@ def _reg_value(delta: np.ndarray, cfg: TrimConfig) -> float:
     if cfg.regularizer == "l1":
         return float(np.abs(delta).sum())
     return float((delta**2).sum())
-
-
-def _reg_subgradient(delta: np.ndarray, cfg: TrimConfig) -> np.ndarray:
-    """One element of the subdifferential of R at delta (sign(0) = 0 for l1)."""
-    if cfg.regularizer == "none":
-        return np.zeros_like(delta)
-    if cfg.regularizer == "l1":
-        return np.sign(delta)
-    return 2.0 * delta
 
 
 def objective(
@@ -532,11 +531,10 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
                 w_step = w
             # nu_eff = k / n_p, not sum(w): the two can differ in the last bit.
             g = gp - nu_eff * gq
-            # "none" has the zero gradient: g - lam * 0 is g, bit for bit.
             if cfg.regularizer == "l1":
                 delta = soft_threshold(delta + eta * g, eta * cfg.lam)
             elif cfg.regularizer == "l2sq":
-                delta = delta + eta * (g - cfg.lam * _reg_subgradient(delta, cfg))
+                delta = delta + eta * (g - cfg.lam * (2.0 * delta))
             else:
                 delta = delta + eta * g
     finally:
@@ -754,7 +752,9 @@ def kkt_check(result: FitResult, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimCo
     first_bad = int(np.argmax(viol > 1e-12)) if not weight_ok else None
 
     g = _data_gradient(PhiP, PhiQ, w, sm, float(np.sum(w)))
-    per_coord = np.abs(g - cfg.lam * _reg_subgradient(delta, cfg))
+    # "none" has lam = 0: its residual is |g|, bit for bit.
+    subgradient = 2.0 * delta if cfg.regularizer == "l2sq" else np.sign(delta)
+    per_coord = np.abs(g - cfg.lam * subgradient)
     if cfg.regularizer == "l1":
         # At a zero coordinate the subdifferential is [-lam, lam].
         per_coord = np.where(delta != 0.0, per_coord, np.maximum(np.abs(g) - cfg.lam, 0.0))

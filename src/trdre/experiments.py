@@ -33,6 +33,7 @@ from .synthetic import (
     TRUNCATION_N,
     TRUNCATION_NU,
     _child_seeds,
+    check_mn_pair_args,
     gen_gaussian_mn_pair,
     gen_outlier_1d,
     gen_truncation_1d,
@@ -202,6 +203,8 @@ def run_mnchange(
     validate_threshold(threshold)
     if n_changed < 1:
         raise ValueError(f"n_changed must be at least 1 (TPR needs a changed edge), got {n_changed}")
+    for d in ds:
+        check_mn_pair_args(d, n_changed)
     config = {
         "experiment": "mnchange", "d_values": d_text, "n": n,
         "n_changed": n_changed, "nu": nu, "lam_heatmap": lam_heatmap,

@@ -49,6 +49,16 @@ class GaussianMNPair:
     changed_edges: list[tuple[int, int]]
 
 
+def check_mn_pair_args(d: int, n_changed: int) -> int:
+    """Check gen_gaussian_mn_pair's sizes; return the number of off-diagonal pairs."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    n_pairs = d * (d - 1) // 2
+    if not (0 <= n_changed <= n_pairs):
+        raise ValueError(f"n_changed must lie in [0, {n_pairs}] for d={d}, got {n_changed}")
+    return n_pairs
+
+
 def gen_gaussian_mn_pair(d: int, n_changed: int, seed: int) -> GaussianMNPair:
     """Random sparse precision pair (theta_p, theta_q), both checked PD.
 
@@ -59,11 +69,7 @@ def gen_gaussian_mn_pair(d: int, n_changed: int, seed: int) -> GaussianMNPair:
     +/-0.3, leaving the diagonal untouched; the construction is resampled
     until theta_p is also PD (at most 100 tries).
     """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    n_pairs = d * (d - 1) // 2
-    if not (0 <= n_changed <= n_pairs):
-        raise ValueError(f"n_changed must lie in [0, {n_pairs}] for d={d}, got {n_changed}")
+    n_pairs = check_mn_pair_args(d, n_changed)
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(d, k=1)
 

@@ -173,7 +173,7 @@ class TestFitCommand:
             rc = main(["fit", "--xp", str(tmp_path / "absent.csv"), "--xq", str(xq), *flags,
                        "--out", str(out)])
             assert rc == 2
-            assert "--lambda applies only to --regularizer l1 or l2sq" in capsys.readouterr().err
+            assert "lam must be 0 with regularizer 'none', got 0.5" in capsys.readouterr().err
             assert not out.exists()
         # a zero penalty needs no regularizer
         assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--lambda", "0", "--out", str(out)]) == 0
@@ -410,6 +410,7 @@ class TestExperimentCommand:
             (["--d-list", "6", "--nu", "1.5"], "nu must lie in (0, 1]"),
             (["--d-list", "6", "--nu", "0.001"], "keeps no samples"),
             (["--d-list", "6,1"], "d must be at least 2"),
+            (["--d-list", "6,3"], "n_changed must lie in [0, 3] for d=3, got 4"),
             (["--d-list", ""], "d_values must be nonempty"),
             (["--d-list", "4,4"], "d_values must not repeat a dimension, got 4,4"),
             (["--d-list", "6", "--threshold", "nan"], "threshold must be a finite nonnegative real"),
@@ -417,8 +418,8 @@ class TestExperimentCommand:
             (["--d-list", "6", "--threshold", "-1"], "threshold must be a finite nonnegative real"),
             (["--d-list", "6", "--n-changed", "0"], "n_changed must be at least 1"),
         ],
-        ids=["nu", "nu_keeps_none", "d", "empty", "d_repeated", "threshold_nan", "threshold_inf",
-             "threshold_negative", "n_changed_0"],
+        ids=["nu", "nu_keeps_none", "d", "n_changed_over_d", "empty", "d_repeated", "threshold_nan",
+             "threshold_inf", "threshold_negative", "n_changed_0"],
     )
     def test_bad_mnchange_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "mn"

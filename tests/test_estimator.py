@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import pickle
@@ -19,7 +20,6 @@ from trdre.estimator import (
     STOP_REASONS,
     FitDivergedError,
     TrimConfig,
-    _reg_subgradient,
     _reg_value,
     _trim,
     assign_weights,
@@ -42,7 +42,9 @@ from trdre.ratio_model import (
     _evaluate,
     featurize,
     log_ratios,
+    softmax_weights,
 )
+from trdre.storage import json_text
 from trdre.synthetic import gen_truncation_1d
 
 
@@ -86,6 +88,8 @@ class TestTrimConfig:
             {"nu": True}, {"lam": True, "regularizer": "l1"}, {"eta0": True}, {"tol": True},
             {"seed": True}, {"nu": np.True_}, {"lam": np.True_, "regularizer": "l1"},
             {"eta0": np.True_}, {"max_iter": np.True_}, {"tol": np.True_}, {"seed": np.False_},
+            {"lam": 0.5}, {"lam": 0.5, "regularizer": "none"},
+            {"seed": 1.5}, {"seed": "x"}, {"seed": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -99,8 +103,23 @@ class TestTrimConfig:
             TrimConfig(max_iter=max_iter)
 
     def test_numpy_integer_max_iter_is_accepted(self):
-        res = fit_featurized(np.ones((4, 1)), np.ones((5, 1)), TrimConfig(max_iter=np.int64(3)))
+        cfg = TrimConfig(max_iter=np.int64(3))
+        res = fit_featurized(np.ones((4, 1)), np.ones((5, 1)), cfg)
         assert res.iterations_run == 3 and res.stop_reason == "max_iter"
+        assert json.loads(json_text(fit_result_to_dict(res, cfg)))["config"]["max_iter"] == 3
+
+    def test_numbers_are_stored_as_python_numbers(self):
+        cfg = TrimConfig(
+            nu=np.float64(0.8), lam=np.float32(0.1), regularizer="l1", eta0=np.float32(0.5),
+            max_iter=np.int32(3), tol=np.float16(1e-3), seed=np.uint8(7),
+        )
+        assert [type(getattr(cfg, n)) for n in ("nu", "lam", "eta0", "max_iter", "tol", "seed")] == [
+            float, float, float, int, float, int
+        ]
+        assert cfg.lam == float(np.float32(0.1)) and cfg.seed == 7
+        res = fit_featurized(np.ones((4, 1)), np.ones((5, 1)), cfg)
+        config = json.loads(json_text(fit_result_to_dict(res, cfg)))["config"]
+        assert config["lambda"] == cfg.lam and config["seed"] == 7
 
 
 class TestKeepCount:
@@ -281,7 +300,7 @@ class TestObjective:
                 PhiQ = rng.standard_normal((n_q, d))
                 delta = rng.standard_normal(d)
                 w = assign_weights(rng.standard_normal(n_p), 1.0 if n_p < 2 else 0.5)
-                lam = float(rng.uniform(0, 2))
+                lam = float(rng.uniform(0, 2)) if reg != "none" else 0.0
                 cfg = TrimConfig(lam=lam, regularizer=reg)
                 expected = straight_line_objective(delta, w, PhiP, PhiQ, lam, reg)
                 assert abs(objective(delta, w, PhiP, PhiQ, cfg) - expected) < 1e-10
@@ -330,18 +349,10 @@ class TestGradient:
 
 
 class TestRegularizer:
-    def test_values_and_subgradients(self):
+    def test_values(self):
         delta = np.array([1.5, 0.0, -2.0])
-
-        def value_and_subgradient(cfg):
-            return _reg_value(delta, cfg), _reg_subgradient(delta, cfg)
-
-        v, s = value_and_subgradient(TrimConfig(regularizer="none"))
-        assert v == 0.0 and np.array_equal(s, np.zeros(3))
-        v, s = value_and_subgradient(TrimConfig(regularizer="l1"))
-        assert v == 3.5 and np.array_equal(s, [1.0, 0.0, -1.0])
-        v, s = value_and_subgradient(TrimConfig(regularizer="l2sq"))
-        assert v == 6.25 and np.array_equal(s, [3.0, 0.0, -4.0])
+        values = [_reg_value(delta, TrimConfig(regularizer=reg)) for reg in ("none", "l1", "l2sq")]
+        assert values == [0.0, 3.5, 6.25]
 
 
 class TestProx:
@@ -947,7 +958,6 @@ def _ref_log_mean_exp_and_softmax(z):
     s = float(np.sum(e))
     w = e / s
     w /= w.sum()
-    w[w < np.finfo(float).tiny] = 0.0
     return m + np.log(s / z.size), w
 
 
@@ -1030,12 +1040,17 @@ def _pinned_cases():
     rng = np.random.default_rng(12)
     xp_l1 = np.concatenate([rng.uniform(2.6, 3.4, 30), rng.normal(0.4, 1.0, 270)])
     xq_l1 = rng.normal(0.0, 1.0, 300)
+    # One row of X_q far below the rest: as delta nears 0.79, that row's
+    # softmax weight, about exp(-920 delta), is subnormal.
+    xq_far = xq1.copy()
+    xq_far[0] = -920.0
     return {
         "linear_m1_nu0.8": (xp1, xq1, lin, TrimConfig(nu=0.8)),
         "linear_m1_nu1": (xp1, xq1, lin, TrimConfig(nu=1.0)),
         "linear_m1_negative_slope": (-xp1, -xq1, lin, TrimConfig(nu=0.8)),
         "linear_m1_negative_slope_nu1": (-xp1, -xq1, lin, TrimConfig(nu=1.0)),
         "linear_m1_integer_ties": (xp_int, xq_int, lin, TrimConfig(nu=0.75)),
+        "linear_m1_subnormal_weight": (xp1, xq_far, lin, TrimConfig(nu=0.8)),
         "linear_m1_l1_back_to_zero": (
             xp_l1, xq_l1, lin, TrimConfig(nu=0.9, lam=0.02, regularizer="l1", eta0=8.0)
         ),
@@ -1114,6 +1129,14 @@ class TestLoopMatchesFrozenReference:
         held = [i for i, (_, _, h) in enumerate(steps) if h]
         back = [i for i, (d, given, h) in enumerate(steps) if given and not h and not d.any()]
         assert held and back and held[0] < back[0] and steps[-1][0].any()
+        # The reference's softmax is the kernel's, subnormal weights and all.
+        steps, _, PhiQ, _ = _steps_of("linear_m1_subnormal_weight", monkeypatch)
+        subnormal = 0
+        for delta, _, _ in steps:
+            _, sm = _ref_log_mean_exp_and_softmax(PhiQ @ delta)
+            assert sm.tobytes() == softmax_weights(delta, PhiQ).tobytes()
+            subnormal += bool(np.any((sm > 0.0) & (sm < np.finfo(float).tiny)))
+        assert subnormal > 0
 
     def test_one_kept_set_product_per_change(self, monkeypatch):
         """PhiP^T w is computed on the first step and on each step whose kept

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from trdre import experiments, ratio_model
+from trdre import evaluation, experiments, ratio_model
 from trdre.estimator import TrimConfig
 from trdre.experiments import _child_seeds, run_mnchange, run_outlier1d, run_truncation1d
 
@@ -78,6 +78,21 @@ class TestOutlierRunner:
         with pytest.raises(ValueError, match="b must be finite"):
             run_outlier1d(n_good=40, n_out=10, n_q=50, b_grid=(1.0, float("inf")))
         assert not any(tmp_path.iterdir())
+
+
+class TestMnchangeChecksUpFront:
+    @pytest.mark.parametrize(
+        "d_values, n_changed, message",
+        [((6, 1), 2, "d must be at least 2, got 1"), ((6, 3), 4, r"n_changed must lie in \[0, 3\] for d=3, got 4")],
+    )
+    def test_every_d_checked_before_the_first_fit(self, monkeypatch, d_values, n_changed, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit started before every d was checked")
+
+        monkeypatch.setattr(experiments, "fit_many", no_fit)
+        monkeypatch.setattr(evaluation, "fit_many", no_fit)
+        with pytest.raises(ValueError, match=message):
+            run_mnchange(d_values=d_values, n=40, n_changed=n_changed, lambda_grid=(0.1, 0.3), max_iter=10)
 
 
 class TestMnchangeFeaturizesOnce:
