@@ -9,7 +9,7 @@ reference experiments, brute-force oracles for cross-checking, and a CLI
 (``trdre fit | experiment | gen``).
 """
 
-from .baselines import brute_force_maxmin_1d, enumerate_weight_vertices
+from .baselines import enumerate_weight_vertices, maxmin_1d
 from .estimator import (
     FitDivergedError,
     FitResult,

@@ -1,4 +1,10 @@
-"""Small brute-force solvers used to cross-check the main estimator."""
+"""Small exact solvers used to cross-check the main estimator.
+
+On one feature column the kept set is fixed on each half-line (delta > 0
+keeps the k smallest entries of PhiP, delta < 0 the k largest), so there
+the objective is smooth and concave, and maxmin_1d bisects its monotone
+derivative. It shares only ratio_model's log-mean-exp/softmax with the loop.
+"""
 
 from __future__ import annotations
 
@@ -7,11 +13,10 @@ import math
 
 import numpy as np
 
-from .estimator import keep_count
-from .ratio_model import as_sample_matrix
+from .estimator import TrimConfig, _reg_value, keep_count
+from .ratio_model import _log_mean_exp_and_softmax, as_sample_matrix
 
 _MAX_ENUM = 12
-_GRID_LO, _GRID_HI = -5.0, 5.0  # delta range searched by brute_force_maxmin_1d
 
 
 def enumerate_weight_vertices(n_p: int, nu: float) -> list[np.ndarray]:
@@ -31,39 +36,36 @@ def enumerate_weight_vertices(n_p: int, nu: float) -> list[np.ndarray]:
     return vertices
 
 
-def brute_force_maxmin_1d(
-    Xp,
-    Xq,
-    nu: float,
-    grid_step: float = 1e-3,
-) -> tuple[float, float]:
-    """Grid-search the scalar max-min trimmed objective with f(x) = x.
+def maxmin_1d(PhiP, PhiQ, cfg: TrimConfig) -> tuple[float, float]:
+    """(delta, value) at the maximum of the trimmed objective on one
+    feature column, delta to adjacent floats; (+-inf, inf) where no finite
+    maximizer exists and the objective grows without bound that way."""
+    p, q = as_sample_matrix(PhiP, "PhiP"), as_sample_matrix(PhiQ, "PhiQ")
+    if p.shape[1] != 1 or q.shape[1] != 1:
+        raise ValueError(f"maxmin_1d needs one feature column, got {p.shape[1]} and {q.shape[1]}")
+    p, q = np.sort(p[:, 0]), q[:, 0]
+    k = keep_count(cfg.nu, p.size)
+    nu_eff = k / p.size
+    l1, l2 = (cfg.lam, 0.0) if cfg.regularizer == "l1" else (0.0, cfg.lam)
+    # delta = s * t with t >= 0 keeps the k smallest entries of s * PhiP.
+    for s, a, qs in ((1.0, p[:k].sum() / p.size, q), (-1.0, -p[-k:].sum() / p.size, -q)):
+        dq = qs - qs.max()
+        # The slope in t tends to limit without l2sq, and equals it once the softmax saturates.
+        limit = a - nu_eff * qs.max() - l1
 
-    The grid spans delta in [-5, 5] with spacing grid_step, which covers
-    the analytic targets of the 1-D protocols (0.5 and 0.75). For each
-    grid delta the inner minimum is evaluated exactly as the mean of the
-    k_keep smallest log-ratios over 1/n_p-weighted samples. Returns
-    (argmax delta, max value). Unregularized.
-    """
-    xp = as_sample_matrix(Xp, "Xp").ravel()
-    xq = as_sample_matrix(Xq, "Xq").ravel()
-    n_p = xp.size
-    k = keep_count(nu, n_p)
-    n_grid = int(round((_GRID_HI - _GRID_LO) / grid_step)) + 1
-    grid = np.linspace(_GRID_LO, _GRID_HI, n_grid)
+        def slope(t: float) -> float:
+            _, sm = _log_mean_exp_and_softmax(t * dq)
+            return limit - nu_eff * float(sm @ dq) - 2.0 * l2 * t
 
-    best_val = -math.inf
-    best_delta = grid[0]
-    block = 256
-    for start in range(0, n_grid, block):
-        g = grid[start : start + block]
-        zq = g[:, None] * xq[None, :]
-        mx = zq.max(axis=1, keepdims=True)
-        logN = mx[:, 0] + np.log(np.mean(np.exp(zq - mx), axis=1))
-        lr = g[:, None] * xp[None, :] - logN[:, None]
-        vals = np.sort(lr, axis=1)[:, :k].sum(axis=1) / n_p
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_delta = float(g[j])
-    return best_delta, best_val
+        if slope(0.0) <= 0.0:
+            continue
+        if l2 == 0.0 and limit >= 0.0:
+            return s * math.inf, math.inf
+        # Double the bracket from 1 while its top is open, then bisect to adjacent floats.
+        lo, hi, mid = 0.0, math.inf, 1.0
+        while lo < mid < hi:
+            lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+            mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        lme, _ = _log_mean_exp_and_softmax(hi * qs)
+        return s * hi, hi * a - nu_eff * lme - cfg.lam * _reg_value(np.array([hi]), cfg)
+    return 0.0, 0.0

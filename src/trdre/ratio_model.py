@@ -180,7 +180,9 @@ FeatureMap = LinearFeatures | PairwiseQuadraticFeatures | GaussianKernelFeatures
 def feature_map_from_name(
     name: str, basis: np.ndarray | None = None, bandwidth: float | None = None
 ) -> FeatureMap:
-    """Build a feature map from its CLI name: linear, quadratic, or rbf."""
+    """Build a feature map from its CLI name: linear, quadratic, or rbf (bandwidth: rbf only)."""
+    if bandwidth is not None and name != "rbf":
+        raise ValueError(f"--rbf-bandwidth applies only to --features rbf, got --features {name}")
     if name == "linear":
         return LinearFeatures()
     if name == "quadratic":

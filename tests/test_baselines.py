@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trdre.baselines import brute_force_maxmin_1d, enumerate_weight_vertices
+from trdre.baselines import enumerate_weight_vertices, maxmin_1d
 from trdre.estimator import TrimConfig, fit
 from trdre.ratio_model import LinearFeatures
 
@@ -34,7 +34,7 @@ class TestEnumerateVertices:
 class TestBruteForce1d:
     def test_symmetric_instance_peaks_at_zero(self):
         x = np.array([[-1.0], [-0.5], [0.5], [1.0]])
-        d, v = brute_force_maxmin_1d(x, x, 1.0)
+        d, v = maxmin_1d(x, x, TrimConfig())
         assert abs(d) < 1e-9
         assert abs(v) < 1e-12
 
@@ -42,8 +42,9 @@ class TestBruteForce1d:
         rng = np.random.default_rng(0)
         xp = rng.standard_normal((6, 1))
         xq = rng.standard_normal((6, 1)) * 1.5
-        d1, v1 = brute_force_maxmin_1d(xp, xq, 0.5)
-        d2, v2 = brute_force_maxmin_1d(-xp, -xq, 0.5)
+        cfg = TrimConfig(nu=0.5)
+        d1, v1 = maxmin_1d(xp, xq, cfg)
+        d2, v2 = maxmin_1d(-xp, -xq, cfg)
         assert abs(v1 - v2) < 1e-12
         assert abs(d1 + d2) < 1e-9
 
@@ -51,21 +52,49 @@ class TestBruteForce1d:
         rng = np.random.default_rng(1)
         xp = rng.standard_normal((8, 1)) * 0.7 + 0.4
         xq = rng.standard_normal((10, 1)) * 1.2
-        _, v = brute_force_maxmin_1d(xp, xq, 1.0)
+        _, v = maxmin_1d(xp, xq, TrimConfig())
         res = fit(xp, xq, LinearFeatures(), TrimConfig(max_iter=20000, tol=1e-15))
         assert abs(res.objective_best - v) < 1e-3
 
+    # On this pair f(delta) = 0.15 delta - log cosh(0.3 delta) - lam R(delta).
+    XP = np.array([[0.2], [0.1]])
+    XQ = np.array([[-0.3], [0.3]])
+
     def test_value_at_known_delta(self):
-        # grid includes 0 exactly, where the objective is -log(1) = 0 minus
-        # nothing: value of the best grid point must be >= the value at 0.
-        xp = np.array([[0.2], [0.1]])
-        xq = np.array([[-0.3], [0.3]])
-        _, v = brute_force_maxmin_1d(xp, xq, 1.0)
-        # objective at delta=0 is 0; 0.15 * delta - log cosh(0.3 delta)
-        # grows for small positive delta
-        assert v > 0.0
-        target = max(
-            0.15 * t - math.log(math.cosh(0.3 * t))
-            for t in np.linspace(-5, 5, 10001)
-        )
-        assert abs(v - target) < 1e-9
+        # f' = 0.15 - 0.3 tanh(0.3 delta) vanishes at atanh(1/2) / 0.3.
+        d, v = maxmin_1d(self.XP, self.XQ, TrimConfig())
+        d_star = math.atanh(0.5) / 0.3
+        assert abs(d - d_star) < 1e-12
+        assert abs(v - (0.15 * d_star - math.log(math.cosh(0.3 * d_star)))) < 1e-12
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.15, 0.3])
+    def test_l1_penalty(self, lam):
+        # f' = 0.15 - lam - 0.3 tanh(0.3 delta) on delta > 0; from lam = 0.15 on, delta = 0.
+        d, v = maxmin_1d(self.XP, self.XQ, TrimConfig(lam=lam, regularizer="l1"))
+        d_star = math.atanh(max(0.15 - lam, 0.0) / 0.3) / 0.3
+        assert abs(d - d_star) < 1e-12
+        assert abs(v - (0.15 * d_star - math.log(math.cosh(0.3 * d_star)) - lam * d_star)) < 1e-12
+
+    def test_l2sq_penalty(self):
+        lam = 0.05
+        d, v = maxmin_1d(self.XP, self.XQ, TrimConfig(lam=lam, regularizer="l2sq"))
+        assert 0.0 < d < math.atanh(0.5) / 0.3
+        assert abs(0.15 - 0.3 * math.tanh(0.3 * d) - 2.0 * lam * d) < 1e-15
+        assert abs(v - (0.15 * d - math.log(math.cosh(0.3 * d)) - lam * d * d)) < 1e-12
+
+    def test_no_finite_maximizer(self):
+        # Every x_p lies above every x_q: f grows without bound as delta -> +inf.
+        xp = np.array([[2.0], [3.0], [2.5]])
+        xq = np.array([[-1.0], [1.0], [0.0]])
+        assert maxmin_1d(xp, xq, TrimConfig(nu=2.0 / 3.0)) == (math.inf, math.inf)
+        assert maxmin_1d(-xp, -xq, TrimConfig(nu=2.0 / 3.0)) == (-math.inf, math.inf)
+        # With l2sq any lam > 0 bounds it. l1 needs lam above A - nu_eff max x_q = 1.5 - 2/3,
+        # where A = (2 + 2.5) / 3 is the kept sum over n_p.
+        d, _ = maxmin_1d(xp, xq, TrimConfig(nu=2.0 / 3.0, lam=0.01, regularizer="l2sq"))
+        assert 0.0 < d < math.inf
+        assert maxmin_1d(xp, xq, TrimConfig(nu=2.0 / 3.0, lam=0.8, regularizer="l1"))[0] == math.inf
+        assert 0.0 < maxmin_1d(xp, xq, TrimConfig(nu=2.0 / 3.0, lam=0.9, regularizer="l1"))[0] < math.inf
+
+    def test_needs_one_column(self):
+        with pytest.raises(ValueError, match="one feature column"):
+            maxmin_1d(np.ones((3, 2)), np.ones((3, 2)), TrimConfig())

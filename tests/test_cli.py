@@ -63,7 +63,17 @@ class TestFitCommand:
         out = capsys.readouterr().out
         assert "[verify] weight structure PASS" in out
         assert "[verify] self-normalization PASS" in out
-        assert "[verify] 1-d grid oracle PASS" in out
+        assert "[verify] 1-d exact oracle PASS (oracle delta " in out
+
+    @pytest.mark.parametrize("regularizer", ["l1", "l2sq"])
+    def test_verify_judges_penalized_1d_fits(self, sample_csvs, tmp_path, capsys, regularizer):
+        xp, xq = sample_csvs
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8", "--regularizer", regularizer,
+                   "--lambda", "0.05", "--out", str(tmp_path / "o"), "--verify"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "[verify] 1-d exact oracle PASS (oracle delta " in out
+        assert "FAIL" not in out
 
     def test_rerun_is_byte_identical(self, sample_csvs, tmp_path):
         xp, xq = sample_csvs
@@ -215,9 +225,23 @@ class TestFitCommand:
         # The optimum checks have no optimum to judge; the others still run.
         assert "FAIL" not in printed
         assert "[verify] stationarity n/a (no finite maximizer)" in printed
-        assert "[verify] 1-d grid oracle n/a (no finite maximizer)" in printed
+        assert "[verify] 1-d exact oracle PASS (oracle delta inf, no finite maximizer)" in printed
         assert "[verify] weight structure PASS" in printed
         assert "[verify] self-normalization PASS" in printed
+
+    def test_verify_fails_a_fit_that_misses_unboundedness(self, tmp_path, capsys):
+        # The pair above, with too few iterations for the loop to prove it unbounded.
+        rng = np.random.default_rng(3)
+        xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_csv(xp, rng.uniform(5.0, 6.0, (60, 1)))
+        write_csv(xq, rng.standard_normal((70, 1)))
+        out = tmp_path / "o"
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.9", "--max-iter", "1",
+                   "--out", str(out), "--verify"])
+        assert rc == 0
+        assert json.loads((out / "fit_result.json").read_text())["stop_reason"] == "max_iter"
+        printed = capsys.readouterr().out
+        assert "[verify] 1-d exact oracle FAIL (oracle delta inf, no finite maximizer)" in printed
 
     def test_bounded_fit_prints_stop_reason_without_certificate(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trdre import estimator
-from trdre.baselines import brute_force_maxmin_1d, enumerate_weight_vertices
+from trdre.baselines import enumerate_weight_vertices, maxmin_1d
 from trdre.estimator import (
     STOP_REASONS,
     FitDivergedError,
@@ -140,7 +140,7 @@ class TestKeepCount:
             lambda: keep_count(nu, 4),
             lambda: assign_weights(lr, nu),
             lambda: enumerate_weight_vertices(4, nu),
-            lambda: brute_force_maxmin_1d(lr, lr + 0.5, nu, grid_step=0.5),
+            lambda: maxmin_1d(lr, lr + 0.5, TrimConfig(nu=nu)),
         ):
             with pytest.raises(ValueError, match=r"nu must lie in \(0, 1\]"):
                 call()
@@ -392,12 +392,12 @@ class TestFit:
     def test_tiny_instance_matches_grid_oracle(self):
         # Chosen so the trimmed objective is bounded (the kept-third mean of
         # x_p stays inside the range of x_q in both tail directions) and the
-        # maximizer is interior to the oracle's [-5, 5] grid.
+        # maximizer is finite, at |delta| < 4.9.
         xp = np.array([[0.5], [1.0], [1.4], [1.9], [2.5]])
         xq = np.array([[-2.0], [-0.9], [0.0], [0.8], [2.2]])
         cfg = TrimConfig(nu=0.6, max_iter=20000, tol=1e-15)
         res = fit(xp, xq, LinearFeatures(), cfg)
-        d_star, oracle = brute_force_maxmin_1d(xp, xq, 0.6)
+        d_star, oracle = maxmin_1d(xp, xq, cfg)
         assert abs(d_star) < 4.9
         assert abs(res.objective_best - oracle) < 1e-3
         assert abs(res.delta_best[0] - d_star) < 1e-2

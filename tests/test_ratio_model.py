@@ -139,6 +139,9 @@ class TestFeaturize:
             feature_map_from_name("cubic")
         with pytest.raises(ValueError):
             feature_map_from_name("rbf")
+        for name in ("linear", "quadratic"):
+            with pytest.raises(ValueError, match=f"--rbf-bandwidth applies only to --features rbf, got --features {name}"):
+                feature_map_from_name(name, bandwidth=2.0)
 
 
 def log_normalizer(delta, PhiQ):
