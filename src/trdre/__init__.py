@@ -9,7 +9,7 @@ reference experiments, brute-force oracles for cross-checking, and a CLI
 (``trdre fit | experiment | gen``).
 """
 
-from .baselines import enumerate_weight_vertices, maxmin_1d
+from .baselines import enumerate_weight_vertices
 from .estimator import (
     FitDivergedError,
     FitResult,
@@ -23,6 +23,7 @@ from .estimator import (
     fit_result_to_dict,
     gradient,
     kkt_check,
+    maxmin_1d,
     objective,
 )
 from .evaluation import (

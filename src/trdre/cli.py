@@ -24,12 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments
-from .baselines import maxmin_1d
 from .estimator import (
     REGULARIZERS,
     STATIONARITY_TOL,
     UNBOUNDED_SLACK,
+    FitDivergedError,
     TrimConfig,
+    ascend,
     fit_featurized,
     fit_result_to_dict,
     keep_count,
@@ -233,11 +234,18 @@ def cmd_fit(args) -> int:
         gap = abs(float(np.mean(ratios)) - 1.0)
         print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1:
-            odelta, oval = maxmin_1d(PhiP, PhiQ, cfg)
-            diff = abs(oval - result.objective_best)
-            ok = np.isinf(oval) == unbounded and (unbounded or diff < 1e-2)
-            note = "no finite maximizer" if np.isinf(oval) else f"|objective gap| = {diff:.3g}"
-            print(f"[verify] 1-d exact oracle {'PASS' if ok else 'FAIL'} (oracle delta {odelta!r}, {note})")
+            # The ascent loop, a second solver, must agree with the exact one.
+            no_max = result.stop_reason != "certified"
+            try:
+                loop = ascend(PhiP, PhiQ, cfg)
+            except FitDivergedError as exc:  # a verdict on the loop, not on the fit written
+                ok, note = False, str(exc)
+            else:
+                diff = abs(loop.objective_best - result.objective_best)
+                ok = (loop.stop_reason == "unbounded") == no_max and (no_max or diff < 1e-2)
+                note = "no finite maximizer" if no_max else f"|objective gap| = {diff:.3g}"
+                note = f"loop delta {float(loop.delta_best[0])!r}, {note}"
+            print(f"[verify] ascent loop cross-check {'PASS' if ok else 'FAIL'} ({note})")
     return EXIT_OK
 
 

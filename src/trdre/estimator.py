@@ -9,11 +9,16 @@ where rhat is the self-normalized log-linear ratio model and nu in (0, 1]
 is the fraction of numerator samples trusted to be inliers. For any fixed
 delta the inner minimum is attained at a polytope vertex: weight 1/n_p on
 the k_keep = round(nu * n_p) samples with the smallest log-ratio, weight 0
-elsewhere. The outer loop therefore alternates, per iteration:
+elsewhere.
 
-    1. rank X_p by log-ratio under the current delta: by the order of
-       X_p's rows the loop carries, while it ranks the log-ratios with
-       no tie at the cut, else by a value sort;
+On one feature column the kept set is fixed on each half-line (delta > 0
+keeps the k smallest entries of PhiP, delta < 0 the k largest), so the
+objective is smooth and concave on each. There fit_featurized solves the
+program exactly (maxmin_1d) and stops "certified". Every other fit, and a
+one-column fit with no finite maximizer, runs the ascent loop (ascend),
+which alternates, per iteration:
+
+    1. rank X_p by log-ratio under the current delta;
     2. assign the extreme-point weights w;
     3. step delta along the (sub)gradient with rate eta0 / sqrt(it + 1),
        reusing the last step's PhiP^T w when the kept set is unchanged,
@@ -46,30 +51,12 @@ Regularizers: "none" (lam must be 0), "l1" (R = sum |delta_i|) and "l2sq"
 gradient step) so coefficients reach exact zeros; the other two fold the
 regularizer's gradient into the step ("none" has the zero gradient).
 
-The loop, the oracles (objective, gradient, assign_weights) and
-kkt_check all evaluate delta through one kernel, ratio_model._evaluate
+The loop, the exact fit, the oracles (objective, gradient, assign_weights)
+and kkt_check all evaluate delta through one kernel, ratio_model._evaluate
 (log_ratios returns its first output; gradient takes its softmax alone,
-from the same np.dot(PhiQ, delta)), so the oracles check the loop's own
-arithmetic. The loop and assign_weights rank through one helper, _trim.
+from the same np.dot(PhiQ, delta)), so the oracles check the fits' own
+arithmetic. The fits and assign_weights rank through one helper, _trim.
 Every feature-matrix product goes through np.dot.
-
-Once delta settles, the kept set stops changing: in one pass of the
-outlier_1d benchmark (56 fits at n_p = 5000) it repeated on 3,646 of
-3,674 steps. So the loop carries, from step to step, the weights w its
-last step took and PhiP^T w. A step whose kept set equals the last
-step's computes PhiQ^T softmax alone. The first time that happens, the
-loop also takes one np.argsort of the log-ratios as its order of X_p's
-rows, if that order has no tie at the cut. From then on _trim first
-tries the order: where the log-ratios taken in that order are
-non-decreasing with no tie at the cut, the k smallest are the first k of
-them and the kept set is the order's first k, so no sort runs and w is
-the last step's. The first time the order fails, the fit drops it and
-sorts on every later step. Every value, weight and product is the one the
-value sort gives, bit for bit: the order's values are the same numbers,
-its kept set is the stable argsort's, and a reused product was computed
-from equal weights. A fit whose ranking changes every step (the rbf and
-quadratic benchmark fits) pays at most one argsort and one O(n_p)
-comparison of the weights per step.
 
 Both parallel paths below pass one gate and one size rule. _cpus() is
 the number of CPUs in the affinity mask where the environment pins
@@ -125,7 +112,7 @@ import numpy as np
 from .ratio_model import FeatureMap, _dot_pair, _evaluate, as_sample_matrix, featurize, softmax_weights
 
 REGULARIZERS = ("none", "l1", "l2sq")
-STOP_REASONS = ("window", "max_iter", "unbounded")
+STOP_REASONS = ("certified", "window", "max_iter", "unbounded")
 # Added to nu log n_q before the unbounded check fires. A bounded problem
 # has F <= nu log n_q exactly, and the slack absorbs the rounding of the
 # computed objective (a mean of log-ratios, each a few ulps off) should an
@@ -143,8 +130,10 @@ class TrimConfig:
     regularizer (and is 0 with "none"), eta0 the base step size. The loop
     stops at max_iter, once the best objective improves by less than tol
     over a 50-iteration window, or once an iterate proves that no finite
-    maximizer exists (see the module docstring). seed is carried along for
-    provenance in serialized results; the fit itself is deterministic.
+    maximizer exists (see the module docstring). A one-column fit with a
+    finite maximizer is solved exactly and ignores eta0, max_iter and tol.
+    seed is carried along for provenance in serialized results; the fit
+    itself is deterministic.
     """
 
     nu: float = 1.0
@@ -206,11 +195,12 @@ class FitResult:
     iterate; objective_best is its running maximum. t_hat is the largest
     kept log-ratio under delta_best (the trimming threshold).
 
-    stop_reason is one of STOP_REASONS. On "unbounded", delta_best is a
-    certificate: objective_best exceeds unbounded_threshold, so the
-    objective grows without bound along delta_best and the returned
-    coefficients are a point on that ray, not an optimum. converged is
-    true only for "window".
+    stop_reason is one of STOP_REASONS. On "certified", delta_best is
+    maxmin_1d's exact maximizer of a one-column fit, the trace its one
+    evaluation. On "unbounded", delta_best is a certificate: objective_best
+    exceeds unbounded_threshold, so the objective grows without bound along
+    delta_best and the returned coefficients are a point on that ray, not an
+    optimum. converged is true for "certified" and "window".
     """
 
     delta_best: np.ndarray
@@ -223,7 +213,7 @@ class FitResult:
 
     @property
     def converged(self) -> bool:
-        return self.stop_reason == "window"
+        return self.stop_reason in ("certified", "window")
 
     @property
     def kept_indices(self) -> np.ndarray:
@@ -248,11 +238,9 @@ def keep_count(nu: float, n_p: int) -> int:
     return k
 
 
-def _trim(
-    lr: np.ndarray, k: int, order: np.ndarray | None = None, w: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Weights 1/n_p on the k smallest log-ratios, those k values in
-    ascending order, and whether order ranked them.
+def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights 1/n_p on the k smallest log-ratios, and those k values in
+    ascending order.
 
     Ties at the threshold t = k-th smallest value go to the lower index:
     every lr <= t is kept, then the surplus indices where lr == t are
@@ -262,41 +250,24 @@ def _trim(
     keep * (1 / n): 1.0 * fl(1/n) is fl(1/n), the bits of keep / n, for a
     multiply in place of a divide.
 
-    order, if given, is a permutation of lr's indices, and w the weights
-    of its first k. Where g = lr.take(order) is non-decreasing with no tie
-    at the cut (g[k] > g[k - 1], or k = n), the k smallest values are
-    g[:k] and the kept set is order[:k], which no other index ties with:
-    w itself is returned, no sort runs, and the flag is True. Otherwise
-    the value sort runs, and the flag is False.
-
-    Either way the vectorized sort or the order may permute signed zeros,
-    so a block of zeros among the k values is refilled from lr in index
-    order. The values are then bitwise those of lr at the stable
-    argsort's first k indices, and the last one is lr at the last kept
-    index tied at t. A NaN fails the order's checks; on the sort path lr
-    must be NaN-free.
+    The vectorized sort may permute signed zeros, so a block of zeros
+    among the k values is refilled from lr in index order. The values are
+    then bitwise those of lr at the stable argsort's first k indices, and
+    the last one is lr at the last kept index tied at t. lr must be
+    NaN-free.
     """
-    n = lr.size
-    held = False
-    if order is not None:
-        g = lr.take(order)
-        held = (k == n or g[k] > g[k - 1]) and bool((g[1:] >= g[:-1]).all())
-    if held:
-        low = g[:k]
-    else:
-        low = np.sort(lr)[:k]
-        t = low[-1]
-        keep = lr <= t
-        surplus = np.count_nonzero(keep) - k
-        if surplus:
-            keep[np.flatnonzero(lr == t)[-surplus:]] = False
-        w = keep * (1.0 / n)
-    if low[0] <= 0.0 <= low[-1]:
+    low = np.sort(lr)[:k]
+    t = low[-1]
+    keep = lr <= t
+    surplus = np.count_nonzero(keep) - k
+    if surplus:
+        keep[np.flatnonzero(lr == t)[-surplus:]] = False
+    if low[0] <= 0.0 <= t:
         i = low.searchsorted(0.0, "left")
         if low[i] == 0.0:
             j = low.searchsorted(0.0, "right")
             low[i:j] = lr[lr == 0.0][: j - i]
-    return w, low, held
+    return keep * (1.0 / lr.size), low
 
 
 def _data_gradient(
@@ -319,7 +290,7 @@ def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
         raise ValueError("log_ratio_values must be a nonempty vector")
     if not np.all(np.isfinite(lr)):
         raise ValueError("log_ratio_values must be finite")
-    w, _, _ = _trim(lr, keep_count(nu, lr.size))
+    w, _ = _trim(lr, keep_count(nu, lr.size))
     return w
 
 
@@ -452,12 +423,25 @@ class _DotWorker:
 
 
 def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
-    """Run the ascent-and-trimming loop on already-featurized samples.
+    """Fit on already-featurized samples, exactly where one column has a
+    finite maximizer, else by ascend (see the module docstring).
 
-    Non-finite features raise ValueError before the loop starts, so
+    Non-finite features raise ValueError before any fit starts, so
     FitDivergedError always means the iterates ran away. The result's
-    stop_reason says why the loop ended (see FitResult).
+    stop_reason says why the fit ended (see FitResult).
     """
+    PhiP, PhiQ = _features(PhiP, PhiQ)
+    _, exact = _exact(PhiP, PhiQ, cfg) if PhiP.shape[1] == 1 else (None, None)
+    return _ascend(PhiP, PhiQ, cfg) if exact is None else exact
+
+
+def ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
+    """The ascent loop alone, on any column count (see the module docstring)."""
+    return _ascend(*_features(PhiP, PhiQ), cfg)
+
+
+def _features(PhiP, PhiQ) -> tuple[np.ndarray, np.ndarray]:
+    """PhiP and PhiQ as float matrices, checked as fit_featurized says."""
     PhiP = np.asarray(PhiP, dtype=float)
     PhiQ = np.asarray(PhiQ, dtype=float)
     if PhiP.ndim != 2 or PhiQ.ndim != 2 or PhiP.shape[1] != PhiQ.shape[1]:
@@ -467,6 +451,60 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
             raise ValueError(f"{name} has no rows")
     if not (np.all(np.isfinite(PhiP)) and np.all(np.isfinite(PhiQ))):
         raise ValueError("PhiP and PhiQ must be finite")
+    return PhiP, PhiQ
+
+
+def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, FitResult | None]:
+    """A one-column fit's maximizer, to adjacent floats, and the fit there,
+    evaluated as a loop step would; (+-inf, None) where the objective grows
+    without bound that way, or rises past the largest float."""
+    n_p = PhiP.shape[0]
+    p, q = np.sort(PhiP[:, 0]), PhiQ[:, 0]
+    k = keep_count(cfg.nu, n_p)
+    nu_eff = k / n_p
+    l1, l2 = (cfg.lam, 0.0) if cfg.regularizer == "l1" else (0.0, cfg.lam)
+    d = 0.0
+    # delta = s * t with t >= 0 keeps the k smallest entries of s * PhiP.
+    for s, a, qs in ((1.0, p[:k].sum() / n_p, q), (-1.0, -p[-k:].sum() / n_p, -q)):
+        dq = qs - qs.max()
+        # The slope in t tends to limit without l2sq, and equals it once the softmax saturates.
+        limit = a - nu_eff * qs.max() - l1
+
+        def slope(t: float) -> float:
+            e = np.exp(t * dq)  # dq <= 0, so no overflow
+            return limit - nu_eff * (float(np.dot(e, dq)) / float(e.sum())) - 2.0 * l2 * t
+
+        if slope(0.0) <= 0.0:
+            continue
+        # Double the bracket from 1 while its top is open, then bisect to adjacent
+        # floats. Without l2sq, a limit >= 0 leaves it open: no finite maximizer.
+        lo, hi, mid = 0.0, math.inf, 1.0
+        while (l2 > 0.0 or limit < 0.0) and lo < mid < hi:
+            lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+            mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        d = s * hi
+        break
+    if not math.isfinite(d):
+        return d, None
+    delta = np.array([d])
+    lr, _ = _evaluate(delta, PhiP, PhiQ)
+    w, low = _trim(lr, k)
+    obj = float(low.sum() / n_p - cfg.lam * _reg_value(delta, cfg))
+    return d, FitResult(delta, w, obj, float(low[-1]), [(0, obj)], 1, "certified")
+
+
+def maxmin_1d(PhiP, PhiQ, cfg: TrimConfig) -> tuple[float, float]:
+    """(delta, value) at the maximum of the trimmed objective on one
+    feature column, as fit_featurized reports them; (+-inf, inf) where the
+    objective grows without bound that way."""
+    p, q = as_sample_matrix(PhiP, "PhiP"), as_sample_matrix(PhiQ, "PhiQ")
+    if p.shape[1] != 1 or q.shape[1] != 1:
+        raise ValueError(f"maxmin_1d needs one feature column, got {p.shape[1]} and {q.shape[1]}")
+    d, exact = _exact(p, q, cfg)
+    return d, math.inf if exact is None else exact.objective_best
+
+
+def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
     n_p, m = PhiP.shape
     k = keep_count(cfg.nu, n_p)
     nu_eff = k / n_p
@@ -488,16 +526,12 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     # This fit's worker thread, where the rule in the module docstring holds.
     worker = _DotWorker() if _large(PhiP, PhiQ) and _cpus() >= 2 else None
     pair = _dot_pair if worker is None else worker.pair
-    # Carried from step to step (see the module docstring): the weights the
-    # last step took and PhiP^T times them, and the order of X_p's rows.
-    w_step = gp = order = None
-    may_order = True
+    # The weights the last step took and PhiP^T times them.
+    w_step = gp = None
     try:
         for it in range(cfg.max_iter):
             lr, sm = _evaluate(delta, PhiP, PhiQ, pair)
-            w, low, held = _trim(lr, k, order, w_step)
-            if not held:
-                order = None
+            w, low = _trim(lr, k)
             obj = float(low.sum() / n_p - cfg.lam * _reg_value(delta, cfg))
             if not math.isfinite(obj):
                 raise FitDivergedError(it, float(np.max(np.abs(delta))))
@@ -517,15 +551,9 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
                 break
 
             eta = cfg.eta0 / math.sqrt(it + 1.0)
-            if w is w_step or w_step is not None and (w == w_step).all():
+            if w_step is not None and (w == w_step).all():
                 # The last step's kept set: gp is PhiP^T w still.
                 gq = np.dot(PhiQ.T, sm)
-                if may_order:
-                    # Any argsort: the order is used only while it has no tie at the cut.
-                    may_order = False
-                    order = np.argsort(lr)
-                    if k < n_p and not lr[order[k]] > lr[order[k - 1]]:
-                        order = None
             else:
                 gp, gq = pair(PhiP.T, w, PhiQ.T, sm)
                 w_step = w

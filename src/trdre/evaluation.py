@@ -184,11 +184,11 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
     protocol "truncation" draws gen_truncation_1d and fits at nu =
     TRUNCATION_NU (delta_star = -TRUNCATION_MU_Q, 0.5); "outlier"
     contaminates 20% of gen_outlier_1d's numerator with a uniform blob at
-    b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Each fit
-    runs at most 2000 iterations. Child seeds come from _child_seeds(seed),
-    so the whole table is reproducible. All samples are drawn first, and
-    the fits are one estimator.fit_many batch, which may run them on
-    several CPUs without changing the table.
+    b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Fits are
+    exact, or where no finite maximizer exists end within 2000 iterations.
+    Child seeds come from _child_seeds(seed), so the table is reproducible.
+    All samples are drawn first, and the fits are one estimator.fit_many
+    batch, which may run them on several CPUs without changing the table.
     """
     if protocol not in _SCALING_PROTOCOLS:
         raise ValueError(f"protocol must be one of {_SCALING_PROTOCOLS}, got {protocol!r}")

@@ -214,7 +214,6 @@ def _log_mean_exp_and_softmax(z: np.ndarray) -> tuple[float, np.ndarray]:
     np.exp(w, out=w)
     s = float(w.sum())
     w /= s
-    w /= w.sum()
     return m + np.log(s / z.size), w
 
 

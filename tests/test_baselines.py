@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from trdre.baselines import enumerate_weight_vertices, maxmin_1d
-from trdre.estimator import TrimConfig, fit
-from trdre.ratio_model import LinearFeatures
+from trdre.baselines import enumerate_weight_vertices
+from trdre.estimator import TrimConfig, ascend, maxmin_1d
 
 
 class TestEnumerateVertices:
@@ -53,7 +52,7 @@ class TestBruteForce1d:
         xp = rng.standard_normal((8, 1)) * 0.7 + 0.4
         xq = rng.standard_normal((10, 1)) * 1.2
         _, v = maxmin_1d(xp, xq, TrimConfig())
-        res = fit(xp, xq, LinearFeatures(), TrimConfig(max_iter=20000, tol=1e-15))
+        res = ascend(xp, xq, TrimConfig(max_iter=20000, tol=1e-15))
         assert abs(res.objective_best - v) < 1e-3
 
     # On this pair f(delta) = 0.15 delta - log cosh(0.3 delta) - lam R(delta).

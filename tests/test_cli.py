@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -63,7 +64,9 @@ class TestFitCommand:
         out = capsys.readouterr().out
         assert "[verify] weight structure PASS" in out
         assert "[verify] self-normalization PASS" in out
-        assert "[verify] 1-d exact oracle PASS (oracle delta " in out
+        # The fit is certified exact, and the ascent loop agrees with it.
+        assert "[trdre] stop_reason=certified after 1 iterations" in out
+        assert "[verify] ascent loop cross-check PASS (loop delta " in out
 
     @pytest.mark.parametrize("regularizer", ["l1", "l2sq"])
     def test_verify_judges_penalized_1d_fits(self, sample_csvs, tmp_path, capsys, regularizer):
@@ -72,8 +75,19 @@ class TestFitCommand:
                    "--lambda", "0.05", "--out", str(tmp_path / "o"), "--verify"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "[verify] 1-d exact oracle PASS (oracle delta " in out
+        assert "[verify] ascent loop cross-check PASS (loop delta " in out
         assert "FAIL" not in out
+
+    def test_verify_reports_a_loop_that_diverges(self, sample_csvs, tmp_path, capsys):
+        # The fit is solved exactly and written; the loop, run only to
+        # cross-check it, diverges at this step size.
+        xp, xq = sample_csvs
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8", "--eta0", "1e308",
+                       "--out", str(tmp_path / "o"), "--verify"])
+        assert rc == 0
+        assert json.loads((tmp_path / "o" / "fit_result.json").read_text())["stop_reason"] == "certified"
+        assert "[verify] ascent loop cross-check FAIL (objective became non-finite" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, sample_csvs, tmp_path):
         xp, xq = sample_csvs
@@ -197,10 +211,11 @@ class TestFitCommand:
         assert "tol" in capsys.readouterr().err
 
     def test_diverged_fit_exits_3(self, tmp_path, capsys):
+        # Two columns: the loop runs, where one would be solved exactly.
         rng = np.random.default_rng(2)
         xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
-        write_csv(xp, rng.standard_normal((20, 1)) + 3.0)
-        write_csv(xq, rng.standard_normal((20, 1)))
+        write_csv(xp, rng.standard_normal((20, 2)) + 3.0)
+        write_csv(xq, rng.standard_normal((20, 2)))
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["fit", "--xp", str(xp), "--xq", str(xq),
                         "--eta0", "1e308", "--out", str(tmp_path / "o")])
@@ -225,12 +240,13 @@ class TestFitCommand:
         # The optimum checks have no optimum to judge; the others still run.
         assert "FAIL" not in printed
         assert "[verify] stationarity n/a (no finite maximizer)" in printed
-        assert "[verify] 1-d exact oracle PASS (oracle delta inf, no finite maximizer)" in printed
+        assert re.search(r"\[verify\] ascent loop cross-check PASS \(loop delta [0-9.]+, no finite maximizer\)", printed)
         assert "[verify] weight structure PASS" in printed
         assert "[verify] self-normalization PASS" in printed
 
     def test_verify_fails_a_fit_that_misses_unboundedness(self, tmp_path, capsys):
-        # The pair above, with too few iterations for the loop to prove it unbounded.
+        # The pair above, with too few iterations for the loop to prove what
+        # the exact solver found: that no finite maximizer exists.
         rng = np.random.default_rng(3)
         xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
         write_csv(xp, rng.uniform(5.0, 6.0, (60, 1)))
@@ -241,7 +257,7 @@ class TestFitCommand:
         assert rc == 0
         assert json.loads((out / "fit_result.json").read_text())["stop_reason"] == "max_iter"
         printed = capsys.readouterr().out
-        assert "[verify] 1-d exact oracle FAIL (oracle delta inf, no finite maximizer)" in printed
+        assert "[verify] ascent loop cross-check FAIL (loop delta 0.0, no finite maximizer)" in printed
 
     def test_bounded_fit_prints_stop_reason_without_certificate(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
@@ -249,13 +265,17 @@ class TestFitCommand:
         assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8",
                      "--out", str(out), "--verify"]) == 0
         payload = json.loads((out / "fit_result.json").read_text())
-        assert payload["stop_reason"] == "window"
+        assert payload["stop_reason"] == "certified" and payload["converged"] is True
         printed = capsys.readouterr().out
-        assert "[trdre] stop_reason=window after" in printed
+        assert "[trdre] stop_reason=certified after 1 iterations" in printed
         assert "no finite maximizer" not in printed
 
-    def test_huge_max_iter_exits_0(self, sample_csvs, tmp_path):
-        xp, xq = sample_csvs
+    def test_huge_max_iter_exits_0(self, tmp_path):
+        # Two columns: the loop runs, where one would be solved exactly.
+        rng = np.random.default_rng(0)
+        xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_csv(xp, rng.standard_normal((80, 2)) + 0.3)
+        write_csv(xq, rng.standard_normal((90, 2)))
         out = tmp_path / "o"
         assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8",
                      "--max-iter", "100000000000", "--out", str(out)]) == 0

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trdre import estimator
-from trdre.baselines import enumerate_weight_vertices, maxmin_1d
+from trdre.baselines import enumerate_weight_vertices
 from trdre.estimator import (
     STOP_REASONS,
     FitDivergedError,
     TrimConfig,
     _reg_value,
     _trim,
+    ascend,
     assign_weights,
     fit,
     fit_featurized,
@@ -31,6 +32,7 @@ from trdre.estimator import (
     gradient,
     keep_count,
     kkt_check,
+    maxmin_1d,
     objective,
     soft_threshold,
     unbounded_threshold,
@@ -104,7 +106,7 @@ class TestTrimConfig:
 
     def test_numpy_integer_max_iter_is_accepted(self):
         cfg = TrimConfig(max_iter=np.int64(3))
-        res = fit_featurized(np.ones((4, 1)), np.ones((5, 1)), cfg)
+        res = fit_featurized(np.ones((4, 2)), np.ones((5, 2)), cfg)
         assert res.iterations_run == 3 and res.stop_reason == "max_iter"
         assert json.loads(json_text(fit_result_to_dict(res, cfg)))["config"]["max_iter"] == 3
 
@@ -210,70 +212,32 @@ def stable_argsort_trim(lr, k):
     return w, lr[kept]
 
 
-ORDER_KINDS = ("sorted", "reversed", "random", "tied")
-
-
-def an_order(lr, k, kind, rng):
-    """A permutation of lr's indices: its stable argsort, that reversed, a
-    random one, or the stable argsort with the block of values tied at the
-    k-th smallest reversed, which puts a tie at the cut wherever the block
-    straddles it."""
-    order = np.argsort(lr, kind="stable")
-    if kind == "reversed":
-        return order[::-1].copy()
-    if kind == "random":
-        return rng.permutation(lr.size)
-    if kind == "tied":
-        g = lr[order]
-        lo, hi = np.searchsorted(g, g[k - 1], "left"), np.searchsorted(g, g[k - 1], "right")
-        order[lo:hi] = order[lo:hi][::-1]
-    return order
-
-
-def assert_trim_matches_reference(lr, kind=None, seed=0):
-    rng = np.random.default_rng(seed)
+def assert_trim_matches_reference(lr):
     for k in range(1, lr.size + 1):
-        order = kept = None
-        if kind is not None:
-            order = an_order(lr, k, kind, rng)
-            kept = np.zeros(lr.size)
-            kept[order[:k]] = 1.0 / lr.size
-        w, low, held = _trim(lr, k, order, kept)
+        w, low = _trim(lr, k)
         ref_w, ref_low = stable_argsort_trim(lr, k)
         assert w.tobytes() == ref_w.tobytes()
         assert low.tobytes() == ref_low.tobytes()
         # t_hat, including the sign of a zero threshold.
         assert np.float64(low[-1]).tobytes() == np.float64(ref_low[-1]).tobytes()
-        tie_free = k == lr.size or ref_low[-1] < np.sort(lr)[k]
-        if kind is None or kind == "tied" and not tie_free:
-            assert not held
-        elif kind == "sorted":
-            assert held == tie_free
-        # Where the order holds, the weights of its first k are returned as given.
-        assert (w is kept) == held
 
 
 class TestTrim:
-    """_trim ranks by a value sort, or by a given order where that order
-    ranks lr with no tie at the cut; either way it must select what a
+    """_trim ranks by a value sort and O(n) masks; it must select what a
     stable argsort selects."""
 
     @given(
         arrays(float, st.integers(1, 40).map(lambda n: (n,)),
                elements=st.sampled_from([-np.inf, -0.0, 0.0, np.inf])
                | st.integers(-3, 3).map(float)),
-        st.sampled_from((None, *ORDER_KINDS)),
-        st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_stable_argsort(self, lr, kind, seed):
-        assert_trim_matches_reference(lr, kind, seed)
+    def test_matches_stable_argsort(self, lr):
+        assert_trim_matches_reference(lr)
 
     def test_signed_zeros_at_scale(self):
         rng = np.random.default_rng(28)
-        lr = rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=300)
-        for kind in (None, *ORDER_KINDS):
-            assert_trim_matches_reference(lr, kind)
+        assert_trim_matches_reference(rng.choice(np.array([-1.0, -0.0, 0.0, 1.0]), size=300))
 
 
 class TestObjective:
@@ -371,7 +335,8 @@ class TestFit:
 
     def test_objective_best_is_trace_max(self):
         xp, xq = gen_truncation_1d(400, 0.5, seed=1)
-        res = fit(xp, xq, LinearFeatures(), TrimConfig(nu=0.5))
+        res = ascend(featurize(xp, LinearFeatures()), featurize(xq, LinearFeatures()), TrimConfig(nu=0.5))
+        assert res.iterations_run > 50
         assert res.objective_best == max(v for _, v in res.trace)
 
     def test_t_hat_is_kth_smallest_log_ratio(self):
@@ -392,11 +357,11 @@ class TestFit:
     def test_tiny_instance_matches_grid_oracle(self):
         # Chosen so the trimmed objective is bounded (the kept-third mean of
         # x_p stays inside the range of x_q in both tail directions) and the
-        # maximizer is finite, at |delta| < 4.9.
+        # maximizer is finite, at |delta| < 4.9. The loop, against the exact solver.
         xp = np.array([[0.5], [1.0], [1.4], [1.9], [2.5]])
         xq = np.array([[-2.0], [-0.9], [0.0], [0.8], [2.2]])
         cfg = TrimConfig(nu=0.6, max_iter=20000, tol=1e-15)
-        res = fit(xp, xq, LinearFeatures(), cfg)
+        res = ascend(xp, xq, cfg)
         d_star, oracle = maxmin_1d(xp, xq, cfg)
         assert abs(d_star) < 4.9
         assert abs(res.objective_best - oracle) < 1e-3
@@ -419,10 +384,11 @@ class TestFit:
 
     def test_diverged_fit_raises(self):
         # The gradient is bounded by the feature magnitudes, so divergence
-        # needs a step large enough that eta * g itself overflows.
+        # needs a step large enough that eta * g itself overflows. Two
+        # columns: the loop runs, where one would be solved exactly.
         rng = np.random.default_rng(18)
-        xp = rng.standard_normal((20, 1)) + 3.0
-        xq = rng.standard_normal((20, 1))
+        xp = rng.standard_normal((20, 2)) + 3.0
+        xq = rng.standard_normal((20, 2))
         with pytest.raises(FitDivergedError, match="non-finite"), np.errstate(
             over="ignore", invalid="ignore"
         ):
@@ -498,8 +464,9 @@ class TestUnboundedStop:
     @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0])
     def test_l2sq_penalty_is_never_unbounded(self, lam):
         PhiP, PhiQ = _unbounded_1d()
-        res = fit_featurized(PhiP, PhiQ, TrimConfig(nu=0.9, lam=lam, regularizer="l2sq"))
-        assert res.stop_reason in ("window", "max_iter")
+        cfg = TrimConfig(nu=0.9, lam=lam, regularizer="l2sq")
+        assert fit_featurized(PhiP, PhiQ, cfg).stop_reason == "certified"
+        assert ascend(PhiP, PhiQ, cfg).stop_reason in ("window", "max_iter")
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), nu=st.sampled_from([0.7, 0.9, 1.0]))
@@ -935,7 +902,7 @@ class TestSerialization:
         assert d["kept_indices"] == [int(i) for i in res.kept_indices]
         assert len(d["trace"]) == res.iterations_run
         assert d["stop_reason"] == res.stop_reason in STOP_REASONS
-        assert d["converged"] == (res.stop_reason == "window")
+        assert d["converged"] == (res.stop_reason in ("certified", "window"))
 
     def test_config_echoes_every_trim_config_field(self):
         cfg = TrimConfig(nu=0.7, lam=0.25, regularizer="l2sq", eta0=0.5, max_iter=60, tol=1e-5, seed=9)
@@ -957,7 +924,6 @@ def _ref_log_mean_exp_and_softmax(z):
     e = np.exp(z - m)
     s = float(np.sum(e))
     w = e / s
-    w /= w.sum()
     return m + np.log(s / z.size), w
 
 
@@ -1030,13 +996,13 @@ def _pinned_cases():
     quad, lin = PairwiseQuadraticFeatures(), LinearFeatures()
     rbf = GaussianKernelFeatures(Xq[:40])
     # Integer-valued 1-D data: the cut of nu = 0.75 falls inside a block of
-    # equal values, so an order of X_p's rows never ranks it.
+    # equal values.
     rng = np.random.default_rng(5)
     xp_int = np.concatenate([rng.integers(-3, 4, 400), rng.integers(4, 6, 100)]).astype(float)
     xq_int = rng.integers(-4, 3, 500).astype(float)
     # Outliers first, so that at delta = 0 (every log-ratio tied) the lowest
     # indices keep them; steps large enough that delta is thresholded back to
-    # exactly 0 after an order was taken, and leaves 0 again.
+    # exactly 0 once it has left it, and leaves 0 again.
     rng = np.random.default_rng(12)
     xp_l1 = np.concatenate([rng.uniform(2.6, 3.4, 30), rng.normal(0.4, 1.0, 270)])
     xq_l1 = rng.normal(0.0, 1.0, 300)
@@ -1061,33 +1027,27 @@ def _pinned_cases():
 
 
 def _steps_of(case, monkeypatch):
-    """Fit a pinned case and return, per iteration, (delta, whether _trim
-    was given an order, whether that order held), and the fit's features."""
+    """Run the loop on a pinned case and return the delta of every
+    iteration, and the fit's features."""
     xp, xq, fmap, cfg = _pinned_cases()[case]
     PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
-    steps = []
-    evaluate, trim = estimator._evaluate, estimator._trim
+    steps, evaluate = [], estimator._evaluate
 
     def evaluated(delta, *args):
-        steps.append([delta.copy()])
+        steps.append(delta.copy())
         return evaluate(delta, *args)
-
-    def trimmed(lr, k, order=None, w=None):
-        out = trim(lr, k, order, w)
-        steps[-1] += [order is not None, out[2]]
-        return out
 
     with monkeypatch.context() as m:
         m.setattr(estimator, "_evaluate", evaluated)
-        m.setattr(estimator, "_trim", trimmed)
-        res = fit_featurized(PhiP, PhiQ, cfg)
+        res = ascend(PhiP, PhiQ, cfg)
     assert len(steps) == res.iterations_run
     return steps, PhiP, PhiQ, cfg
 
 
 class TestLoopMatchesFrozenReference:
-    """np.dot products, the in-place softmax and the ranking and gradient
-    carried from step to step leave every bit of a fit as it was."""
+    """np.dot products, the in-place softmax and the gradient carried from
+    step to step leave every bit of the loop's fit as it was. The loop is
+    called directly: fit_featurized solves the one-column cases exactly."""
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("case", list(_pinned_cases()))
@@ -1095,7 +1055,7 @@ class TestLoopMatchesFrozenReference:
         xp, xq, fmap, cfg = _pinned_cases()[case]
         PhiP = np.asarray(featurize(xp, fmap), order=order)
         PhiQ = np.asarray(featurize(xq, fmap), order=order)
-        res = fit_featurized(PhiP, PhiQ, cfg)
+        res = ascend(PhiP, PhiQ, cfg)
         delta, w, obj, t_hat, trace, iterations, converged = reference_fit(PhiP, PhiQ, cfg)
         assert res.iterations_run > 50
         assert res.delta_best.tobytes() == delta.tobytes()
@@ -1106,7 +1066,8 @@ class TestLoopMatchesFrozenReference:
         assert (res.iterations_run, res.converged) == (iterations, converged)
 
     def test_unbounded_stop_bitwise_equal(self):
-        # The same stop rule ends both loops at the same iterate.
+        # The same stop rule ends both loops at the same iterate; with no
+        # finite maximizer, fit_featurized runs the loop.
         PhiP, PhiQ = _unbounded_1d()
         cfg = TrimConfig(nu=0.9, lam=0.05, regularizer="l1")
         res = fit_featurized(PhiP, PhiQ, cfg)
@@ -1120,19 +1081,15 @@ class TestLoopMatchesFrozenReference:
         assert (res.iterations_run, res.converged) == (iterations, converged)
 
     def test_pinned_cases_reach_their_paths(self, monkeypatch):
-        steps, *_ = _steps_of("linear_m1_negative_slope", monkeypatch)
-        assert sum(held for _, _, held in steps) > 0.9 * len(steps)
-        # The cut is tied on every step: each order taken is dropped at once.
-        steps, *_ = _steps_of("linear_m1_integer_ties", monkeypatch)
-        assert not any(given for _, given, _ in steps)
+        # The l1 case's delta is thresholded back to exactly 0 once it has
+        # left it, and leaves 0 again.
         steps, *_ = _steps_of("linear_m1_l1_back_to_zero", monkeypatch)
-        held = [i for i, (_, _, h) in enumerate(steps) if h]
-        back = [i for i, (d, given, h) in enumerate(steps) if given and not h and not d.any()]
-        assert held and back and held[0] < back[0] and steps[-1][0].any()
+        zero = [not d.any() for d in steps]
+        assert zero[0] and any(zero[zero.index(False):]) and not zero[-1]
         # The reference's softmax is the kernel's, subnormal weights and all.
         steps, _, PhiQ, _ = _steps_of("linear_m1_subnormal_weight", monkeypatch)
         subnormal = 0
-        for delta, _, _ in steps:
+        for delta in steps:
             _, sm = _ref_log_mean_exp_and_softmax(PhiQ @ delta)
             assert sm.tobytes() == softmax_weights(delta, PhiQ).tobytes()
             subnormal += bool(np.any((sm > 0.0) & (sm < np.finfo(float).tiny)))
@@ -1150,13 +1107,66 @@ class TestLoopMatchesFrozenReference:
             return pair(A, x, B, y)
 
         monkeypatch.setattr(estimator, "_dot_pair", counted)
-        res = fit_featurized(PhiP, PhiQ, cfg)
+        res = ascend(PhiP, PhiQ, cfg)
         k = keep_count(cfg.nu, PhiP.shape[0])
         # The loop stops by the window rule, so its last iteration takes no step.
         assert res.stop_reason == "window"
         kept = [
             stable_argsort_trim(log_ratios(delta, PhiP, PhiQ), k)[0].tobytes()
-            for delta, _, _ in steps[:-1]
+            for delta in steps[:-1]
         ]
         changes = 1 + sum(a != b for a, b in zip(kept, kept[1:]))
         assert sum(products) == changes == 2 < len(kept) == 66
+
+
+def _one_column_cases():
+    cases = {name: case for name, case in _pinned_cases().items() if name.startswith("linear_m1")}
+    xp, xq, fmap, _ = cases["linear_m1_nu0.8"]
+    cases["linear_m1_l2sq"] = (xp, xq, fmap, TrimConfig(nu=0.8, lam=0.1, regularizer="l2sq"))
+    return cases
+
+
+class TestExactOneColumn:
+    """fit_featurized solves a one-column fit that has a finite maximizer
+    exactly: maxmin_1d's delta, bit for bit, with the weights, threshold
+    and objective a loop step would compute there."""
+
+    @pytest.mark.parametrize("case", list(_one_column_cases()))
+    def test_fit_is_maxmin_1d_certified(self, case):
+        xp, xq, fmap, cfg = _one_column_cases()[case]
+        PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
+        res = fit_featurized(PhiP, PhiQ, cfg)
+        d, value = maxmin_1d(PhiP, PhiQ, cfg)
+        assert res.stop_reason == "certified" and res.converged
+        assert res.delta_best.tobytes() == np.array([d]).tobytes()
+        assert (res.objective_best, res.trace, res.iterations_run) == (value, [(0, value)], 1)
+        w, low = stable_argsort_trim(log_ratios(res.delta_best, PhiP, PhiQ), keep_count(cfg.nu, PhiP.shape[0]))
+        assert res.w_best.tobytes() == w.tobytes()
+        assert np.float64(res.t_hat).tobytes() == np.float64(low[-1]).tobytes()
+        assert objective(res.delta_best, res.w_best, PhiP, PhiQ, cfg) == pytest.approx(value, abs=1e-12)
+        # The loop, a second solver, gets no higher.
+        assert value - 1e-6 < ascend(PhiP, PhiQ, cfg).objective_best <= value + 1e-12
+
+    def test_loop_settings_are_ignored(self):
+        xp, xq, fmap, cfg = _pinned_cases()["linear_m1_nu0.8"]
+        PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
+        bits = TestFitMany.bits([fit_featurized(PhiP, PhiQ, cfg)])
+        assert TestFitMany.bits([fit_featurized(PhiP, PhiQ, replace(cfg, eta0=1e308, max_iter=1, tol=1.0))]) == bits
+
+    @pytest.mark.parametrize("cfg", [TrimConfig(nu=0.9), TrimConfig(nu=0.9, lam=0.05, regularizer="l1")])
+    def test_unbounded_problem_runs_the_loop(self, cfg):
+        PhiP, PhiQ = _unbounded_1d()
+        assert maxmin_1d(PhiP, PhiQ, cfg) == (math.inf, math.inf)
+        res = fit_featurized(PhiP, PhiQ, cfg)
+        assert res.stop_reason == "unbounded" and 1 < res.iterations_run < cfg.max_iter
+        assert TestFitMany.bits([res]) == TestFitMany.bits([ascend(PhiP, PhiQ, cfg)])
+
+    def test_maximizer_past_the_largest_float_runs_the_loop(self):
+        # A vanishing l2sq penalty bounds the objective only far beyond the
+        # largest float: the bracket overflows and the loop fits instead.
+        xp, xq = np.array([[2.0], [3.0], [2.5]]), np.array([[-1.0], [1.0], [0.0]])
+        cfg = TrimConfig(nu=2.0 / 3.0, lam=1e-310, regularizer="l2sq", max_iter=50)
+        with np.errstate(over="ignore"):
+            assert maxmin_1d(xp, xq, cfg) == (math.inf, math.inf)
+            res = fit_featurized(xp, xq, cfg)
+        assert res.stop_reason == "max_iter" and np.isfinite(res.delta_best).all()

@@ -41,8 +41,8 @@ class TestTruncationRunner:
         assert curve.shape == (401, 3)
         assert sorted(files) == ["fit_result.json", "ratio_curve.csv", "summary.json"]
         assert json.loads(files["summary.json"]) == summary
-        assert summary["stop_reason"] in ("window", "max_iter")
-        assert summary["converged"] == (summary["stop_reason"] == "window")
+        assert summary["stop_reason"] == "certified" and summary["iterations_run"] == 1
+        assert summary["converged"] is True
 
 
 @pytest.mark.parametrize("runner,kwargs", [
