@@ -30,12 +30,12 @@ from .evaluation import (
     SupportCurve,
     auc_tnr_tpr,
     differential_precision_matrix,
-    error_scaling,
     ratio_curve_error,
     support_curve,
     support_metrics,
     true_gaussian_log_ratio,
 )
+from .experiments import error_scaling
 from .ratio_model import (
     FeatureMap,
     GaussianKernelFeatures,

@@ -86,14 +86,15 @@ taken (see _DotWorker): without that rule, 3 of 10 benchmark runs of a
 Starting the worker, handing it one 5000-by-1 pair and stopping it took
 a median 0.11 ms on the same guest.
 
-fit_many runs a list of independent fits, the sweeps of the experiments
-and evaluation modules, and returns their results in task order. Where
-the machine allows, it spreads them over this process and forked
-children, one process per CPU that _cpus() counts (see _processes). A
-batch that holds a large fit runs serially, so a forked round never
-holds a fit that could start a worker thread and the two paths never
-nest. Each fit is the same single-threaded fit_featurized call whichever
-process runs it, so no output bit depends on the number of CPUs.
+fit_many runs a list of independent fits, the experiments' sweeps, and
+returns their results in task order. Where the machine allows, it
+spreads them over this process and forked children, one process per CPU
+that _cpus() counts (see _processes). A batch runs serially if all its
+fits have one column (each is solved exactly in less time than a fork
+costs) or if one is large, so a forked round never holds a fit that
+could start a worker thread and the two paths never nest. Each fit is
+the same single-threaded fit_featurized call whichever process runs it,
+so no output bit depends on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -471,7 +472,7 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
         limit = a - nu_eff * qs.max() - l1
 
         def slope(t: float) -> float:
-            e = np.exp(t * dq)  # dq <= 0, so no overflow
+            e = np.exp(t * dq)  # dq <= 0: t * dq can only overflow to -inf, where e is the limit 0
             return limit - nu_eff * (float(np.dot(e, dq)) / float(e.sum())) - 2.0 * l2 * t
 
         if slope(0.0) <= 0.0:
@@ -479,9 +480,10 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
         # Double the bracket from 1 while its top is open, then bisect to adjacent
         # floats. Without l2sq, a limit >= 0 leaves it open: no finite maximizer.
         lo, hi, mid = 0.0, math.inf, 1.0
-        while (l2 > 0.0 or limit < 0.0) and lo < mid < hi:
-            lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
-            mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        with np.errstate(over="ignore"):
+            while (l2 > 0.0 or limit < 0.0) and lo < mid < hi:
+                lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+                mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
         d = s * hi
         break
     if not math.isfinite(d):
@@ -584,15 +586,16 @@ def _processes(tasks: list) -> int:
     """How many processes fit_many runs tasks on: one per CPU that _cpus()
     counts, at most one per task, or 1 for a serial loop.
 
-    It forks only where that is safe and pays: os.fork exists, there are
-    two tasks or more, no task is _large (a large fit takes a second CPU
-    with its worker thread instead, so the two paths never nest), and this
-    process runs one thread (a fork copies only the calling thread, so a
-    lock another thread holds stays held in the child forever).
+    It forks only where that is safe and pays: os.fork exists, some task
+    has more than one column (an exact one-column fit costs less than a
+    fork), no task is _large (a large fit takes a second CPU with its
+    worker thread instead, so the two paths never nest), and this process
+    runs one thread (a fork copies only the calling thread, so a lock
+    another thread holds stays held in the child forever).
     """
     if (
         not hasattr(os, "fork")
-        or len(tasks) < 2
+        or all(np.shape(P)[1:] == (1,) for P, _, _ in tasks)
         or threading.active_count() != 1
         or any(_large(P, Q) for P, Q, _ in tasks)
     ):

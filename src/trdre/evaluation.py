@@ -1,21 +1,15 @@
-"""Evaluation utilities: analytic truths, support recovery, error scaling.
+"""Evaluation utilities: analytic truths, support recovery, curve errors.
 
-The metrics take what the caller already holds: support_curve the
-feature matrices of both samples, ratio_curve_error the fitted and true
-log-ratios on one grid (the fitted ones from ratio_model.log_ratios).
-Nothing here featurizes raw samples except error_scaling, which draws
-its own.
+Every metric scores what the caller hands it and runs no fit:
+support_curve the fits of an l1 path, ratio_curve_error the fitted and
+true log-ratios on one grid (the fitted ones from ratio_model.log_ratios).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .estimator import FitDivergedError, TrimConfig, fit_many
-from .ratio_model import LinearFeatures, featurize
-from .synthetic import OUTLIER_MU_Q, TRUNCATION_MU_Q, TRUNCATION_NU, _child_seeds, gen_outlier_1d, gen_truncation_1d
 
 DETECTION_THRESHOLD = 1e-6  # |delta_hat| above it counts as a detected edge
 
@@ -117,40 +111,28 @@ def validate_threshold(threshold: float) -> None:
 
 
 def support_curve(
-    PhiP: np.ndarray,
-    PhiQ: np.ndarray,
-    delta_star: np.ndarray,
-    lambda_grid,
-    cfg: TrimConfig,
-    threshold: float = DETECTION_THRESHOLD,
+    fits, lambda_grid, delta_star: np.ndarray, threshold: float = DETECTION_THRESHOLD
 ) -> SupportCurve:
-    """Trace support recovery across an ascending l1 penalty grid.
+    """Score support recovery along an ascending l1 penalty grid.
 
-    PhiP and PhiQ are the pairwise quadratic features of the two samples
-    (PairwiseQuadraticFeatures), so each fitted delta reads as a
-    precision difference. Each grid point runs one l1 fit and scores the
-    recovered precision difference against delta_star at the fixed
-    detection threshold. Each fit keeps cfg's nu, eta0 and stopping rule,
-    and its stop reason is recorded. The fits are one estimator.fit_many
-    batch, so they may run on several CPUs; the curve does not depend on
-    it. A diverged fit is re-raised annotated with the first lambda, in
-    grid order, at which one occurred.
+    fits[i] is the l1 fit at lambda_grid[i] on pairwise quadratic features
+    (PairwiseQuadraticFeatures), so each fitted delta reads as a precision
+    difference. Each is scored against delta_star at the fixed detection
+    threshold, and its stop reason is recorded.
     """
     grid = validate_lambda_grid(lambda_grid)
+    fits = list(fits)
+    if len(fits) != len(grid):
+        raise ValueError(f"got {len(fits)} fits for {len(grid)} lambdas")
     d = np.asarray(delta_star).shape[0]
-
-    try:
-        fits = fit_many([(PhiP, PhiQ, replace(cfg, lam=lam, regularizer="l1")) for lam in grid])
-    except FitDivergedError as exc:
-        raise RuntimeError(f"fit failed at lambda={grid[exc.task_index]}: {exc}") from exc
-    points, reasons = [], []
+    points = []
     for lam, res in zip(grid, fits):
-        dh = differential_precision_matrix(res.delta_best, d)
-        tpr, tnr = support_metrics(dh, delta_star, threshold)
+        tpr, tnr = support_metrics(differential_precision_matrix(res.delta_best, d), delta_star, threshold)
         points.append((tnr, tpr, lam))
-        reasons.append(res.stop_reason)
     return SupportCurve(
-        points=tuple(points), auc=auc_tnr_tpr([(t, p) for t, p, _ in points]), stop_reasons=tuple(reasons)
+        points=tuple(points),
+        auc=auc_tnr_tpr([(t, p) for t, p, _ in points]),
+        stop_reasons=tuple(res.stop_reason for res in fits),
     )
 
 
@@ -173,44 +155,3 @@ def ratio_curve_error(log_ratio_hat, log_ratio_true, norm: str = "sup") -> float
     if norm == "l2":
         return float(np.sqrt(np.mean(diff**2)))
     raise ValueError(f"norm must be 'sup' or 'l2', got {norm!r}")
-
-
-_SCALING_PROTOCOLS = ("truncation", "outlier")
-
-
-def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[int, float]]:
-    """Mean |delta_hat - delta_star| of 1-D fits as sample size grows.
-
-    protocol "truncation" draws gen_truncation_1d and fits at nu =
-    TRUNCATION_NU (delta_star = -TRUNCATION_MU_Q, 0.5); "outlier"
-    contaminates 20% of gen_outlier_1d's numerator with a uniform blob at
-    b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Fits are
-    exact, or where no finite maximizer exists end within 2000 iterations.
-    Child seeds come from _child_seeds(seed), so the table is reproducible.
-    All samples are drawn first, and the fits are one estimator.fit_many
-    batch, which may run them on several CPUs without changing the table.
-    """
-    if protocol not in _SCALING_PROTOCOLS:
-        raise ValueError(f"protocol must be one of {_SCALING_PROTOCOLS}, got {protocol!r}")
-    ns = [int(n) for n in n_grid]
-    if not ns or any(n < 2 for n in ns) or sorted(ns) != ns:
-        raise ValueError("n_grid must be nonempty, ascending, with entries >= 2")
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
-
-    seeds = _child_seeds(seed, len(ns) * repeats)
-    fmap = LinearFeatures()
-    target = -TRUNCATION_MU_Q if protocol == "truncation" else -OUTLIER_MU_Q
-    tasks = []
-    for i, n in enumerate(ns):
-        for s in seeds[i * repeats:(i + 1) * repeats]:
-            if protocol == "truncation":
-                xp, xq = gen_truncation_1d(n, nu=TRUNCATION_NU, seed=s)
-                nu = TRUNCATION_NU
-            else:
-                n_out = max(1, int(round(0.2 * n)))
-                xp, xq = gen_outlier_1d(n - n_out, n_out, b=6.0, seed=s, n_q=n)
-                nu = (n - n_out) / n
-            tasks.append((featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu, max_iter=2000)))
-    errs = [abs(float(res.delta_best[0]) - target) for res in fit_many(tasks)]
-    return [(n, float(np.mean(errs[i * repeats:(i + 1) * repeats]))) for i, n in enumerate(ns)]

@@ -1,10 +1,12 @@
 """Reference experiments behind the `trdre experiment` subcommand.
 
-Each runner writes nothing: it returns the summary dict and the texts of
-its plot-ready CSVs and summary JSON as {file name: text}, which the CLI
-commits to an output directory, all files or none. Every file embeds the
-resolved configuration (JSON as an object, CSV as a leading '#' comment
-line), and reruns with identical arguments produce byte-identical texts.
+Every sweep's fits run here, through estimator.fit_many, and the
+evaluation module scores them. Each runner writes nothing: it returns
+the summary dict and the texts of its plot-ready CSVs and summary JSON
+as {file name: text}, which the CLI commits to an output directory, all
+files or none. Every file embeds the resolved configuration (JSON as an
+object, CSV as a leading '#' comment line), and reruns with identical
+arguments produce byte-identical texts.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .estimator import TrimConfig, fit_featurized, fit_many, fit_result_to_dict, kkt_check
+from .estimator import FitDivergedError, TrimConfig, fit_featurized, fit_many, fit_result_to_dict, kkt_check
 from .evaluation import (
     DETECTION_THRESHOLD,
     differential_precision_matrix,
@@ -112,8 +114,8 @@ def run_outlier1d(
     The denominator is N(OUTLIER_MU_Q, 1), so a clean numerator would
     give a natural-parameter difference of -OUTLIER_MU_Q = 0.75 under
     identity features. Every b's sample is drawn first, and the
-    2 * len(b_grid) fits are one estimator.fit_many batch, which may run
-    them on several CPUs without changing a byte of the output.
+    2 * len(b_grid) fits are one estimator.fit_many batch. Being
+    one-column fits, they run in the calling process.
     """
     bs = [float(b) for b in b_grid]
     if not bs:
@@ -155,6 +157,47 @@ def run_outlier1d(
     return summary, {"results.csv": table, "summary.json": json_text(summary)}
 
 
+_SCALING_PROTOCOLS = ("truncation", "outlier")
+
+
+def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[int, float]]:
+    """Mean |delta_hat - delta_star| of 1-D fits as sample size grows.
+
+    protocol "truncation" draws gen_truncation_1d and fits at nu =
+    TRUNCATION_NU (delta_star = -TRUNCATION_MU_Q, 0.5); "outlier"
+    contaminates 20% of gen_outlier_1d's numerator with a uniform blob at
+    b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Fits are
+    exact, or where no finite maximizer exists end within 2000 iterations.
+    Child seeds come from _child_seeds(seed), so the table is reproducible.
+    All samples are drawn first, and the fits are one estimator.fit_many
+    batch. Being one-column fits, they run in the calling process.
+    """
+    if protocol not in _SCALING_PROTOCOLS:
+        raise ValueError(f"protocol must be one of {_SCALING_PROTOCOLS}, got {protocol!r}")
+    ns = [int(n) for n in n_grid]
+    if not ns or any(n < 2 for n in ns) or sorted(ns) != ns:
+        raise ValueError("n_grid must be nonempty, ascending, with entries >= 2")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+
+    seeds = _child_seeds(seed, len(ns) * repeats)
+    fmap = LinearFeatures()
+    target = -TRUNCATION_MU_Q if protocol == "truncation" else -OUTLIER_MU_Q
+    tasks = []
+    for i, n in enumerate(ns):
+        for s in seeds[i * repeats:(i + 1) * repeats]:
+            if protocol == "truncation":
+                xp, xq = gen_truncation_1d(n, nu=TRUNCATION_NU, seed=s)
+                nu = TRUNCATION_NU
+            else:
+                n_out = max(1, int(round(0.2 * n)))
+                xp, xq = gen_outlier_1d(n - n_out, n_out, b=6.0, seed=s, n_q=n)
+                nu = (n - n_out) / n
+            tasks.append((featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu, max_iter=2000)))
+    errs = [abs(float(res.delta_best[0]) - target) for res in fit_many(tasks)]
+    return [(n, float(np.mean(errs[i * repeats:(i + 1) * repeats]))) for i, n in enumerate(ns)]
+
+
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4.0, 0.0, 30))
 MN_OUTLIERS = 1  # copies of the outlier point appended to the contaminated numerator
 
@@ -183,9 +226,10 @@ def run_mnchange(
     condition, the number of the 1 + len(lambda_grid) fits that stopped
     "unbounded" (no finite maximizer, see FitResult). Each of the three
     samples of a d is featurized once, and the heat-map fit and the
-    support curve share the matrices. A d's three heat-map fits are one
-    estimator.fit_many batch and each support curve another, so they may
-    run on several CPUs; the files do not depend on it.
+    support curve share the matrices. A d's three heat-map fits and then
+    its three l1 paths over lambda_grid are one estimator.fit_many batch,
+    so they may run on several CPUs; the files do not depend on it. A
+    path fit that diverges is re-raised annotated with its lambda.
 
     eta0 defaults to 0.1 here (not the TrimConfig default 1.0): a unit
     first step overshoots on quadratic features, and if no later iterate
@@ -235,9 +279,18 @@ def run_mnchange(
         ]
         files[f"delta_star_d{d}.csv"] = csv_text(pair.delta_star, comment=comment)
         aucs[str(d)], unbounded[str(d)] = {}, {}
-        heats = fit_many([(PhiP, PhiQ, cfg) for _, PhiP, cfg in conditions])
-        for (name, PhiP, cfg), heat in zip(conditions, heats):
-            curve = support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg, threshold)
+        tasks = [(PhiP, PhiQ, cfg) for _, PhiP, cfg in conditions]
+        tasks += [(PhiP, PhiQ, replace(cfg, lam=lam)) for _, PhiP, cfg in conditions for lam in grid]
+        try:
+            fits = fit_many(tasks)
+        except FitDivergedError as exc:
+            path_index = exc.task_index - len(conditions)
+            if path_index < 0:
+                raise
+            raise RuntimeError(f"fit failed at lambda={grid[path_index % len(grid)]}: {exc}") from exc
+        heats, paths = fits[:len(conditions)], fits[len(conditions):]
+        for i, ((name, _, _), heat) in enumerate(zip(conditions, heats)):
+            curve = support_curve(paths[i * len(grid):(i + 1) * len(grid)], grid, pair.delta_star, threshold)
             files[f"delta_hat_{name}_d{d}.csv"] = csv_text(
                 differential_precision_matrix(heat.delta_best, d), comment=comment
             )

@@ -39,8 +39,8 @@ def forking(monkeypatch):
 
     With on, every batch of two tasks or more runs on this process and
     up to two forked children, whatever the CPU count, the BLAS settings,
-    the threads running and the tasks' sizes; with off, every batch runs
-    serially.
+    the threads running and the tasks' sizes and column counts; with off,
+    every batch runs serially.
     """
     forked = []
     run_round = estimator._fit_round

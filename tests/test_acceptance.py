@@ -24,14 +24,15 @@ from trdre.estimator import (
     fit,
     fit_featurized,
     fit_kliep,
+    fit_many,
     gradient,
     keep_count,
     kkt_check,
     maxmin_1d,
     objective,
 )
-from trdre.evaluation import error_scaling, support_curve
-from trdre.experiments import run_outlier1d, run_truncation1d
+from trdre.evaluation import support_curve
+from trdre.experiments import error_scaling, run_outlier1d, run_truncation1d
 from trdre.ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from trdre.synthetic import (
     _child_seeds,
@@ -199,21 +200,27 @@ def test_08_mn_change_detection():
     d, n, n_changed = 25, 500, 20
     grid = [float(v) for v in np.logspace(-3.0, 0.0, 12)]
     base = TrimConfig(eta0=0.1, max_iter=2000)
-    aucs = {"dre_outlier": [], "trdre_outlier": [], "dre_gold": []}
+    paths, tasks = [], []  # paths: (condition, delta_star) of each l1 path, in task order
     for seed in range(42, 47):
         ss = np.random.default_rng(seed).integers(0, 2**63 - 1, size=3)
         pair = gen_gaussian_mn_pair(d, n_changed, seed=int(ss[0]))
         xp_clean = sample_gaussian(pair.theta_p, n, seed=int(ss[1]))
         xq = sample_gaussian(pair.theta_q, n, seed=int(ss[2]))
         xp_out = inject_outliers(xp_clean, [10.0] * d, 1)
-        for name, xp, nu in (
-            ("dre_outlier", xp_out, 1.0),
-            ("trdre_outlier", xp_out, 0.9),
-            ("dre_gold", xp_clean, 1.0),
+        fmap = PairwiseQuadraticFeatures()
+        PhiQ, phi_out = featurize(xq, fmap), featurize(xp_out, fmap)
+        for name, PhiP, nu in (
+            ("dre_outlier", phi_out, 1.0),
+            ("trdre_outlier", phi_out, 0.9),
+            ("dre_gold", featurize(xp_clean, fmap), 1.0),
         ):
-            fmap = PairwiseQuadraticFeatures()
-            PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
-            aucs[name].append(support_curve(PhiP, PhiQ, pair.delta_star, grid, replace(base, nu=nu)).auc)
+            tasks += [(PhiP, PhiQ, replace(base, nu=nu, lam=lam, regularizer="l1")) for lam in grid]
+            paths.append((name, pair.delta_star))
+    # All 180 fits are one batch, as run_mnchange launches a d's fits.
+    fits = fit_many(tasks)
+    aucs = {name: [] for name, _ in paths}
+    for i, (name, delta_star) in enumerate(paths):
+        aucs[name].append(support_curve(fits[i * len(grid):(i + 1) * len(grid)], grid, delta_star).auc)
     med = {k: float(np.median(v)) for k, v in aucs.items()}
     margin = med["trdre_outlier"] - med["dre_outlier"]
     gap = med["dre_gold"] - med["trdre_outlier"]

@@ -563,8 +563,10 @@ class TestAllFilesOrNone:
 
         def diverge_after_first_d(tasks):
             calls.append(len(tasks))
-            if len(calls) > 1:  # one batch of three heat-map fits per d: the second is d = 5's
-                raise estimator.FitDivergedError(1, float("inf"))
+            if len(calls) > 1:  # one batch of three heat-map fits and three paths per d: the second is d = 5's
+                exc = estimator.FitDivergedError(1, float("inf"))
+                exc.task_index = 3  # as fit_many sets it: the first path's fit
+                raise exc
             return real(tasks)
 
         monkeypatch.setattr(experiments, "fit_many", diverge_after_first_d)
@@ -572,8 +574,8 @@ class TestAllFilesOrNone:
         rc = main(["experiment", "mnchange", "--d-list", "4,5", "--n", "40", "--n-changed", "2",
                    "--lambda-grid", "0.3", "--max-iter", "20", "--out", str(out)])
         assert rc == 3
-        assert "non-finite" in capsys.readouterr().err
-        assert calls == [3, 3]
+        assert "fit failed at lambda=0.3: objective became non-finite" in capsys.readouterr().err
+        assert calls == [6, 6]
         assert not out.exists()
 
 

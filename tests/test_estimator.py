@@ -887,6 +887,24 @@ class TestFitMany:
         assert forked == [2]
         _no_children_left()
 
+    def test_one_column_batches_run_in_the_caller(self, tasks, monkeypatch):
+        # An exact one-column fit costs less than a fork: a batch of them runs
+        # serially on two CPUs, and one task with more columns forks it.
+        monkeypatch.setattr(estimator, "_cpus", lambda: 2)
+        rounds, run_round = [], estimator._fit_round
+
+        def counted(batch, processes):
+            rounds.append(processes)
+            return run_round(batch, processes)
+
+        monkeypatch.setattr(estimator, "_fit_round", counted)
+        narrow = [(P[:, :1], Q[:, :1], cfg) for P, Q, cfg in tasks[:3]]
+        for batch, processes in ((narrow, 1), (tasks[:3], 2), (narrow[:2] + tasks[2:3], 2)):
+            rounds.clear()
+            assert self.bits(fit_many(batch)) == self.bits([fit_featurized(*t) for t in batch])
+            assert rounds == [processes]
+        _no_children_left()
+
 
 class TestSerialization:
     def test_round_trip_fields(self):
@@ -1163,10 +1181,12 @@ class TestExactOneColumn:
 
     def test_maximizer_past_the_largest_float_runs_the_loop(self):
         # A vanishing l2sq penalty bounds the objective only far beyond the
-        # largest float: the bracket overflows and the loop fits instead.
+        # largest float: the bracket's top passes it, with no float error
+        # even where overflow raises, and the loop fits instead.
         xp, xq = np.array([[2.0], [3.0], [2.5]]), np.array([[-1.0], [1.0], [0.0]])
         cfg = TrimConfig(nu=2.0 / 3.0, lam=1e-310, regularizer="l2sq", max_iter=50)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="raise"):
             assert maxmin_1d(xp, xq, cfg) == (math.inf, math.inf)
             res = fit_featurized(xp, xq, cfg)
         assert res.stop_reason == "max_iter" and np.isfinite(res.delta_best).all()
+        assert TestFitMany.bits([res]) == TestFitMany.bits([ascend(xp, xq, cfg)])

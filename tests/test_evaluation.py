@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from trdre.estimator import TrimConfig
+from trdre.estimator import TrimConfig, fit_many
 from trdre.evaluation import (
     auc_tnr_tpr,
     differential_precision_matrix,
-    error_scaling,
     ratio_curve_error,
     support_curve,
     support_metrics,
     true_gaussian_log_ratio,
 )
+from trdre.experiments import error_scaling
 from trdre.ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from trdre.synthetic import gen_gaussian_mn_pair, sample_gaussian
 
@@ -175,13 +175,19 @@ def mn_data():
     return pair, featurize(Xp, fmap), featurize(Xq, fmap)
 
 
+def _l1_path(PhiP, PhiQ, grid, **settings):
+    return fit_many([(PhiP, PhiQ, TrimConfig(regularizer="l1", lam=lam, **settings)) for lam in grid])
+
+
 class TestSupportCurve:
     def test_lambda_sweep_shape_and_extremes(self, mn_data):
         pair, PhiP, PhiQ = mn_data
-        cfg = TrimConfig(eta0=0.1, max_iter=400)
-        curve = support_curve(PhiP, PhiQ, pair.delta_star, lambda_grid=[1e-3, 1e-1, 10.0], cfg=cfg)
+        grid = [1e-3, 1e-1, 10.0]
+        fits = _l1_path(PhiP, PhiQ, grid, eta0=0.1, max_iter=400)
+        curve = support_curve(fits, grid, pair.delta_star)
         assert len(curve.points) == 3
         assert [lam for _, _, lam in curve.points] == [1e-3, 1e-1, 10.0]
+        assert curve.stop_reasons == tuple(res.stop_reason for res in fits)
         # a crushing penalty zeroes delta: nothing detected
         tnr, tpr, _ = curve.points[-1]
         assert (tnr, tpr) == (1.0, 0.0)
@@ -189,39 +195,18 @@ class TestSupportCurve:
 
     def test_grid_validation(self, mn_data):
         pair, PhiP, PhiQ = mn_data
-        cfg = TrimConfig()
+        fits = _l1_path(PhiP, PhiQ, [0.01, 0.1], max_iter=20)
         with pytest.raises(ValueError):
-            support_curve(PhiP, PhiQ, pair.delta_star, [], cfg)
+            support_curve([], [], pair.delta_star)
         with pytest.raises(ValueError):
-            support_curve(PhiP, PhiQ, pair.delta_star, [0.1, 0.01], cfg)
+            support_curve(fits, [0.1, 0.01], pair.delta_star)
 
-    def test_only_a_diverged_fit_is_annotated(self, mn_data):
+    def test_one_fit_per_lambda(self, mn_data):
         pair, PhiP, PhiQ = mn_data
-        with pytest.raises(RuntimeError, match="fit failed at lambda=0.1: objective became non-finite"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            support_curve(PhiP, PhiQ, pair.delta_star, [0.1], TrimConfig(eta0=1e308))
-        with pytest.raises(ValueError, match="matching feature dimension"):
-            support_curve(PhiP, PhiQ[:, :-1], pair.delta_star, [0.1], TrimConfig())
-
-    @pytest.mark.parametrize("on", [True, False])
-    def test_first_diverged_lambda_is_named(self, mn_data, forking, on):
-        # A penalty above every gradient entry keeps delta at 0, so only the
-        # two small lambdas diverge.
-        pair, PhiP, PhiQ = mn_data
-        forking(on)
-        with pytest.raises(RuntimeError, match=r"fit failed at lambda=0\.001: objective became non-finite"), \
-                np.errstate(over="ignore", invalid="ignore"):
-            support_curve(PhiP, PhiQ, pair.delta_star, [1e-3, 1e-2, 1e3], TrimConfig(eta0=1e308))
-
-    def test_forked_equals_serial(self, mn_data, forking):
-        pair, PhiP, PhiQ = mn_data
-        cfg = TrimConfig(nu=0.9, eta0=0.1, max_iter=300)
-        grid = [1e-3, 1e-2, 5e-2, 1e-1, 1.0]
-        forked = forking(True)
-        curve = support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg)
-        assert forked == [3]
-        assert not forking(False)
-        assert support_curve(PhiP, PhiQ, pair.delta_star, grid, cfg) == curve
+        fits = _l1_path(PhiP, PhiQ, [0.01, 0.1], max_iter=20)
+        for wrong in (fits[:1], fits + fits[:1]):
+            with pytest.raises(ValueError, match=f"got {len(wrong)} fits for 2 lambdas"):
+                support_curve(wrong, [0.01, 0.1], pair.delta_star)
 
 
 class TestRatioCurveError:

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from trdre import evaluation, experiments, ratio_model
-from trdre.estimator import TrimConfig
+from trdre import experiments, ratio_model
+from trdre.estimator import FitDivergedError, TrimConfig
 from trdre.experiments import _child_seeds, run_mnchange, run_outlier1d, run_truncation1d
 
 
@@ -90,9 +90,62 @@ class TestMnchangeChecksUpFront:
             raise AssertionError("fit started before every d was checked")
 
         monkeypatch.setattr(experiments, "fit_many", no_fit)
-        monkeypatch.setattr(evaluation, "fit_many", no_fit)
         with pytest.raises(ValueError, match=message):
             run_mnchange(d_values=d_values, n=40, n_changed=n_changed, lambda_grid=(0.1, 0.3), max_iter=10)
+
+
+class TestMnchangeBatches:
+    """Each d's three heat-map fits and its three l1 paths are one
+    fit_many batch; a path fit's divergence names its lambda."""
+
+    SMALL = dict(d_values=(4, 5), n=40, n_changed=2, lambda_grid=(1e-3, 0.1, 0.5), max_iter=100)
+    # The contaminated pair at which a penalty of 1e3 keeps every fit at
+    # delta = 0 even with eta0 = 1e308, while smaller ones diverge.
+    DIVERGING = dict(d_values=(6,), n=300, n_changed=3, max_iter=100, eta0=1e308)
+
+    def test_one_fit_many_call_per_d(self, monkeypatch):
+        real, sizes = experiments.fit_many, []
+
+        def counted(tasks):
+            sizes.append(len(tasks))
+            return real(tasks)
+
+        monkeypatch.setattr(experiments, "fit_many", counted)
+        run_mnchange(**self.SMALL)
+        assert sizes == [3 + 3 * 3] * 2
+
+    def test_forked_equals_serial(self, forking):
+        forked = forking(True)
+        summary, files = run_mnchange(**self.SMALL)
+        assert forked == [3, 3]
+        assert not forking(False)
+        assert run_mnchange(**self.SMALL) == (summary, files)
+
+    def test_only_a_diverged_fit_is_annotated(self, monkeypatch):
+        with pytest.raises(RuntimeError, match="fit failed at lambda=0.1: objective became non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_mnchange(lam_heatmap=1e3, lambda_grid=(0.1,), **self.DIVERGING)
+        # A heat-map fit is not on the path: its error is raised as it is.
+        with pytest.raises(FitDivergedError, match="^objective became non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_mnchange(lam_heatmap=0.1, lambda_grid=(0.1,), **self.DIVERGING)
+        real = experiments.fit_many
+
+        def mismatched_paths(tasks):
+            return real(tasks[:3] + [(P, Q[:, :-1], cfg) for P, Q, cfg in tasks[3:]])
+
+        monkeypatch.setattr(experiments, "fit_many", mismatched_paths)
+        with pytest.raises(ValueError, match="matching feature dimension"):
+            run_mnchange(**self.SMALL)
+
+    @pytest.mark.parametrize("on", [True, False])
+    def test_first_diverged_lambda_is_named(self, forking, on):
+        # A penalty above every gradient entry keeps delta at 0, so only the
+        # paths' two small lambdas diverge.
+        forking(on)
+        with pytest.raises(RuntimeError, match=r"fit failed at lambda=0\.001: objective became non-finite"), \
+                np.errstate(over="ignore", invalid="ignore"):
+            run_mnchange(lam_heatmap=1e3, lambda_grid=(1e-3, 1e-2, 1e3), **self.DIVERGING)
 
 
 class TestMnchangeFeaturizesOnce:

@@ -7,9 +7,10 @@ starts a worker thread only for feature matrices far larger than these
 runs use, and stops it before returning; concurrent.futures, which that
 worker is built on, is loaded only by a fit that starts one.
 estimator.fit_many forks with os alone, and multiprocessing, about 7 ms
-to import, is not loaded. Its forked children are all reaped. Each
-check runs in a fresh interpreter, since this test process has scipy
-loaded already.
+to import, is not loaded. The outlier1d run below forks no child, since
+its fits have one column each, and none is left behind. Each check runs
+in a fresh interpreter, since this test process has scipy loaded
+already.
 """
 
 import os
