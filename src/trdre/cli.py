@@ -40,6 +40,7 @@ from .estimator import (
 from .ratio_model import feature_map_from_name, featurize, log_ratios
 from .storage import commit, csv_text, json_text, read_numeric_csv
 from .synthetic import (
+    DEFAULT_SEED,
     OUTLIER_N_GOOD,
     OUTLIER_N_OUT,
     TRUNCATION_N,
@@ -55,7 +56,6 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 _TRIM_FIELDS = frozenset(f.name for f in fields(TrimConfig))
-_DEFAULT_SEED = TrimConfig.seed  # every command's --seed default
 
 
 def float_list(text: str) -> list[float]:
@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     unset = argparse.SUPPRESS
     # Every command takes --seed and echoes it, so it always has a value.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=_DEFAULT_SEED)
+    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p_fit = sub.add_parser(
         "fit", help="fit the trimmed ratio estimator on two CSV samples", argument_default=unset, parents=[seeded]
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _echo_seed(seed: int) -> None:
-    default_note = " (default)" if seed == _DEFAULT_SEED else ""
+    default_note = " (default)" if seed == DEFAULT_SEED else ""
     print(f"[trdre] seed={seed}{default_note}")
 
 
@@ -222,9 +222,12 @@ def cmd_fit(args) -> int:
             f"[verify] weight structure {'PASS' if report.weight_ok else 'FAIL'}"
             f" (max violation {report.max_weight_violation:.3g})"
         )
-        # Stationarity judges an optimum, which an unbounded fit lacks.
+        # An unbounded fit has no optimum to judge; a certified one's exact bracket is its proof.
         if unbounded:
             print("[verify] stationarity n/a (no finite maximizer)")
+        elif result.stop_reason == "certified":
+            residual = report.stationarity
+            print(f"[verify] stationarity n/a (certified one-column maximizer; vertex residual {residual:.3g})")
         else:
             print(
                 f"[verify] stationarity {'PASS' if report.stationarity_ok else 'FAIL'}"
@@ -234,17 +237,18 @@ def cmd_fit(args) -> int:
         gap = abs(float(np.mean(ratios)) - 1.0)
         print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1:
-            # The ascent loop, a second solver, must agree with the exact one.
-            no_max = result.stop_reason != "certified"
-            try:
-                loop = ascend(PhiP, PhiQ, cfg)
-            except FitDivergedError as exc:  # a verdict on the loop, not on the fit written
-                ok, note = False, str(exc)
-            else:
-                diff = abs(loop.objective_best - result.objective_best)
-                ok = (loop.stop_reason == "unbounded") == no_max and (no_max or diff < 1e-2)
-                note = "no finite maximizer" if no_max else f"|objective gap| = {diff:.3g}"
-                note = f"loop delta {float(loop.delta_best[0])!r}, {note}"
+            # Without a finite maximizer the fit already is the ascent loop's result,
+            # which must prove it; a certified fit must agree with the loop, a second solver.
+            ok, note = unbounded, f"loop delta {float(result.delta_best[0])!r}, no finite maximizer"
+            if result.stop_reason == "certified":
+                try:
+                    loop = ascend(PhiP, PhiQ, cfg)
+                except FitDivergedError as exc:  # a verdict on the loop, not on the fit written
+                    ok, note = False, str(exc)
+                else:
+                    diff = abs(loop.objective_best - result.objective_best)
+                    ok = loop.stop_reason != "unbounded" and diff < 1e-2
+                    note = f"loop delta {float(loop.delta_best[0])!r}, |objective gap| = {diff:.3g}"
             print(f"[verify] ascent loop cross-check {'PASS' if ok else 'FAIL'} ({note})")
     return EXIT_OK
 

@@ -133,8 +133,7 @@ class TrimConfig:
     over a 50-iteration window, or once an iterate proves that no finite
     maximizer exists (see the module docstring). A one-column fit with a
     finite maximizer is solved exactly and ignores eta0, max_iter and tol.
-    seed is carried along for provenance in serialized results; the fit
-    itself is deterministic.
+    The fit is deterministic, so it takes no seed.
     """
 
     nu: float = 1.0
@@ -143,10 +142,9 @@ class TrimConfig:
     eta0: float = 1.0
     max_iter: int = 5000
     tol: float = 1e-7
-    seed: int = 42
 
     def __post_init__(self) -> None:
-        kinds = {"nu": float, "lam": float, "eta0": float, "max_iter": int, "tol": float, "seed": int}
+        kinds = {"nu": float, "lam": float, "eta0": float, "max_iter": int, "tol": float}
         for name in kinds:
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)):
@@ -164,8 +162,6 @@ class TrimConfig:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not (0.0 < self.tol < math.inf):
             raise ValueError(f"tol must be a finite positive real, got {self.tol}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         # Stored as Python numbers: a numpy scalar would not serialize to JSON.
         for name, kind in kinds.items():
             object.__setattr__(self, name, kind(getattr(self, name)))
@@ -201,7 +197,7 @@ class FitResult:
     evaluation. On "unbounded", delta_best is a certificate: objective_best
     exceeds unbounded_threshold, so the objective grows without bound along
     delta_best and the returned coefficients are a point on that ray, not an
-    optimum. converged is true for "certified" and "window".
+    optimum. converged, true for "certified" and "window", is not serialized.
     """
 
     delta_best: np.ndarray
@@ -752,13 +748,13 @@ class KKTReport:
     Weight structure: entries with log-ratio below t_hat - RATIO_TOL must
     carry weight 1/n_p, entries above t_hat + RATIO_TOL must carry 0;
     entries inside the band may take any value in [0, 1/n_p]. Stationarity
-    is the sup-norm distance of the data gradient from lam times the
-    regularizer's subdifferential (minimal-norm element at zeros).
+    is the sup-norm distance of the data gradient at w_best from lam times
+    the regularizer's subdifferential (minimal-norm element at zeros), a
+    reported number: an exact optimum at a kink (delta = 0) can fail it.
     """
 
     weight_ok: bool
     max_weight_violation: float
-    first_bad_index: int | None
     stationarity: float
     stationarity_ok: bool
 
@@ -780,7 +776,6 @@ def kkt_check(result: FitResult, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimCo
     viol = np.maximum(np.maximum(lo - w, w - hi), 0.0)
     max_viol = float(np.max(viol))
     weight_ok = max_viol <= 1e-12
-    first_bad = int(np.argmax(viol > 1e-12)) if not weight_ok else None
 
     g = _data_gradient(PhiP, PhiQ, w, sm, float(np.sum(w)))
     # "none" has lam = 0: its residual is |g|, bit for bit.
@@ -794,7 +789,6 @@ def kkt_check(result: FitResult, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimCo
     return KKTReport(
         weight_ok=weight_ok,
         max_weight_violation=max_viol,
-        first_bad_index=first_bad,
         stationarity=stationarity,
         stationarity_ok=stationarity <= STATIONARITY_TOL,
     )
@@ -811,7 +805,6 @@ def fit_result_to_dict(result: FitResult, cfg: TrimConfig) -> dict:
         "objective_best": float(result.objective_best),
         "trace": [[int(it), float(obj)] for it, obj in result.trace],
         "iterations_run": int(result.iterations_run),
-        "converged": bool(result.converged),
         "stop_reason": result.stop_reason,
         "config": config,
     }

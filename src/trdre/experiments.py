@@ -28,6 +28,7 @@ from .evaluation import (
 from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from .storage import csv_text, json_text
 from .synthetic import (
+    DEFAULT_SEED,
     OUTLIER_MU_Q,
     OUTLIER_N_GOOD,
     OUTLIER_N_OUT,
@@ -54,7 +55,7 @@ def _config_comment(cfg: dict) -> str:
 def run_truncation1d(
     n: int = TRUNCATION_N,
     nu: float = TRUNCATION_NU,
-    seed: int = TrimConfig.seed,
+    seed: int = DEFAULT_SEED,
     eta0: float = TrimConfig.eta0,
     max_iter: int = TrimConfig.max_iter,
     tol: float = TrimConfig.tol,
@@ -65,7 +66,7 @@ def run_truncation1d(
         "experiment": "truncation1d", "n": n, "nu": nu, "seed": seed,
         "eta0": eta0, "max_iter": max_iter, "tol": tol, "lambda": 0.0,
     }
-    cfg = TrimConfig(nu=nu, eta0=eta0, max_iter=max_iter, tol=tol, seed=seed)
+    cfg = TrimConfig(nu=nu, eta0=eta0, max_iter=max_iter, tol=tol)
     xp, xq = gen_truncation_1d(n, nu=nu, seed=seed)
     fmap = LinearFeatures()
     PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
@@ -82,7 +83,6 @@ def run_truncation1d(
         "t_hat": res.t_hat,
         "objective_best": res.objective_best,
         "kept_fraction": len(res.kept_indices) / n,
-        "converged": res.converged,
         "stop_reason": res.stop_reason,
         "iterations_run": res.iterations_run,
         "curve_error_sup": ratio_curve_error(lr_hat[band], lr_true[band], "sup"),
@@ -104,7 +104,7 @@ def run_outlier1d(
     n_q: int = 5000,
     b_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
     nu: float = 0.8,
-    seed: int = TrimConfig.seed,
+    seed: int = DEFAULT_SEED,
     eta0: float = TrimConfig.eta0,
     max_iter: int = TrimConfig.max_iter,
     tol: float = TrimConfig.tol,
@@ -125,7 +125,7 @@ def run_outlier1d(
         "b_grid": ",".join(repr(b) for b in bs), "nu": nu, "seed": seed,
         "eta0": eta0, "max_iter": max_iter, "tol": tol, "lambda": 0.0,
     }
-    base = TrimConfig(nu=nu, eta0=eta0, max_iter=max_iter, tol=tol, seed=seed)
+    base = TrimConfig(nu=nu, eta0=eta0, max_iter=max_iter, tol=tol)
     seeds = _child_seeds(seed, len(bs))
     fmap = LinearFeatures()
     band = CURVE_GRID[np.abs(CURVE_GRID) <= ERROR_BAND]
@@ -211,7 +211,7 @@ def run_mnchange(
     lambda_grid=DEFAULT_LAMBDA_GRID,
     outlier_value: float = 10.0,
     threshold: float = DETECTION_THRESHOLD,
-    seed: int = TrimConfig.seed,
+    seed: int = DEFAULT_SEED,
     eta0: float = 0.1,
     max_iter: int = TrimConfig.max_iter,
     tol: float = TrimConfig.tol,
@@ -257,7 +257,7 @@ def run_mnchange(
         "n_outliers": MN_OUTLIERS, "threshold": threshold, "seed": seed,
         "eta0": eta0, "max_iter": max_iter, "tol": tol,
     }
-    base = TrimConfig(eta0=eta0, max_iter=max_iter, tol=tol, seed=seed, regularizer="l1", lam=lam_heatmap)
+    base = TrimConfig(eta0=eta0, max_iter=max_iter, tol=tol, regularizer="l1", lam=lam_heatmap)
     trimmed = replace(base, nu=nu)
     fmap = PairwiseQuadraticFeatures()
     comment = _config_comment(config)

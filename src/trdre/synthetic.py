@@ -28,6 +28,7 @@ OUTLIER_MU_Q = -0.75
 OUTLIER_N_GOOD, OUTLIER_N_OUT = 4000, 1000
 TRUNCATION_MU_Q = -0.5
 TRUNCATION_N, TRUNCATION_NU = 5000, 0.5
+DEFAULT_SEED = 42  # the experiments' and every command's seed default
 
 
 def _child_seeds(seed: int, count: int) -> list[int]:

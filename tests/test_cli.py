@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from trdre import cli, estimator, experiments
+from trdre import cli, estimator, experiments, synthetic
 from trdre.cli import main
 from trdre.storage import read_numeric_csv, write_csv
 
@@ -233,7 +233,7 @@ class TestFitCommand:
                     "--out", str(out), "--verify"])
         assert rc == 0
         payload = json.loads((out / "fit_result.json").read_text())
-        assert payload["stop_reason"] == "unbounded" and payload["converged"] is False
+        assert payload["stop_reason"] == "unbounded" and "converged" not in payload
         printed = capsys.readouterr().out
         assert f"[trdre] stop_reason=unbounded after {payload['iterations_run']} iterations" in printed
         assert "[verify] no finite maximizer: objective" in printed
@@ -259,13 +259,54 @@ class TestFitCommand:
         printed = capsys.readouterr().out
         assert "[verify] ascent loop cross-check FAIL (loop delta 0.0, no finite maximizer)" in printed
 
+    def test_certified_zero_verifies_without_fail(self, tmp_path, capsys):
+        # delta = 0 at a kink: the exact maximizer, whose vertex weights are not
+        # the optimal dual weights, so the vertex residual is large.
+        x = tmp_path / "x.csv"
+        x.write_text("".join(f"{i}\n" for i in range(1, 11)))
+        out = tmp_path / "o"
+        assert main(["fit", "--xp", str(x), "--xq", str(x), "--nu", "0.8", "--out", str(out), "--verify"]) == 0
+        printed = capsys.readouterr().out
+        assert "[trdre] stop_reason=certified after 1 iterations" in printed
+        assert "FAIL" not in printed
+        assert "[verify] stationarity n/a (certified one-column maximizer; vertex residual 0.8)" in printed
+        assert "[verify] ascent loop cross-check PASS (loop delta 0.0, |objective gap| = 0)" in printed
+        assert json.loads((out / "fit_result.json").read_text())["delta"] == [0.0]
+
+    @pytest.mark.parametrize(
+        "flags, verdict",
+        [([], r"PASS \(loop delta [0-9.]+, no finite maximizer\)"),
+         (["--max-iter", "1"], r"FAIL \(loop delta 0\.0, no finite maximizer\)")],
+        ids=["unbounded", "max_iter"],
+    )
+    def test_uncertified_one_column_fit_runs_the_loop_once(self, tmp_path, capsys, monkeypatch, flags, verdict):
+        # The exact test finds no finite maximizer, so the fit is the loop's
+        # result, and --verify judges that result instead of rerunning the loop.
+        rng = np.random.default_rng(3)
+        xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
+        write_csv(xp, rng.uniform(5.0, 6.0, (60, 1)))
+        write_csv(xq, rng.standard_normal((70, 1)))
+        calls = []
+        real = estimator._ascend
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(estimator, "_ascend", counted)
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.9", *flags,
+                     "--out", str(tmp_path / "o"), "--verify"]) == 0
+        assert len(calls) == 1
+        assert re.search(r"\[verify\] ascent loop cross-check " + verdict, capsys.readouterr().out)
+
     def test_bounded_fit_prints_stop_reason_without_certificate(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
         out = tmp_path / "o"
         assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8",
                      "--out", str(out), "--verify"]) == 0
         payload = json.loads((out / "fit_result.json").read_text())
-        assert payload["stop_reason"] == "certified" and payload["converged"] is True
+        assert payload["stop_reason"] == "certified" and "converged" not in payload
+        assert "seed" not in payload["config"]
         printed = capsys.readouterr().out
         assert "[trdre] stop_reason=certified after 1 iterations" in printed
         assert "no finite maximizer" not in printed
@@ -651,7 +692,7 @@ class TestFlagsReachParameters:
     def test_fit_without_flags_builds_default_config(self, trim_configs, sample_csvs, tmp_path):
         xp, xq = sample_csvs
         assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--out", str(tmp_path / "o")]) == 0
-        assert trim_configs == [{"seed": 42}]
+        assert trim_configs == [{}]
 
     def test_fit_flags_reach_trim_config(self, trim_configs, sample_csvs, tmp_path):
         xp, xq = sample_csvs
@@ -659,7 +700,8 @@ class TestFlagsReachParameters:
                    "--regularizer", "l2sq", *RUN_FLAGS, "--out", str(tmp_path / "o"), "--verify"])
         assert rc == 0
         [kwargs] = trim_configs
-        assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **RUN_KWARGS})
+        fit_kwargs = {k: v for k, v in RUN_KWARGS.items() if k != "seed"}  # --seed seeds no fit
+        assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **fit_kwargs})
 
 
 def _leaf_parsers(parser):
@@ -671,9 +713,9 @@ def _leaf_parsers(parser):
             yield from _leaf_parsers(child)
 
 
-def test_every_command_defaults_seed_to_trim_config():
+def test_every_command_defaults_seed_to_default_seed():
     leaves = list(_leaf_parsers(cli.build_parser()))
     assert len(leaves) == 9  # fit, three experiments, five generators
     for leaf in leaves:
         [seed] = [a for a in leaf._actions if a.dest == "seed"]
-        assert seed.default == estimator.TrimConfig.seed, leaf.prog
+        assert seed.default == synthetic.DEFAULT_SEED, leaf.prog

@@ -79,7 +79,8 @@ def fd_gradient(delta, w, PhiP, PhiQ, h=1e-6):
 class TestTrimConfig:
     def test_defaults_valid(self):
         cfg = TrimConfig()
-        assert cfg.nu == 1.0 and cfg.regularizer == "none" and cfg.seed == 42
+        assert cfg.nu == 1.0 and cfg.regularizer == "none"
+        assert len(fields(TrimConfig)) == 6
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -88,10 +89,11 @@ class TestTrimConfig:
             {"eta0": 0.0}, {"max_iter": 0}, {"tol": 0.0}, {"tol": float("nan")},
             {"tol": float("inf")},
             {"nu": True}, {"lam": True, "regularizer": "l1"}, {"eta0": True}, {"tol": True},
-            {"seed": True}, {"nu": np.True_}, {"lam": np.True_, "regularizer": "l1"},
-            {"eta0": np.True_}, {"max_iter": np.True_}, {"tol": np.True_}, {"seed": np.False_},
+            {"nu": np.True_}, {"lam": np.True_, "regularizer": "l1"},
+            {"eta0": np.True_}, {"max_iter": np.True_}, {"tol": np.True_},
             {"lam": 0.5}, {"lam": 0.5, "regularizer": "none"},
-            {"seed": 1.5}, {"seed": "x"}, {"seed": None},
+            {"nu": float("nan")}, {"lam": float("nan"), "regularizer": "l1"},
+            {"lam": float("inf"), "regularizer": "l1"}, {"eta0": float("nan")}, {"eta0": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -113,15 +115,15 @@ class TestTrimConfig:
     def test_numbers_are_stored_as_python_numbers(self):
         cfg = TrimConfig(
             nu=np.float64(0.8), lam=np.float32(0.1), regularizer="l1", eta0=np.float32(0.5),
-            max_iter=np.int32(3), tol=np.float16(1e-3), seed=np.uint8(7),
+            max_iter=np.int32(3), tol=np.float16(1e-3),
         )
-        assert [type(getattr(cfg, n)) for n in ("nu", "lam", "eta0", "max_iter", "tol", "seed")] == [
-            float, float, float, int, float, int
+        assert [type(getattr(cfg, n)) for n in ("nu", "lam", "eta0", "max_iter", "tol")] == [
+            float, float, float, int, float
         ]
-        assert cfg.lam == float(np.float32(0.1)) and cfg.seed == 7
+        assert cfg.lam == float(np.float32(0.1))
         res = fit_featurized(np.ones((4, 1)), np.ones((5, 1)), cfg)
         config = json.loads(json_text(fit_result_to_dict(res, cfg)))["config"]
-        assert config["lambda"] == cfg.lam and config["seed"] == 7
+        assert config["lambda"] == cfg.lam and config["max_iter"] == 3
 
 
 class TestKeepCount:
@@ -551,7 +553,6 @@ class TestKKT:
         bad = replace(res, w_best=bad_w)
         report = kkt_check(bad, PhiP, PhiQ, cfg)
         assert not report.weight_ok
-        assert report.first_bad_index is not None
         assert report.max_weight_violation >= 1.0 / 6.0 - 1e-12
 
 
@@ -914,16 +915,16 @@ class TestSerialization:
         d = fit_result_to_dict(res, cfg)
         assert set(d) == {
             "delta", "kept_indices", "t_hat", "objective_best", "trace",
-            "iterations_run", "converged", "stop_reason", "config",
+            "iterations_run", "stop_reason", "config",
         }
         assert d["config"]["nu"] == 0.5 and d["config"]["lambda"] == 0.0
         assert d["kept_indices"] == [int(i) for i in res.kept_indices]
         assert len(d["trace"]) == res.iterations_run
         assert d["stop_reason"] == res.stop_reason in STOP_REASONS
-        assert d["converged"] == (res.stop_reason in ("certified", "window"))
+        assert res.converged == (res.stop_reason in ("certified", "window"))
 
     def test_config_echoes_every_trim_config_field(self):
-        cfg = TrimConfig(nu=0.7, lam=0.25, regularizer="l2sq", eta0=0.5, max_iter=60, tol=1e-5, seed=9)
+        cfg = TrimConfig(nu=0.7, lam=0.25, regularizer="l2sq", eta0=0.5, max_iter=60, tol=1e-5)
         res = fit_featurized(np.ones((5, 1)), np.ones((5, 1)), cfg)
         config = fit_result_to_dict(res, cfg)["config"]
         names = [f.name for f in fields(TrimConfig)]

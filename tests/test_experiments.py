@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from trdre import experiments, ratio_model
+from trdre import experiments, ratio_model, synthetic
 from trdre.estimator import FitDivergedError, TrimConfig
 from trdre.experiments import _child_seeds, run_mnchange, run_outlier1d, run_truncation1d
 
@@ -23,7 +23,8 @@ class TestChildSeeds:
 @pytest.mark.parametrize("runner", [run_truncation1d, run_outlier1d, run_mnchange])
 def test_fit_defaults_are_trim_config_defaults(runner):
     params = inspect.signature(runner).parameters
-    names = ["seed", "eta0", "max_iter", "tol"]
+    assert params["seed"].default == synthetic.DEFAULT_SEED
+    names = ["eta0", "max_iter", "tol"]
     if runner is run_mnchange:
         names.remove("eta0")  # a documented 0.1: a unit first step overshoots there
         assert params["eta0"].default == 0.1
@@ -42,7 +43,11 @@ class TestTruncationRunner:
         assert sorted(files) == ["fit_result.json", "ratio_curve.csv", "summary.json"]
         assert json.loads(files["summary.json"]) == summary
         assert summary["stop_reason"] == "certified" and summary["iterations_run"] == 1
-        assert summary["converged"] is True
+        assert "converged" not in summary
+        # The fit records how it ended once, and no seed it did not use.
+        fit_record = json.loads(files["fit_result.json"])
+        assert "converged" not in fit_record and "seed" not in fit_record["config"]
+        assert summary["config"]["seed"] == 5
 
 
 @pytest.mark.parametrize("runner,kwargs", [
