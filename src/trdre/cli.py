@@ -237,9 +237,13 @@ def cmd_fit(args) -> int:
         gap = abs(float(np.mean(ratios)) - 1.0)
         print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1:
-            # Without a finite maximizer the fit already is the ascent loop's result,
-            # which must prove it; a certified fit must agree with the loop, a second solver.
-            ok, note = unbounded, f"loop delta {float(result.delta_best[0])!r}, no finite maximizer"
+            # An uncertified fit already is the ascent loop's result. A positive l2sq
+            # penalty bounds the objective, so its maximizer lies beyond the largest
+            # float; otherwise none is finite, and the loop's own result must prove it.
+            # A certified fit must agree with the loop, a second solver.
+            beyond = cfg.regularizer == "l2sq" and cfg.lam > 0.0
+            why = "maximizer beyond the largest float" if beyond else "no finite maximizer"
+            ok, note = unbounded, f"loop delta {float(result.delta_best[0])!r}, {why}"
             if result.stop_reason == "certified":
                 try:
                     loop = ascend(PhiP, PhiQ, cfg)

@@ -14,9 +14,12 @@ elsewhere.
 On one feature column the kept set is fixed on each half-line (delta > 0
 keeps the k smallest entries of PhiP, delta < 0 the k largest), so the
 objective is smooth and concave on each. There fit_featurized solves the
-program exactly (maxmin_1d) and stops "certified". Every other fit, and a
-one-column fit with no finite maximizer, runs the ascent loop (ascend),
-which alternates, per iteration:
+program exactly (maxmin_1d) and stops "certified": a Newton search on the
+objective's slope along the half-line, safeguarded by a bracket, returns
+adjacent floats lo < hi with computed slope > 0 at lo and <= 0 at hi, and
+hi is the maximizer (see _root). Every other fit, and a one-column fit
+with no finite maximizer or one beyond the largest float, runs the ascent
+loop (ascend), which alternates, per iteration:
 
     1. rank X_p by log-ratio under the current delta;
     2. assign the extreme-point weights w;
@@ -454,7 +457,7 @@ def _features(PhiP, PhiQ) -> tuple[np.ndarray, np.ndarray]:
 def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, FitResult | None]:
     """A one-column fit's maximizer, to adjacent floats, and the fit there,
     evaluated as a loop step would; (+-inf, None) where the objective grows
-    without bound that way, or rises past the largest float."""
+    without bound that way, or its maximizer lies beyond the largest float."""
     n_p = PhiP.shape[0]
     p, q = np.sort(PhiP[:, 0]), PhiQ[:, 0]
     k = keep_count(cfg.nu, n_p)
@@ -465,22 +468,17 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
     for s, a, qs in ((1.0, p[:k].sum() / n_p, q), (-1.0, -p[-k:].sum() / n_p, -q)):
         dq = qs - qs.max()
         # The slope in t tends to limit without l2sq, and equals it once the softmax saturates.
-        limit = a - nu_eff * qs.max() - l1
-
-        def slope(t: float) -> float:
-            e = np.exp(t * dq)  # dq <= 0: t * dq can only overflow to -inf, where e is the limit 0
-            return limit - nu_eff * (float(np.dot(e, dq)) / float(e.sum())) - 2.0 * l2 * t
-
-        if slope(0.0) <= 0.0:
-            continue
-        # Double the bracket from 1 while its top is open, then bisect to adjacent
-        # floats. Without l2sq, a limit >= 0 leaves it open: no finite maximizer.
-        lo, hi, mid = 0.0, math.inf, 1.0
-        with np.errstate(over="ignore"):
-            while (l2 > 0.0 or limit < 0.0) and lo < mid < hi:
-                lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
-                mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        d = s * hi
+        limit = float(a - nu_eff * qs.max() - l1)
+        # dq * dq may overflow, and then its mean under the softmax is inf or nan:
+        # it only steers the search, through a derivative no Newton step takes.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dq2 = dq * dq
+            f0, fp0 = _slope(0.0, dq, dq2, limit, nu_eff, l2)
+            if f0 <= 0.0:
+                continue
+            # Without l2sq, a limit >= 0 leaves the bracket's top open: no finite maximizer.
+            bounded = l2 > 0.0 or limit < 0.0
+            d = s * (_root(lambda t: _slope(t, dq, dq2, limit, nu_eff, l2), f0, fp0) if bounded else math.inf)
         break
     if not math.isfinite(d):
         return d, None
@@ -491,10 +489,80 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
     return d, FitResult(delta, w, obj, float(low[-1]), [(0, obj)], 1, "certified")
 
 
+def _slope(t: float, dq, dq2, limit: float, nu_eff: float, l2: float) -> tuple[float, float]:
+    """(f, f') at t on one half-line of a one-column fit: the objective's
+    slope f = limit - nu_eff E[dq] - 2 l2 t and its derivative
+    f' = -nu_eff (E[dq^2] - E[dq]^2) - 2 l2, both under the softmax of t * dq
+    from one exp; dq2 is dq * dq. f is the sign _root trusts, f' only steers."""
+    e = np.exp(t * dq)  # dq <= 0: t * dq can only overflow to -inf, where e is the limit 0
+    z = float(e.sum())
+    m1 = float(np.dot(e, dq)) / z
+    m2 = float(np.dot(e, dq2)) / z
+    return limit - nu_eff * m1 - 2.0 * l2 * t, -nu_eff * (m2 - m1 * m1) - 2.0 * l2
+
+
+_TOP = 2.0**1023  # the largest power of two: the bracket's top goes no higher
+
+
+def _root(slope, f0: float, fp0: float) -> float:
+    """hi of adjacent floats 0 <= lo < hi where the computed slope changes
+    sign, f(lo) > 0 >= f(hi); inf if f(_TOP) > 0. slope(t) returns (f, f'),
+    and slope(0) is (f0, fp0) with f0 > 0.
+
+    The sign of f alone moves the bracket [lo, hi], so the answer is a
+    certificate whatever f' is. f' steers: each probe is a Newton step from
+    the bracket end whose step is shorter, kept two ulps inside the bracket,
+    so a step that has converged closes the bracket on its other side.
+    An end where f is 0, or where f' is not finite and negative, takes no
+    step: it says nothing about where the sign changes. The step is taken
+    only while the search makes progress: the bracket's width has at least
+    halved over the last two probes, or while its top is open, lo has
+    doubled or the Newton step halved. Otherwise the probe doubles lo (from
+    1 while lo is 0) while the top is open, and bisects once it is closed.
+    """
+    lo, hi = 0.0, math.inf
+    at_lo, at_hi = (0.0, f0, fp0), None  # (t, f, f') at each end probed
+    back = [(math.inf, 0.0, math.inf)] * 2  # (width, lo, Newton step) at the last two probes
+    while True:
+        if hi < math.inf:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return hi
+        elif lo == _TOP:
+            return math.inf
+        else:
+            mid = min(2.0 * lo, _TOP) if lo > 0.0 else 1.0
+        n, step = math.nan, math.inf
+        for x, f, fp in filter(None, (at_lo, at_hi)):
+            if f != 0.0 and -math.inf < fp < 0.0:
+                m = min(x - f / fp, _TOP)
+                if abs(m - x) < step:
+                    n, step = m, abs(m - x)
+        width2, lo2, step2 = back[0]
+        if hi < math.inf:
+            progress = hi - lo <= 0.5 * width2
+        else:
+            progress = lo >= 2.0 * lo2 or 0.0 < step <= 0.5 * step2
+        back = [back[1], (hi - lo, lo, step)]
+        t = mid
+        if progress and math.isfinite(n):
+            c = 2.0 * math.ulp(n)
+            if lo - c < n < hi + c:
+                n = min(max(n, lo + c), hi - c, _TOP)
+                if lo < n < hi:
+                    t = n
+        f, fp = slope(t)
+        if f > 0.0:
+            lo, at_lo = t, (t, f, fp)
+        else:
+            hi, at_hi = t, (t, f, fp)
+
+
 def maxmin_1d(PhiP, PhiQ, cfg: TrimConfig) -> tuple[float, float]:
     """(delta, value) at the maximum of the trimmed objective on one
     feature column, as fit_featurized reports them; (+-inf, inf) where the
-    objective grows without bound that way."""
+    objective grows without bound that way, or its maximizer lies beyond the
+    largest float (as it can under a tiny l2sq penalty)."""
     p, q = as_sample_matrix(PhiP, "PhiP"), as_sample_matrix(PhiQ, "PhiQ")
     if p.shape[1] != 1 or q.shape[1] != 1:
         raise ValueError(f"maxmin_1d needs one feature column, got {p.shape[1]} and {q.shape[1]}")

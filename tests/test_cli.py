@@ -299,6 +299,23 @@ class TestFitCommand:
         assert len(calls) == 1
         assert re.search(r"\[verify\] ascent loop cross-check " + verdict, capsys.readouterr().out)
 
+    def test_maximizer_beyond_the_largest_float_is_named(self, tmp_path, capsys):
+        # A positive l2sq penalty bounds the objective, but this one only far
+        # beyond the largest float: the loop fits instead, and cannot reach it.
+        xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
+        xp.write_text("2\n3\n2.5\n")
+        xq.write_text("-1\n1\n0\n")
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", repr(2.0 / 3.0),
+                     "--regularizer", "l2sq", "--lambda", "1e-310", "--max-iter", "50",
+                     "--out", str(tmp_path / "o"), "--verify"]) == 0
+        printed = capsys.readouterr().out
+        assert "[trdre] stop_reason=max_iter after 50 iterations" in printed
+        assert re.search(
+            r"\[verify\] ascent loop cross-check FAIL \(loop delta [0-9.]+, maximizer beyond the largest float\)",
+            printed,
+        )
+        assert "no finite maximizer" not in printed
+
     def test_bounded_fit_prints_stop_reason_without_certificate(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
         out = tmp_path / "o"

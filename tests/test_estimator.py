@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from trdre import estimator
+from trdre import estimator, experiments
 from trdre.baselines import enumerate_weight_vertices
 from trdre.estimator import (
     STOP_REASONS,
@@ -1191,3 +1191,140 @@ class TestExactOneColumn:
             res = fit_featurized(xp, xq, cfg)
         assert res.stop_reason == "max_iter" and np.isfinite(res.delta_best).all()
         assert TestFitMany.bits([res]) == TestFitMany.bits([ascend(xp, xq, cfg)])
+
+
+def _slope_calls(mp):
+    """Routes estimator._slope, the one helper that computes the exact 1-D
+    solver's slope and its derivative, through a recorder; returns the
+    list of each call's (t, half-line) arguments."""
+    calls, real = [], estimator._slope
+
+    def recorded(t, *half_line):
+        calls.append((t, half_line))
+        return real(t, *half_line)
+
+    mp.setattr(estimator, "_slope", recorded)
+    return calls
+
+
+def _half_lines(calls):
+    """The half-lines _exact evaluated, in order (delta > 0 first), each
+    known by its dq array."""
+    lines = []
+    for _, half_line in calls:
+        if not any(half_line[0] is seen[0] for seen in lines):
+            lines.append(half_line)
+    return lines
+
+
+def _doubling_bisection(f, bounded):
+    """The search the Newton one replaced: double from 1 while the top is
+    open, then bisect to adjacent floats; its hi."""
+    lo, hi, mid = 0.0, math.inf, 1.0
+    while bounded and lo < mid < hi:
+        lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+        mid = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    return hi
+
+
+# (PhiP, PhiQ, cfg, probes the doubling-and-bisection search took)
+_COUNTED_1D = {
+    # f(0) rounds to just above 0, and the computed slope is 0 or noise
+    # across a band about 1e-16 wide (see test_baselines' l1 instance).
+    "flat_root": ([[0.2], [0.1]], [[-0.3], [0.3]], TrimConfig(lam=0.15, regularizer="l1"), 105),
+    # The computed slope is exactly 0 from the root on for at least 2**27 ulps.
+    "zero_band": ([[0.25]], [[-0.5], [0.125]], TrimConfig(lam=0.4375 - 2.0**-30, regularizer="l1"), 81),
+    # The slope decays like exp(-t) to its limit -1e-100: the root lies
+    # near t = 230, where Newton steps from below advance by about 1.
+    "far_tail": ([[-1e-100]], [[0.0], [-1.0]], TrimConfig(), 62),
+    # The maximizer lies beyond the largest float.
+    "past_top": ([[2.0], [3.0], [2.5]], [[-1.0], [1.0], [0.0]],
+                 TrimConfig(nu=2.0 / 3.0, lam=1e-310, regularizer="l2sq"), 1025),
+}
+
+
+class TestExactSearch:
+    """The one-column solver's search: a certificate on adjacent floats,
+    found in few slope evaluations."""
+
+    def test_outlier1d_fits_take_at_most_20_evaluations_each(self, monkeypatch):
+        fits, real = [], estimator._exact
+
+        def counted(*args):
+            fits.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(estimator, "_exact", counted)
+        calls = _slope_calls(monkeypatch)
+        experiments.run_outlier1d()
+        # The doubling-and-bisection search took 55.1 per fit.
+        assert len(fits) == 14 and len(calls) <= 20 * len(fits)
+
+    @pytest.mark.parametrize("case", list(_COUNTED_1D))
+    def test_hard_instances_take_at_most_twice_the_bisection_count(self, case, monkeypatch):
+        xp, xq, cfg, bisection = _COUNTED_1D[case]
+        calls = _slope_calls(monkeypatch)
+        d, _ = maxmin_1d(np.array(xp), np.array(xq), cfg)
+        assert len(calls) <= 2 * bisection
+        [line] = _half_lines(calls)
+        if case == "past_top":
+            assert d == math.inf
+            return
+        assert 0.0 < d < math.inf
+        f = lambda t: estimator._slope(t, *line)[0]  # noqa: E731
+        assert f(d) <= 0.0 < f(math.nextafter(d, 0.0))
+        assert _doubling_bisection(f, True) == pytest.approx(d, rel=1e-6, abs=1e-15)
+        if case == "zero_band":
+            ulps = d + np.arange(0.0, 2.0**27, 2.0**17) * math.ulp(d)
+            assert [f(t) for t in ulps] == [0.0] * ulps.size
+
+    @pytest.mark.parametrize(
+        "root", [1e-300, 1.0, 2.0**1000, 1.5 * 2.0**1022, 2.0**1023, math.nextafter(2.0**1023, math.inf), 1e308]
+    )
+    def test_bracket_top_is_the_largest_power_of_two(self, root):
+        # A slope falling linearly through 0 at root: the search returns +inf
+        # exactly where the doubling-and-bisection search did, for a root past 2**1023.
+        slope = lambda t: (1.0 - t / root, -1.0 / root)  # noqa: E731
+        d = estimator._root(slope, 1.0, -1.0 / root)
+        assert math.isinf(d) == (root > 2.0**1023) == math.isinf(_doubling_bisection(lambda t: slope(t)[0], True))
+        if math.isfinite(d):
+            assert slope(d)[0] <= 0.0 < slope(math.nextafter(d, 0.0))[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_p=st.integers(2, 3000),
+        n_q=st.integers(2, 3000),
+        shift=st.floats(-3.0, 3.0),
+        grid=st.booleans(),
+        nu=st.sampled_from([1.0, 0.9, 0.5, 0.25]),
+        penalty=st.sampled_from([("none", 0.0), ("l1", 0.05), ("l1", 0.5), ("l1", 2.0),
+                                 ("l2sq", 0.01), ("l2sq", 1.0), ("l2sq", 1e-310)]),
+    )
+    def test_certificate_on_adjacent_floats(self, seed, n_p, n_q, shift, grid, nu, penalty):
+        rng = np.random.default_rng(seed)
+        PhiP = rng.standard_normal((n_p, 1)) * rng.uniform(0.1, 3.0) + shift
+        PhiQ = rng.standard_normal((n_q, 1)) * rng.uniform(0.1, 3.0)
+        if grid:  # ties, and slopes that cancel exactly
+            PhiP, PhiQ = np.round(4.0 * PhiP) / 4.0, np.round(4.0 * PhiQ) / 4.0
+        cfg = TrimConfig(nu=nu, lam=penalty[1], regularizer=penalty[0])
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _slope_calls(mp)
+            d, _ = maxmin_1d(PhiP, PhiQ, cfg)
+        lines = _half_lines(calls)
+        with np.errstate(over="ignore"):  # the old search doubles t to 2**1023
+            f0 = [estimator._slope(0.0, *line)[0] for line in lines]
+            if d == 0.0:
+                # delta = 0 exactly when both one-sided slopes at 0 are <= 0.
+                assert len(lines) == 2 and max(f0) <= 0.0
+                return
+            used = 0 if d > 0.0 else 1
+            assert f0[used] > 0.0 and (d > 0.0 or f0[0] <= 0.0)
+            line = lines[used]
+            f = lambda t: estimator._slope(t, *line)[0]  # noqa: E731
+            _, _, limit, _, l2 = line
+            # +-inf exactly where the doubling-and-bisection search returned it.
+            assert math.isinf(d) == math.isinf(_doubling_bisection(f, l2 > 0.0 or limit < 0.0))
+            if math.isfinite(d):
+                t = abs(d)
+                assert f(t) <= 0.0 < f(math.nextafter(t, 0.0))
