@@ -2,7 +2,11 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,6 +423,26 @@ class TestGenCommand:
         assert str(folder) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "Expecting value: line 1 column 1 (char 0)"),
+            ('{"theta_q": "abc"}', "theta_q is not a numeric matrix: could not convert string to float"),
+            ('{"theta_q": {"a": 1}}', "theta_q is not a numeric matrix: float() argument"),
+            ('{"theta_q": [1.0, 2.0]}', "theta_q is not a numeric matrix: shape (2,)"),
+        ],
+        ids=["empty", "string", "object", "vector"],
+    )
+    def test_mnsamples_bad_pair_exits_2_naming_it(self, tmp_path, capsys, text, message):
+        pair_path = tmp_path / "pair.json"
+        pair_path.write_text(text)
+        out = tmp_path / "x.csv"
+        rc = main(["gen", "mnsamples", "--pair", str(pair_path), "--which", "q",
+                   "--n", "5", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {pair_path}: {message}")
+        assert not out.exists()
+
     def test_gaussian_from_precision_csv(self, tmp_path):
         prec = tmp_path / "prec.csv"
         write_csv(prec, np.eye(3) * 2.0)
@@ -719,6 +743,52 @@ class TestFlagsReachParameters:
         [kwargs] = trim_configs
         fit_kwargs = {k: v for k, v in RUN_KWARGS.items() if k != "seed"}  # --seed seeds no fit
         assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **fit_kwargs})
+
+
+class TestParserReuse:
+    SMALL = ["experiment", "outlier1d", "--n-good", "40", "--n-out", "10", "--n-q", "50", "--b-grid", "0,3"]
+    COMMANDS = [
+        [*SMALL, "--seed", "1", "--out", "a"],
+        [*SMALL, "--seed", "2", "--out", "b"],
+        [*SMALL, "--n-good", "x", "--out", "c"],  # usage error
+        ["fit", "--help"],
+        [*SMALL, "--seed", "1", "--out", "d"],
+    ]
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path, monkeypatch, capsys):
+        """main builds its parser once, and each call's exit code, output
+        and files equal those of the same command in a fresh interpreter."""
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+        cli._parser.cache_clear()
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        try:
+            runs = []
+            for argv in self.COMMANDS:
+                rc = main(argv)
+                runs.append((rc, *capsys.readouterr()))
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert [rc for rc, _, _ in runs] == [0, 0, 2, 0, 0]
+
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        for argv, run in zip(self.COMMANDS, runs):
+            done = subprocess.run([sys.executable, "-m", "trdre.cli", *argv], cwd=fresh, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stdout, done.stderr) == run, argv
+        assert "usage: trdre experiment outlier1d" in runs[2][2] and "--n-good" in runs[2][2]
+        assert runs[3][1].startswith("usage: trdre fit")
+        for name in ("a", "b", "d"):
+            for path in sorted((fresh / name).iterdir()):
+                assert (here / name / path.name).read_bytes() == path.read_bytes(), path
+        assert not (here / "c").exists()
+        a, d = ({p.name: p.read_bytes() for p in (here / n).iterdir()} for n in ("a", "d"))
+        assert a == d and len(a) == 2
 
 
 def _leaf_parsers(parser):

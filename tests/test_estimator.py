@@ -20,6 +20,7 @@ from trdre.estimator import (
     STOP_REASONS,
     FitDivergedError,
     TrimConfig,
+    _penalty,
     _reg_value,
     _trim,
     ascend,
@@ -319,6 +320,29 @@ class TestRegularizer:
         delta = np.array([1.5, 0.0, -2.0])
         values = [_reg_value(delta, TrimConfig(regularizer=reg)) for reg in ("none", "l1", "l2sq")]
         assert values == [0.0, 3.5, 6.25]
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-310, 1e-305, 0.3, 7.0])
+    def test_penalty_is_lam_times_value_where_the_square_is_finite(self, lam):
+        rng = np.random.default_rng(3)
+        for scale in (1e-200, 1e-3, 1.0, 1e100, 1e154):
+            delta = rng.standard_normal(4) * scale
+            for reg in ("l1", "l2sq"):
+                cfg = TrimConfig(lam=lam, regularizer=reg)
+                assert _penalty(delta, cfg) == lam * _reg_value(delta, cfg)
+
+    def test_l2sq_penalty_finite_past_the_square_overflow(self):
+        # |delta| = 4.17e304: delta**2 overflows, lam * delta**2 = 1.7e304 does not.
+        xp, xq = np.array([[2.0], [3.0], [2.5]]), np.array([[-1.0], [1.0], [0.0]])
+        cfg = TrimConfig(nu=2.0 / 3.0, lam=1e-305, regularizer="l2sq")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, value = maxmin_1d(xp, xq, cfg)
+            res = fit_featurized(xp, xq, cfg)
+        # Keeping 2 and 2.5, F(d) = (2.5 d + 2 log 3) / 3 - lam d^2, at its top d = 2.5 / (6 lam).
+        assert d == pytest.approx(2.5 / 6e-305, rel=1e-12)
+        assert value == pytest.approx((2.5 * d + 2.0 * math.log(3.0)) / 3.0 - (1e-305 * d) * d, rel=1e-12)
+        assert res.stop_reason == "certified" and res.objective_best == value
+        assert _penalty(np.array([d, -d]), cfg) == pytest.approx(2.0 * (1e-305 * d) * d, rel=1e-15)
 
 
 class TestProx:
@@ -1227,19 +1251,36 @@ def _doubling_bisection(f, bounded):
     return hi
 
 
-# (PhiP, PhiQ, cfg, probes the doubling-and-bisection search took)
+def _calls_per_fit(mp, **kwargs):
+    """The slope evaluations of run_outlier1d(**kwargs), as (nu, count)
+    per fit in sweep order."""
+    fits, real, calls = [], estimator._exact, _slope_calls(mp)
+
+    def counted(PhiP, PhiQ, cfg):
+        start = len(calls)
+        out = real(PhiP, PhiQ, cfg)
+        fits.append((cfg.nu, len(calls) - start))
+        return out
+
+    mp.setattr(estimator, "_exact", counted)
+    experiments.run_outlier1d(**kwargs)
+    return fits
+
+
+# (PhiP, PhiQ, cfg, probes the doubling-and-bisection search took,
+#  probes the Newton search took before its end-game rule)
 _COUNTED_1D = {
     # f(0) rounds to just above 0, and the computed slope is 0 or noise
     # across a band about 1e-16 wide (see test_baselines' l1 instance).
-    "flat_root": ([[0.2], [0.1]], [[-0.3], [0.3]], TrimConfig(lam=0.15, regularizer="l1"), 105),
+    "flat_root": ([[0.2], [0.1]], [[-0.3], [0.3]], TrimConfig(lam=0.15, regularizer="l1"), 105, 55),
     # The computed slope is exactly 0 from the root on for at least 2**27 ulps.
-    "zero_band": ([[0.25]], [[-0.5], [0.125]], TrimConfig(lam=0.4375 - 2.0**-30, regularizer="l1"), 81),
+    "zero_band": ([[0.25]], [[-0.5], [0.125]], TrimConfig(lam=0.4375 - 2.0**-30, regularizer="l1"), 81, 71),
     # The slope decays like exp(-t) to its limit -1e-100: the root lies
     # near t = 230, where Newton steps from below advance by about 1.
-    "far_tail": ([[-1e-100]], [[0.0], [-1.0]], TrimConfig(), 62),
+    "far_tail": ([[-1e-100]], [[0.0], [-1.0]], TrimConfig(), 62, 33),
     # The maximizer lies beyond the largest float.
     "past_top": ([[2.0], [3.0], [2.5]], [[-1.0], [1.0], [0.0]],
-                 TrimConfig(nu=2.0 / 3.0, lam=1e-310, regularizer="l2sq"), 1025),
+                 TrimConfig(nu=2.0 / 3.0, lam=1e-310, regularizer="l2sq"), 1025, 5),
 }
 
 
@@ -1247,25 +1288,29 @@ class TestExactSearch:
     """The one-column solver's search: a certificate on adjacent floats,
     found in few slope evaluations."""
 
-    def test_outlier1d_fits_take_at_most_20_evaluations_each(self, monkeypatch):
-        fits, real = [], estimator._exact
+    def test_outlier1d_fits_take_at_most_10_evaluations_each(self, monkeypatch):
+        fits = _calls_per_fit(monkeypatch)
+        # The doubling-and-bisection search took 55.1 per fit, the Newton
+        # search before its end-game rule 12.07.
+        assert len(fits) == 14 and sum(count for _, count in fits) <= 10 * len(fits)
 
-        def counted(*args):
-            fits.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(estimator, "_exact", counted)
-        calls = _slope_calls(monkeypatch)
-        experiments.run_outlier1d()
-        # The doubling-and-bisection search took 55.1 per fit.
-        assert len(fits) == 14 and len(calls) <= 20 * len(fits)
+    def test_converged_hi_closes_in_at_most_12_evaluations(self, monkeypatch):
+        # Fit 8 of seed 5 (b = 3, untrimmed): hi reaches a slope of exactly 0
+        # at the 7th evaluation, and every later Newton point from lo lands
+        # about 1% of the bracket past it; without the end-game rule the
+        # search bisected up from lo, 41 evaluations in all.
+        nu, count = _calls_per_fit(monkeypatch, seed=5)[7]
+        assert nu == 1.0 and count <= 12
 
     @pytest.mark.parametrize("case", list(_COUNTED_1D))
     def test_hard_instances_take_at_most_twice_the_bisection_count(self, case, monkeypatch):
-        xp, xq, cfg, bisection = _COUNTED_1D[case]
+        xp, xq, cfg, bisection, newton = _COUNTED_1D[case]
         calls = _slope_calls(monkeypatch)
         d, _ = maxmin_1d(np.array(xp), np.array(xq), cfg)
         assert len(calls) <= 2 * bisection
+        # The end-game rule saves probes on smooth slopes and costs at most
+        # half again where the computed slope is flat or noisy.
+        assert len(calls) <= 1.5 * newton
         [line] = _half_lines(calls)
         if case == "past_top":
             assert d == math.inf
@@ -1299,7 +1344,7 @@ class TestExactSearch:
         grid=st.booleans(),
         nu=st.sampled_from([1.0, 0.9, 0.5, 0.25]),
         penalty=st.sampled_from([("none", 0.0), ("l1", 0.05), ("l1", 0.5), ("l1", 2.0),
-                                 ("l2sq", 0.01), ("l2sq", 1.0), ("l2sq", 1e-310)]),
+                                 ("l2sq", 0.01), ("l2sq", 1.0), ("l2sq", 1e-305), ("l2sq", 1e-310)]),
     )
     def test_certificate_on_adjacent_floats(self, seed, n_p, n_q, shift, grid, nu, penalty):
         rng = np.random.default_rng(seed)
