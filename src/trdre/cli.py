@@ -11,10 +11,6 @@ as it was.
 A flag of fit or experiment left unset takes the library default: the
 TrimConfig field for fit, the keyword default of
 trdre.experiments.run_<name> for each experiment.
-
-main builds the argument parser on its first call and reuses it for the
-rest of the process, so a caller that runs many commands in-process
-builds it once. (This paragraph is not part of the --help text.)
 """
 
 from __future__ import annotations
@@ -82,7 +78,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trdre", description=__doc__.rsplit("\n\n", 1)[0])
+    parser = argparse.ArgumentParser(prog="trdre", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # An unset flag stays out of the namespace, and each flag's dest names the
     # TrimConfig field or runner keyword it feeds.
@@ -243,11 +239,12 @@ def cmd_fit(args) -> int:
         print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1:
             # An uncertified fit already is the ascent loop's result. A positive l2sq
-            # penalty bounds the objective, so its maximizer lies beyond the largest
-            # float; otherwise none is finite, and the loop's own result must prove it.
-            # A certified fit must agree with the loop, a second solver.
+            # penalty bounds the objective, so its maximizer, or the objective there,
+            # lies beyond the largest float; otherwise no maximizer is finite, and the
+            # loop's own result must prove it. A certified fit must agree with the
+            # loop, a second solver.
             beyond = cfg.regularizer == "l2sq" and cfg.lam > 0.0
-            why = "maximizer beyond the largest float" if beyond else "no finite maximizer"
+            why = "maximizer or its objective beyond the largest float" if beyond else "no finite maximizer"
             ok, note = unbounded, f"loop delta {float(result.delta_best[0])!r}, {why}"
             if result.stop_reason == "certified":
                 try:
@@ -286,27 +283,32 @@ def cmd_gen(args) -> int:
                 "changed_edges": [[int(i), int(j)] for i, j in pair.changed_edges],
             }),
         )]
-    elif args.generator == "mnsamples":
-        with open(args.pair, encoding="utf-8") as fh:
+    elif args.generator in ("mnsamples", "gaussian"):
+        if args.n < 1:  # checked first, so that every later error is the matrix file's
+            raise ValueError(f"n must be at least 1, got {args.n}")
+        if args.generator == "gaussian":
+            source, theta, note = args.precision, read_numeric_csv(args.precision), ""
+        else:
+            with open(args.pair, encoding="utf-8") as fh:
+                try:
+                    pair = json.load(fh)
+                except ValueError as exc:  # not JSON, or not UTF-8
+                    raise ValueError(f"{args.pair}: {exc}") from exc
+            key = "theta_p" if args.which == "p" else "theta_q"
+            if not isinstance(pair, dict) or key not in pair:
+                raise ValueError(f"{args.pair}: missing key {key!r}")
             try:
-                pair = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise ValueError(f"{args.pair}: {exc}") from exc
-        key = "theta_p" if args.which == "p" else "theta_q"
-        if not isinstance(pair, dict) or key not in pair:
-            raise ValueError(f"{args.pair}: missing key {key!r}")
+                theta = np.asarray(pair[key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{args.pair}: {key} is not a numeric matrix: {exc}") from exc
+            if theta.ndim != 2:
+                raise ValueError(f"{args.pair}: {key} is not a numeric matrix: shape {theta.shape}")
+            source, note = f"{args.pair}: {key}", f"which={args.which} "
         try:
-            theta = np.asarray(pair[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{args.pair}: {key} is not a numeric matrix: {exc}") from exc
-        if theta.ndim != 2:
-            raise ValueError(f"{args.pair}: {key} is not a numeric matrix: shape {theta.shape}")
-        X = sample_gaussian(theta, args.n, args.seed)
-        files = [(args.out, csv_text(X, comment=f"which={args.which} n={args.n} seed={args.seed}"))]
-    elif args.generator == "gaussian":
-        theta = read_numeric_csv(args.precision)
-        X = sample_gaussian(theta, args.n, args.seed)
-        files = [(args.out, csv_text(X, comment=f"n={args.n} seed={args.seed}"))]
+            X = sample_gaussian(theta, args.n, args.seed)
+        except ValueError as exc:  # not square, not symmetric or not positive definite
+            raise ValueError(f"{source}: {exc}") from exc
+        files = [(args.out, csv_text(X, comment=f"{note}n={args.n} seed={args.seed}"))]
     else:
         if args.generator == "outlier1d":
             xp, xq = gen_outlier_1d(args.n_good, args.n_out, args.b, args.seed, n_q=args.n_q)

@@ -19,13 +19,13 @@ objective's slope along the half-line, safeguarded by a bracket, returns
 adjacent floats lo < hi with computed slope > 0 at lo and <= 0 at hi, and
 hi is the maximizer (see _root), in 9.1 slope evaluations per fit on the
 14 default outlier1d fits. Every other fit, and a one-column fit
-with no finite maximizer or one beyond the largest float, runs the ascent
-loop (ascend), which alternates, per iteration:
+with no finite maximizer, one beyond the largest float or one where the
+objective does not evaluate to a finite float, runs the ascent loop
+(ascend), which alternates, per iteration:
 
     1. rank X_p by log-ratio under the current delta;
     2. assign the extreme-point weights w;
     3. step delta along the (sub)gradient with rate eta0 / sqrt(it + 1),
-       reusing the last step's PhiP^T w when the kept set is unchanged,
 
 while tracking the best (objective, delta, w) triple visited. With nu = 1
 every weight is 1/n_p and the procedure is exactly the classical
@@ -59,8 +59,10 @@ The loop, the exact fit, the oracles (objective, gradient, assign_weights)
 and kkt_check all evaluate delta through one kernel, ratio_model._evaluate
 (log_ratios returns its first output; gradient takes its softmax alone,
 from the same np.dot(PhiQ, delta)), so the oracles check the fits' own
-arithmetic. The fits and assign_weights rank through one helper, _trim.
-Every feature-matrix product goes through np.dot.
+arithmetic. The fits and assign_weights rank through one helper, _trim;
+both fits evaluate a point through _point, and the loop, gradient and
+kkt_check form the data gradient through _data_gradient. Every
+feature-matrix product goes through np.dot.
 
 Both parallel paths below pass one gate and one size rule. _cpus() is
 the number of CPUs in the affinity mask where the environment pins
@@ -136,8 +138,8 @@ class TrimConfig:
     stops at max_iter, once the best objective improves by less than tol
     over a 50-iteration window, or once an iterate proves that no finite
     maximizer exists (see the module docstring). A one-column fit with a
-    finite maximizer is solved exactly and ignores eta0, max_iter and tol.
-    The fit is deterministic, so it takes no seed.
+    finite maximizer and objective is solved exactly and ignores eta0,
+    max_iter and tol. The fit is deterministic, so it takes no seed.
     """
 
     nu: float = 1.0
@@ -197,9 +199,10 @@ class FitResult:
     kept log-ratio under delta_best (the trimming threshold).
 
     stop_reason is one of STOP_REASONS. On "certified", delta_best is
-    maxmin_1d's exact maximizer of a one-column fit, the trace its one
-    evaluation. On "unbounded", delta_best is a certificate: objective_best
-    exceeds unbounded_threshold, so the objective grows without bound along
+    maxmin_1d's exact maximizer of a one-column fit, objective_best and
+    t_hat are finite, and the trace is its one evaluation. On "unbounded",
+    delta_best is a certificate: objective_best exceeds
+    unbounded_threshold, so the objective grows without bound along
     delta_best and the returned coefficients are a point on that ray, not an
     optimum. converged, true for "certified" and "window", is not serialized.
     """
@@ -272,11 +275,23 @@ def _trim(lr: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _data_gradient(
-    PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float
+    PhiP: np.ndarray, PhiQ: np.ndarray, w: np.ndarray, sm: np.ndarray, nu: float, pair=_dot_pair
 ) -> np.ndarray:
     """Phi_p^T w - nu * Phi_q^T sm, the gradient of the weighted log-ratio
-    sum; the ascent loop forms the same difference from its own products."""
-    return np.dot(PhiP.T, w) - nu * np.dot(PhiQ.T, sm)
+    sum; pair computes the two products, as in ratio_model._evaluate."""
+    gp, gq = pair(PhiP.T, w, PhiQ.T, sm)
+    return gp - nu * gq
+
+
+def _point(
+    delta: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarray, k: int, cfg: TrimConfig, pair=_dot_pair
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(objective, w, low, sm) at delta for both fits: the k smallest
+    log-ratios summed over n_p (w and low from _trim) minus the penalty,
+    which may be inf or nan, and the softmax of PhiQ delta."""
+    lr, sm = _evaluate(delta, PhiP, PhiQ, pair)
+    w, low = _trim(lr, k)
+    return float(low.sum() / PhiP.shape[0] - _penalty(delta, cfg)), w, low, sm
 
 
 def assign_weights(log_ratio_values: np.ndarray, nu: float) -> np.ndarray:
@@ -439,7 +454,7 @@ class _DotWorker:
 
 def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
     """Fit on already-featurized samples, exactly where one column has a
-    finite maximizer, else by ascend (see the module docstring).
+    finite maximizer and objective, else by ascend (see the module docstring).
 
     Non-finite features raise ValueError before any fit starts, so
     FitDivergedError always means the iterates ran away. The result's
@@ -470,9 +485,10 @@ def _features(PhiP, PhiQ) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, FitResult | None]:
-    """A one-column fit's maximizer, to adjacent floats, and the fit there,
-    evaluated as a loop step would; (+-inf, None) where the objective grows
-    without bound that way, or its maximizer lies beyond the largest float."""
+    """A one-column fit's maximizer d, to adjacent floats, and the fit there,
+    evaluated as a loop step would. The fit is None where the objective grows
+    without bound that way or its maximizer lies beyond the largest float
+    (d is then +-inf), and where the objective at d is not a finite float."""
     n_p = PhiP.shape[0]
     p, q = np.sort(PhiP[:, 0]), PhiQ[:, 0]
     k = keep_count(cfg.nu, n_p)
@@ -498,9 +514,11 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
     if not math.isfinite(d):
         return d, None
     delta = np.array([d])
-    lr, _ = _evaluate(delta, PhiP, PhiQ)
-    w, low = _trim(lr, k)
-    obj = float(low.sum() / n_p - _penalty(delta, cfg))
+    # A log-ratio may overflow at a maximizer past about 1e308 / max|PhiP|.
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj, w, low, _ = _point(delta, PhiP, PhiQ, k, cfg)
+    if not math.isfinite(obj):
+        return d, None
     return d, FitResult(delta, w, obj, float(low[-1]), [(0, obj)], 1, "certified")
 
 
@@ -591,7 +609,8 @@ def maxmin_1d(PhiP, PhiQ, cfg: TrimConfig) -> tuple[float, float]:
     """(delta, value) at the maximum of the trimmed objective on one
     feature column, as fit_featurized reports them; (+-inf, inf) where the
     objective grows without bound that way, or its maximizer lies beyond the
-    largest float (as it can under a tiny l2sq penalty)."""
+    largest float (as it can under a tiny l2sq penalty); (delta, inf) where
+    the objective at the maximizer delta does not evaluate to a float."""
     p, q = as_sample_matrix(PhiP, "PhiP"), as_sample_matrix(PhiQ, "PhiQ")
     if p.shape[1] != 1 or q.shape[1] != 1:
         raise ValueError(f"maxmin_1d needs one feature column, got {p.shape[1]} and {q.shape[1]}")
@@ -621,13 +640,9 @@ def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
     # This fit's worker thread, where the rule in the module docstring holds.
     worker = _DotWorker() if _large(PhiP, PhiQ) and _cpus() >= 2 else None
     pair = _dot_pair if worker is None else worker.pair
-    # The weights the last step took and PhiP^T times them.
-    w_step = gp = None
     try:
         for it in range(cfg.max_iter):
-            lr, sm = _evaluate(delta, PhiP, PhiQ, pair)
-            w, low = _trim(lr, k)
-            obj = float(low.sum() / n_p - _penalty(delta, cfg))
+            obj, w, low, sm = _point(delta, PhiP, PhiQ, k, cfg, pair)
             if not math.isfinite(obj):
                 raise FitDivergedError(it, float(np.max(np.abs(delta))))
 
@@ -646,14 +661,8 @@ def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
                 break
 
             eta = cfg.eta0 / math.sqrt(it + 1.0)
-            if w_step is not None and (w == w_step).all():
-                # The last step's kept set: gp is PhiP^T w still.
-                gq = np.dot(PhiQ.T, sm)
-            else:
-                gp, gq = pair(PhiP.T, w, PhiQ.T, sm)
-                w_step = w
             # nu_eff = k / n_p, not sum(w): the two can differ in the last bit.
-            g = gp - nu_eff * gq
+            g = _data_gradient(PhiP, PhiQ, w, sm, nu_eff, pair)
             if cfg.regularizer == "l1":
                 delta = soft_threshold(delta + eta * g, eta * cfg.lam)
             elif cfg.regularizer == "l2sq":
@@ -664,15 +673,7 @@ def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
         if worker is not None:
             worker.stop()
 
-    return FitResult(
-        delta_best=delta_best,
-        w_best=w_best,
-        objective_best=best_obj,
-        t_hat=t_hat,
-        trace=trace,
-        iterations_run=len(trace),
-        stop_reason=stop_reason,
-    )
+    return FitResult(delta_best, w_best, best_obj, t_hat, trace, len(trace), stop_reason)
 
 
 def _processes(tasks: list) -> int:
@@ -883,12 +884,7 @@ def kkt_check(result: FitResult, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimCo
         per_coord = np.where(delta != 0.0, per_coord, np.maximum(np.abs(g) - cfg.lam, 0.0))
     stationarity = float(np.max(per_coord))
 
-    return KKTReport(
-        weight_ok=weight_ok,
-        max_weight_violation=max_viol,
-        stationarity=stationarity,
-        stationarity_ok=stationarity <= STATIONARITY_TOL,
-    )
+    return KKTReport(weight_ok, max_viol, stationarity, stationarity <= STATIONARITY_TOL)
 
 
 def fit_result_to_dict(result: FitResult, cfg: TrimConfig) -> dict:

@@ -26,6 +26,15 @@ def sample_csvs(tmp_path):
     return xp, xq
 
 
+def _strict_json(path):
+    """The JSON file at path, parsed with NaN and Infinity refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which strict JSON has not")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class TestFitCommand:
     def test_identical_inputs_give_zero_delta(self, tmp_path, capsys):
         x = tmp_path / "x.csv"
@@ -315,10 +324,28 @@ class TestFitCommand:
         printed = capsys.readouterr().out
         assert "[trdre] stop_reason=max_iter after 50 iterations" in printed
         assert re.search(
-            r"\[verify\] ascent loop cross-check FAIL \(loop delta [0-9.]+, maximizer beyond the largest float\)",
+            r"\[verify\] ascent loop cross-check FAIL"
+            r" \(loop delta [0-9.]+, maximizer or its objective beyond the largest float\)",
             printed,
         )
         assert "no finite maximizer" not in printed
+        _strict_json(tmp_path / "o" / "fit_result.json")
+
+    def test_objective_beyond_the_largest_float_is_not_certified(self, tmp_path, capsys):
+        # Under this penalty the maximizer, about 8.3e307, is a float, but
+        # two log-ratios there are not, nor is the objective: the loop fits
+        # instead, and the file holds no Infinity.
+        xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
+        xp.write_text("2\n3\n2.5\n")
+        xq.write_text("-1\n1\n0\n")
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", repr(2.0 / 3.0),
+                     "--regularizer", "l2sq", "--lambda", "5e-309", "--out", str(tmp_path / "o"), "--verify"]) == 0
+        printed = capsys.readouterr().out
+        assert "[trdre] stop_reason=max_iter after 5000 iterations" in printed
+        assert "maximizer or its objective beyond the largest float" in printed
+        payload = _strict_json(tmp_path / "o" / "fit_result.json")
+        # The two smallest log-ratios at any delta > 0 are rows 0 and 2.
+        assert payload["kept_indices"] == [0, 2] and payload["stop_reason"] == "max_iter"
 
     def test_bounded_fit_prints_stop_reason_without_certificate(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
@@ -459,6 +486,38 @@ class TestGenCommand:
                     "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator", ["gaussian", "mnsamples"])
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1.0, 0.0]], "precision must be square, got shape (1, 2)"),
+            ([[2.0, 1.0], [0.0, 2.0]], "precision matrix is not symmetric"),
+            ([[-1.0, 0.0], [0.0, -1.0]], "precision matrix is not positive definite"),
+        ],
+        ids=["not_square", "not_symmetric", "not_pd"],
+    )
+    def test_bad_precision_exits_2_naming_it(self, tmp_path, capsys, generator, matrix, message):
+        if generator == "gaussian":
+            source = tmp_path / "prec.csv"
+            write_csv(source, np.array(matrix))
+            flags, named = ["--precision", str(source)], f"{source}"
+        else:
+            source = tmp_path / "pair.json"
+            source.write_text(json.dumps({"theta_q": matrix}))
+            flags, named = ["--pair", str(source), "--which", "q"], f"{source}: theta_q"
+        out = tmp_path / "x.csv"
+        assert main(["gen", generator, *flags, "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}: {message}\n"
+        assert not out.exists()
+
+    def test_bad_sample_count_is_not_the_files_error(self, tmp_path, capsys):
+        prec = tmp_path / "prec.csv"
+        write_csv(prec, np.eye(2))
+        out = tmp_path / "x.csv"
+        assert main(["gen", "gaussian", "--precision", str(prec), "--n", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"
+        assert not out.exists()
 
 
 class TestExperimentCommand:

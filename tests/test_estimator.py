@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -647,10 +647,12 @@ class TestOverlapBitIdentity:
         return featurize(Xp, fmap), featurize(Xq, fmap)
 
     def outputs(self, PhiP, PhiQ):
-        out, iterations = [], 0
+        out, iterations, steps = [], 0, 0
         for cfg in self.CONFIGS:
             res = fit_featurized(PhiP, PhiQ, cfg)
             iterations += res.iterations_run
+            # The iteration that stops a fit by the window or unbounded rule takes no step.
+            steps += res.iterations_run - (res.stop_reason != "max_iter")
             d = res.delta_best
             out += [
                 res.delta_best.tobytes(), res.w_best.tobytes(), res.objective_best, res.t_hat,
@@ -660,19 +662,18 @@ class TestOverlapBitIdentity:
                 log_ratios(d, PhiP, PhiQ).tobytes(),
                 kkt_check(res, PhiP, PhiQ, cfg),
             ]
-        return out, iterations
+        return out, iterations, steps
 
     def test_threaded_equals_serial(self, data, overlap):
         ran = overlap(True)
-        threaded, iterations = self.outputs(*data)
-        # Every iteration evaluates through the worker. A step hands it a
-        # second pair only when its kept set changed; a repeated one reuses
-        # PhiP^T w and computes PhiQ^T softmax alone (1549 pairs in 1034
-        # iterations; a pair on every step would make 2063).
-        assert iterations < len(ran) < 1.9 * iterations
+        threaded, iterations, steps = self.outputs(*data)
+        # Every iteration evaluates through the worker, and every step hands
+        # it the gradient's pair too: two pairs per step.
+        assert len(ran) == iterations + steps
+        assert iterations - len(self.CONFIGS) <= steps <= iterations
         assert iterations > 50 * len(self.CONFIGS)
         ran = overlap(False)
-        serial, _ = self.outputs(*data)
+        serial, *_ = self.outputs(*data)
         assert not ran
         assert threaded == serial
 
@@ -1138,29 +1139,6 @@ class TestLoopMatchesFrozenReference:
             subnormal += bool(np.any((sm > 0.0) & (sm < np.finfo(float).tiny)))
         assert subnormal > 0
 
-    def test_one_kept_set_product_per_change(self, monkeypatch):
-        """PhiP^T w is computed on the first step and on each step whose kept
-        set differs from the last step's: 2 products over the pinned 1-D
-        trimmed fit's 66 steps."""
-        steps, PhiP, PhiQ, cfg = _steps_of("linear_m1_nu0.8", monkeypatch)
-        products, pair = [], estimator._dot_pair
-
-        def counted(A, x, B, y):
-            products.append(A.base is PhiP)
-            return pair(A, x, B, y)
-
-        monkeypatch.setattr(estimator, "_dot_pair", counted)
-        res = ascend(PhiP, PhiQ, cfg)
-        k = keep_count(cfg.nu, PhiP.shape[0])
-        # The loop stops by the window rule, so its last iteration takes no step.
-        assert res.stop_reason == "window"
-        kept = [
-            stable_argsort_trim(log_ratios(delta, PhiP, PhiQ), k)[0].tobytes()
-            for delta in steps[:-1]
-        ]
-        changes = 1 + sum(a != b for a, b in zip(kept, kept[1:]))
-        assert sum(products) == changes == 2 < len(kept) == 66
-
 
 def _one_column_cases():
     cases = {name: case for name, case in _pinned_cases().items() if name.startswith("linear_m1")}
@@ -1215,6 +1193,22 @@ class TestExactOneColumn:
             res = fit_featurized(xp, xq, cfg)
         assert res.stop_reason == "max_iter" and np.isfinite(res.delta_best).all()
         assert TestFitMany.bits([res]) == TestFitMany.bits([ascend(xp, xq, cfg)])
+
+    def test_maximizer_whose_objective_overflows_runs_the_loop(self):
+        # The maximizer, about 8.3e307, is a float, but 2.5 and 3 times it
+        # are not: two log-ratios there overflow, so the objective does not
+        # evaluate to a float, and the loop fits instead.
+        xp, xq = np.array([[2.0], [3.0], [2.5]]), np.array([[-1.0], [1.0], [0.0]])
+        cfg = TrimConfig(nu=2.0 / 3.0, lam=5e-309, regularizer="l2sq")
+        with np.errstate(over="raise", invalid="raise"):
+            d, value = maxmin_1d(xp, xq, cfg)
+            res = fit_featurized(xp, xq, cfg)
+            loop = ascend(xp, xq, cfg)
+        assert 8e307 < d < math.inf and value == math.inf
+        assert TestFitMany.bits([res]) == TestFitMany.bits([loop])
+        assert res.stop_reason == "max_iter" and math.isfinite(res.objective_best) and math.isfinite(res.t_hat)
+        # The two smallest log-ratios at any delta > 0 are rows 0 and 2.
+        assert res.kept_indices.tolist() == [0, 2]
 
 
 def _slope_calls(mp):
@@ -1336,6 +1330,10 @@ class TestExactSearch:
             assert slope(d)[0] <= 0.0 < slope(math.nextafter(d, 0.0))[0]
 
     @settings(max_examples=150, deadline=None)
+    # Maximizers near 1e308 at which a log-ratio overflows: maxmin_1d
+    # declines them, with no float warning.
+    @example(seed=3000, n_p=3000, n_q=3000, shift=3.0, grid=False, nu=1.0, penalty=("l2sq", 1e-310))
+    @example(seed=125, n_p=1842, n_q=1842, shift=-2.78125, grid=False, nu=0.5, penalty=("l2sq", 1e-310))
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_p=st.integers(2, 3000),
@@ -1355,7 +1353,9 @@ class TestExactSearch:
         cfg = TrimConfig(nu=nu, lam=penalty[1], regularizer=penalty[0])
         with pytest.MonkeyPatch.context() as mp:
             calls = _slope_calls(mp)
-            d, _ = maxmin_1d(PhiP, PhiQ, cfg)
+            d, value = maxmin_1d(PhiP, PhiQ, cfg)
+        # A value is certified finite, or inf where the fit declines.
+        assert math.isfinite(value) or value == math.inf
         lines = _half_lines(calls)
         with np.errstate(over="ignore"):  # the old search doubles t to 2**1023
             f0 = [estimator._slope(0.0, *line)[0] for line in lines]
