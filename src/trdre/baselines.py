@@ -1,7 +1,10 @@
 """Brute-force oracle used to cross-check the main estimator.
 
-The exact one-column solver, maxmin_1d, lives in the estimator, which
-solves every one-column fit with it.
+The exact one-column solver, maxmin_1d, lives in the estimator. A
+one-column fit is solved with it unless it declines: where no finite
+maximizer exists, where the maximizer lies beyond the largest float, or
+where the objective there does not evaluate to a finite float. Those
+fits run the ascent loop.
 """
 
 from __future__ import annotations

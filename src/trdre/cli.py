@@ -69,14 +69,6 @@ def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The flags fit and every experiment share besides --seed."""
-    p.add_argument("--eta0", type=float, help="base step size")
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float, help="best-objective window tolerance")
-    p.add_argument("--out", required=True, help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trdre", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,9 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
     # Every command takes --seed and echoes it, so it always has a value.
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # fit and every experiment write to a directory.
+    run = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    run.add_argument("--out", required=True, help="output directory")
+    # The ascent loop's settings, on the commands whose multi-column fits run
+    # it; a one-column fit is solved exactly, so the 1-D experiments take none.
+    looped = argparse.ArgumentParser(add_help=False, argument_default=unset, parents=[run])
+    looped.add_argument("--eta0", type=float, help="base step size")
+    looped.add_argument("--max-iter", type=int)
 
     p_fit = sub.add_parser(
-        "fit", help="fit the trimmed ratio estimator on two CSV samples", argument_default=unset, parents=[seeded]
+        "fit", help="fit the trimmed ratio estimator on two CSV samples", argument_default=unset, parents=[looped]
     )
     p_fit.add_argument("--xp", required=True, help="numerator sample CSV (rows = samples)")
     p_fit.add_argument("--xq", required=True, help="denominator sample CSV")
@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--nu", type=float, help="kept-weight fraction in (0, 1], 1 = no trimming")
     p_fit.add_argument("--lambda", dest="lam", type=float, help="regularizer scale")
     p_fit.add_argument("--regularizer", choices=REGULARIZERS)
-    _add_run_flags(p_fit)
     p_fit.add_argument(
         "--verify", action="store_true", default=False, help="run optimality self-checks and print results"
     )
@@ -110,20 +109,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a reference experiment")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
 
-    e_tr = exp_sub.add_parser("truncation1d", argument_default=unset, parents=[seeded])
+    e_tr = exp_sub.add_parser("truncation1d", argument_default=unset, parents=[run])
     e_tr.add_argument("--n", type=int)
     e_tr.add_argument("--nu", type=float)
-    _add_run_flags(e_tr)
 
-    e_out = exp_sub.add_parser("outlier1d", argument_default=unset, parents=[seeded])
+    e_out = exp_sub.add_parser("outlier1d", argument_default=unset, parents=[run])
     e_out.add_argument("--n-good", type=int)
     e_out.add_argument("--n-out", type=int)
     e_out.add_argument("--n-q", type=int)
     e_out.add_argument("--b-grid", type=float_list, help="comma separated outlier locations")
     e_out.add_argument("--nu", type=float)
-    _add_run_flags(e_out)
 
-    e_mn = exp_sub.add_parser("mnchange", argument_default=unset, parents=[seeded])
+    e_mn = exp_sub.add_parser("mnchange", argument_default=unset, parents=[looped])
     e_mn.add_argument("--d-list", dest="d_values", metavar="D_LIST", type=int_list, help="comma separated dimensions")
     e_mn.add_argument("--n", type=int)
     e_mn.add_argument("--n-changed", type=int)
@@ -136,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e_mn.add_argument("--outlier-value", type=float)
     e_mn.add_argument("--threshold", type=float)
-    _add_run_flags(e_mn)
 
     p_gen = sub.add_parser("gen", help="export synthetic datasets")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)

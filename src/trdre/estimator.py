@@ -32,9 +32,9 @@ every weight is 1/n_p and the procedure is exactly the classical
 unconstrained KLIEP fit, exposed as ``fit_kliep``.
 
 The loop stops for one of three reasons (FitResult.stop_reason):
-"window" when the best objective gained less than tol over the last
-50 iterations, "max_iter" when the budget ran out, and "unbounded" when
-an iterate certified that no finite maximizer exists. The certificate:
+"window" when the best objective gained less than WINDOW_TOL over the
+last 50 iterations, "max_iter" when the budget ran out, and "unbounded"
+when an iterate certified that no finite maximizer exists. The certificate:
 the objective is F(delta) = (sum of the k smallest entries of
 PhiP delta) / n_p - nu LME(PhiQ delta) - lam R(delta), and log-mean-exp
 satisfies LME(z) >= max(z) - log n_q and LME(s z) <= s max(z)
@@ -126,6 +126,7 @@ STOP_REASONS = ("certified", "window", "max_iter", "unbounded")
 # iterate of such a problem come that close to the ceiling.
 UNBOUNDED_SLACK = 1e-6
 STATIONARITY_TOL = 1e-2  # kkt_check's pass mark for the stationarity residual
+WINDOW_TOL = 1e-7  # the least gain of the best objective over 50 iterations that keeps the loop going
 RATIO_TOL = 1e-2  # half-width of kkt_check's band around t_hat
 
 
@@ -135,11 +136,11 @@ class TrimConfig:
 
     nu is the kept-weight budget (1 = no trimming), lam scales the
     regularizer (and is 0 with "none"), eta0 the base step size. The loop
-    stops at max_iter, once the best objective improves by less than tol
-    over a 50-iteration window, or once an iterate proves that no finite
-    maximizer exists (see the module docstring). A one-column fit with a
-    finite maximizer and objective is solved exactly and ignores eta0,
-    max_iter and tol. The fit is deterministic, so it takes no seed.
+    stops at max_iter, once the best objective improves by less than
+    WINDOW_TOL over a 50-iteration window, or once an iterate proves that
+    no finite maximizer exists (see the module docstring). A one-column
+    fit with a finite maximizer and objective is solved exactly and ignores
+    eta0 and max_iter. The fit is deterministic, so it takes no seed.
     """
 
     nu: float = 1.0
@@ -147,10 +148,9 @@ class TrimConfig:
     regularizer: str = "none"
     eta0: float = 1.0
     max_iter: int = 5000
-    tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        kinds = {"nu": float, "lam": float, "eta0": float, "max_iter": int, "tol": float}
+        kinds = {"nu": float, "lam": float, "eta0": float, "max_iter": int}
         for name in kinds:
             value = getattr(self, name)
             if isinstance(value, (bool, np.bool_)):
@@ -166,8 +166,6 @@ class TrimConfig:
             raise ValueError(f"eta0 must be a positive real, got {self.eta0}")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError(f"tol must be a finite positive real, got {self.tol}")
         # Stored as Python numbers: a numpy scalar would not serialize to JSON.
         for name, kind in kinds.items():
             object.__setattr__(self, name, kind(getattr(self, name)))
@@ -461,7 +459,7 @@ def fit_featurized(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitRe
     stop_reason says why the fit ended (see FitResult).
     """
     PhiP, PhiQ = _features(PhiP, PhiQ)
-    _, exact = _exact(PhiP, PhiQ, cfg) if PhiP.shape[1] == 1 else (None, None)
+    exact = _exact(PhiP, PhiQ, cfg)[2] if PhiP.shape[1] == 1 else None
     return _ascend(PhiP, PhiQ, cfg) if exact is None else exact
 
 
@@ -484,11 +482,14 @@ def _features(PhiP, PhiQ) -> tuple[np.ndarray, np.ndarray]:
     return PhiP, PhiQ
 
 
-def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, FitResult | None]:
-    """A one-column fit's maximizer d, to adjacent floats, and the fit there,
-    evaluated as a loop step would. The fit is None where the objective grows
-    without bound that way or its maximizer lies beyond the largest float
-    (d is then +-inf), and where the objective at d is not a finite float."""
+def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, float, FitResult | None]:
+    """A one-column fit's maximizer d, to adjacent floats, the maximum, and
+    the fit there, evaluated as a loop step would. The fit is None where the
+    objective grows without bound that way or its maximizer lies beyond the
+    largest float (d and the maximum are then +-inf and inf), and where the
+    objective at d is not a finite float. There the maximum is taken in the
+    slope's shifted form, which is inf only where the maximum passes the
+    largest float."""
     n_p = PhiP.shape[0]
     p, q = np.sort(PhiP[:, 0]), PhiQ[:, 0]
     k = keep_count(cfg.nu, n_p)
@@ -512,14 +513,18 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
             d = s * (_root(lambda t: _slope(t, dq, dq2, limit, nu_eff, l2), f0, fp0) if bounded else math.inf)
         break
     if not math.isfinite(d):
-        return d, None
+        return d, math.inf, None
     delta = np.array([d])
     # A log-ratio may overflow at a maximizer past about 1e308 / max|PhiP|.
     with np.errstate(over="ignore", invalid="ignore"):
         obj, w, low, _ = _point(delta, PhiP, PhiQ, k, cfg)
-    if not math.isfinite(obj):
-        return d, None
-    return d, FitResult(delta, w, obj, float(low[-1]), [(0, obj)], 1, "certified")
+        if not math.isfinite(obj):
+            # d != 0 (at 0 every log-ratio is 0), so the loop above broke out on
+            # d's half-line: F = t (limit - l2 t) + nu_eff (log n_q - log sum exp(t dq)).
+            t = abs(d)
+            tail = math.log(qs.size) - math.log(float(np.exp(t * dq).sum()))
+            return d, float(t * (limit - l2 * t) + nu_eff * tail), None
+    return d, obj, FitResult(delta, w, obj, float(low[-1]), [(0, obj)], 1, "certified")
 
 
 def _slope(t: float, dq, dq2, limit: float, nu_eff: float, l2: float) -> tuple[float, float]:
@@ -607,15 +612,18 @@ def _root(slope, f0: float, fp0: float) -> float:
 
 def maxmin_1d(PhiP, PhiQ, cfg: TrimConfig) -> tuple[float, float]:
     """(delta, value) at the maximum of the trimmed objective on one
-    feature column, as fit_featurized reports them; (+-inf, inf) where the
-    objective grows without bound that way, or its maximizer lies beyond the
-    largest float (as it can under a tiny l2sq penalty); (delta, inf) where
-    the objective at the maximizer delta does not evaluate to a float."""
+    feature column, as fit_featurized reports them where the fit is
+    certified; (+-inf, inf) where the objective grows without bound that
+    way, or its maximizer lies beyond the largest float (as it can under a
+    tiny l2sq penalty). Where the maximizer delta is a float but a
+    log-ratio there overflows, value is the maximum taken in the slope's
+    shifted form (see _exact): inf only where the maximum passes the
+    largest float."""
     p, q = as_sample_matrix(PhiP, "PhiP"), as_sample_matrix(PhiQ, "PhiQ")
     if p.shape[1] != 1 or q.shape[1] != 1:
         raise ValueError(f"maxmin_1d needs one feature column, got {p.shape[1]} and {q.shape[1]}")
-    d, exact = _exact(p, q, cfg)
-    return d, math.inf if exact is None else exact.objective_best
+    d, value, _ = _exact(p, q, cfg)
+    return d, value
 
 
 def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
@@ -656,7 +664,7 @@ def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
             if obj > ceiling:
                 stop_reason = "unbounded"
                 break
-            if it >= 50 and best_hist[-1] - best_hist[0] < cfg.tol:
+            if it >= 50 and best_hist[-1] - best_hist[0] < WINDOW_TOL:
                 stop_reason = "window"
                 break
 

@@ -56,17 +56,12 @@ def run_truncation1d(
     n: int = TRUNCATION_N,
     nu: float = TRUNCATION_NU,
     seed: int = DEFAULT_SEED,
-    eta0: float = TrimConfig.eta0,
-    max_iter: int = TrimConfig.max_iter,
-    tol: float = TrimConfig.tol,
 ) -> tuple[dict, dict[str, str]]:
     """Fit a half-truncated denominator; the analytic target is
-    -TRUNCATION_MU_Q = 0.5."""
-    config = {
-        "experiment": "truncation1d", "n": n, "nu": nu, "seed": seed,
-        "eta0": eta0, "max_iter": max_iter, "tol": tol, "lambda": 0.0,
-    }
-    cfg = TrimConfig(nu=nu, eta0=eta0, max_iter=max_iter, tol=tol)
+    -TRUNCATION_MU_Q = 0.5. Its one-column fit takes no loop settings: it
+    is exact, or runs the loop at TrimConfig's defaults where that declines."""
+    config = {"experiment": "truncation1d", "n": n, "nu": nu, "seed": seed, "lambda": 0.0}
+    cfg = TrimConfig(nu=nu)
     xp, xq = gen_truncation_1d(n, nu=nu, seed=seed)
     fmap = LinearFeatures()
     PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
@@ -105,9 +100,6 @@ def run_outlier1d(
     b_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
     nu: float = 0.8,
     seed: int = DEFAULT_SEED,
-    eta0: float = TrimConfig.eta0,
-    max_iter: int = TrimConfig.max_iter,
-    tol: float = TrimConfig.tol,
 ) -> tuple[dict, dict[str, str]]:
     """Sweep the outlier location b; trimmed and untrimmed fits per b.
 
@@ -115,17 +107,19 @@ def run_outlier1d(
     give a natural-parameter difference of -OUTLIER_MU_Q = 0.75 under
     identity features. Every b's sample is drawn first, and the
     2 * len(b_grid) fits are one estimator.fit_many batch. Being
-    one-column fits, they run in the calling process.
+    one-column fits, they run in the calling process and take no loop
+    settings, as in run_truncation1d. Each summary row records both fits'
+    stop reasons: after "unbounded" a delta is a point on a ray, not an
+    estimate.
     """
     bs = [float(b) for b in b_grid]
     if not bs:
         raise ValueError("b_grid must be nonempty")
     config = {
         "experiment": "outlier1d", "n_good": n_good, "n_out": n_out, "n_q": n_q,
-        "b_grid": ",".join(repr(b) for b in bs), "nu": nu, "seed": seed,
-        "eta0": eta0, "max_iter": max_iter, "tol": tol, "lambda": 0.0,
+        "b_grid": ",".join(repr(b) for b in bs), "nu": nu, "seed": seed, "lambda": 0.0,
     }
-    base = TrimConfig(nu=nu, eta0=eta0, max_iter=max_iter, tol=tol)
+    base = TrimConfig(nu=nu)
     seeds = _child_seeds(seed, len(bs))
     fmap = LinearFeatures()
     band = CURVE_GRID[np.abs(CURVE_GRID) <= ERROR_BAND]
@@ -146,6 +140,7 @@ def run_outlier1d(
             row[f"delta_{tag}"] = float(res.delta_best[0])
             row[f"err_sup_{tag}"] = ratio_curve_error(lr_hat, lr_true, "sup")
             row[f"err_l2_{tag}"] = ratio_curve_error(lr_hat, lr_true, "l2")
+            row[f"stop_reason_{tag}"] = res.stop_reason
         row["t_hat_trdre"] = trimmed.t_hat
         rows.append(row)
     cols = [
@@ -167,7 +162,7 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
     TRUNCATION_NU (delta_star = -TRUNCATION_MU_Q, 0.5); "outlier"
     contaminates 20% of gen_outlier_1d's numerator with a uniform blob at
     b=6 and fits at nu=0.8 (delta_star = -OUTLIER_MU_Q, 0.75). Fits are
-    exact, or where no finite maximizer exists end within 2000 iterations.
+    exact, or run the loop at TrimConfig's defaults where that declines.
     Child seeds come from _child_seeds(seed), so the table is reproducible.
     All samples are drawn first, and the fits are one estimator.fit_many
     batch. Being one-column fits, they run in the calling process.
@@ -193,7 +188,7 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
                 n_out = max(1, int(round(0.2 * n)))
                 xp, xq = gen_outlier_1d(n - n_out, n_out, b=6.0, seed=s, n_q=n)
                 nu = (n - n_out) / n
-            tasks.append((featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu, max_iter=2000)))
+            tasks.append((featurize(xp, fmap), featurize(xq, fmap), TrimConfig(nu=nu)))
     errs = [abs(float(res.delta_best[0]) - target) for res in fit_many(tasks)]
     return [(n, float(np.mean(errs[i * repeats:(i + 1) * repeats]))) for i, n in enumerate(ns)]
 
@@ -214,7 +209,6 @@ def run_mnchange(
     seed: int = DEFAULT_SEED,
     eta0: float = 0.1,
     max_iter: int = TrimConfig.max_iter,
-    tol: float = TrimConfig.tol,
 ) -> tuple[dict, dict[str, str]]:
     """Structure change detection between two Gaussian MNs.
 
@@ -255,9 +249,9 @@ def run_mnchange(
         "lambda_grid_size": len(grid), "lambda_grid_min": min(grid),
         "lambda_grid_max": max(grid), "outlier_value": outlier_value,
         "n_outliers": MN_OUTLIERS, "threshold": threshold, "seed": seed,
-        "eta0": eta0, "max_iter": max_iter, "tol": tol,
+        "eta0": eta0, "max_iter": max_iter,
     }
-    base = TrimConfig(eta0=eta0, max_iter=max_iter, tol=tol, regularizer="l1", lam=lam_heatmap)
+    base = TrimConfig(eta0=eta0, max_iter=max_iter, regularizer="l1", lam=lam_heatmap)
     trimmed = replace(base, nu=nu)
     fmap = PairwiseQuadraticFeatures()
     comment = _config_comment(config)

@@ -52,7 +52,7 @@ class TestBruteForce1d:
         xp = rng.standard_normal((8, 1)) * 0.7 + 0.4
         xq = rng.standard_normal((10, 1)) * 1.2
         _, v = maxmin_1d(xp, xq, TrimConfig())
-        res = ascend(xp, xq, TrimConfig(max_iter=20000, tol=1e-15))
+        res = ascend(xp, xq, TrimConfig(max_iter=20000))
         assert abs(res.objective_best - v) < 1e-3
 
     # On this pair f(delta) = 0.15 delta - log cosh(0.3 delta) - lam R(delta).
@@ -93,6 +93,20 @@ class TestBruteForce1d:
         assert 0.0 < d < math.inf
         assert maxmin_1d(xp, xq, TrimConfig(nu=2.0 / 3.0, lam=0.8, regularizer="l1"))[0] == math.inf
         assert 0.0 < maxmin_1d(xp, xq, TrimConfig(nu=2.0 / 3.0, lam=0.9, regularizer="l1"))[0] < math.inf
+
+    def test_finite_maximum_where_the_log_ratios_overflow(self):
+        # Keeping 2 and 2.5 of x_p, the slope at infinity is c = 1.5 - (2/3) * 1,
+        # so under l2sq the maximum is c^2 / (4 lam), up to a term of order 1.
+        # The maximizer, 8.3e307, is a float, but 3 times it is not.
+        xp = np.array([[2.0], [3.0], [2.5]])
+        xq = np.array([[-1.0], [1.0], [0.0]])
+        lam = 5e-309
+        c = 1.5 - 2.0 / 3.0
+        with np.errstate(over="raise", invalid="raise"):
+            d, v = maxmin_1d(xp, xq, TrimConfig(nu=2.0 / 3.0, lam=lam, regularizer="l2sq"))
+        assert d == pytest.approx(c / (2.0 * lam), rel=1e-12)
+        assert v == pytest.approx(c * c / (4.0 * lam), rel=1e-12)
+        assert math.isfinite(3.0 * v) and not math.isfinite(3.0 * d)
 
     def test_needs_one_column(self):
         with pytest.raises(ValueError, match="one feature column"):

@@ -215,14 +215,6 @@ class TestFitCommand:
         # a zero penalty needs no regularizer
         assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--lambda", "0", "--out", str(out)]) == 0
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_non_finite_tol_exits_2(self, sample_csvs, tmp_path, capsys, tol):
-        xp, xq = sample_csvs
-        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--tol", tol,
-                    "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "tol" in capsys.readouterr().err
-
     def test_diverged_fit_exits_3(self, tmp_path, capsys):
         # Two columns: the loop runs, where one would be solved exactly.
         rng = np.random.default_rng(2)
@@ -520,11 +512,38 @@ class TestGenCommand:
         assert not out.exists()
 
 
+class TestRemovedFlags:
+    """The window tolerance is a constant, and the 1-D experiments, whose
+    one-column fits are solved exactly, take no loop settings: each such
+    flag is a usage error, and the command writes nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fit --xp {xp} --xq {xq} --tol 1e-6",
+            "experiment truncation1d --n 200 --tol 1e-6",
+            "experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --tol 1e-6",
+            "experiment mnchange --d-list 4 --n 40 --n-changed 2 --lambda-grid 0.3 --tol 1e-6",
+            "experiment truncation1d --n 200 --eta0 0.5",
+            "experiment truncation1d --n 200 --max-iter 300",
+            "experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --eta0 0.5",
+            "experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --max-iter 300",
+        ],
+        ids=["fit_tol", "truncation1d_tol", "outlier1d_tol", "mnchange_tol", "truncation1d_eta0",
+             "truncation1d_max_iter", "outlier1d_eta0", "outlier1d_max_iter"],
+    )
+    def test_exits_2_writing_nothing(self, sample_csvs, tmp_path, capsys, argv):
+        xp, xq = sample_csvs
+        out = tmp_path / "out"
+        assert main(f"{argv} --out {out}".format(xp=xp, xq=xq).split()) == 2
+        assert "unrecognized arguments: " + argv.split()[-2] in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExperimentCommand:
     def test_truncation_smoke(self, tmp_path):
         out = tmp_path / "trunc"
-        rc = main(["experiment", "truncation1d", "--n", "400", "--max-iter", "300",
-                    "--out", str(out)])
+        rc = main(["experiment", "truncation1d", "--n", "400", "--out", str(out)])
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert abs(summary["delta_hat"] - 0.5) < 0.25
@@ -534,8 +553,7 @@ class TestExperimentCommand:
     def test_outlier_smoke(self, tmp_path):
         out = tmp_path / "outl"
         rc = main(["experiment", "outlier1d", "--n-good", "200", "--n-out", "50",
-                    "--n-q", "250", "--b-grid", "3,6", "--max-iter", "300",
-                    "--out", str(out)])
+                    "--n-q", "250", "--b-grid", "3,6", "--out", str(out)])
         assert rc == 0
         table = read_numeric_csv(out / "results.csv")
         assert table.shape[0] == 2
@@ -565,8 +583,7 @@ class TestExperimentCommand:
     def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("keep\n")
-        rc = main(["experiment", "truncation1d", "--n", "200", "--max-iter", "50",
-                   "--out", str(out)])
+        rc = main(["experiment", "truncation1d", "--n", "200", "--out", str(out)])
         assert rc == 2
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "keep\n"
@@ -618,7 +635,7 @@ class TestExperimentCommand:
     def test_empty_b_grid_exits_2_before_writing(self, tmp_path, capsys):
         out = tmp_path / "o1"
         rc = main(["experiment", "outlier1d", "--n-good", "80", "--n-out", "20", "--n-q", "100",
-                   "--b-grid", "", "--max-iter", "20", "--out", str(out)])
+                   "--b-grid", "", "--out", str(out)])
         assert rc == 2
         assert "b_grid must be nonempty" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
@@ -635,7 +652,7 @@ class TestExperimentCommand:
     def test_bad_outlier_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "o1"
         rc = main(["experiment", "outlier1d", "--n-good", "80", "--n-out", "20", "--n-q", "100",
-                   "--b-grid", "1,3", *flags, "--max-iter", "20", "--out", str(out)])
+                   "--b-grid", "1,3", *flags, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
@@ -660,8 +677,8 @@ class TestAllFilesOrNone:
         "argv, first, last",
         [
             ("fit --xp {xp} --xq {xq} --nu 0.8 --out {out}", "fit_result.json", "trimmed_indices.csv"),
-            ("experiment truncation1d --n 200 --max-iter 50 --out {out}", "summary.json", "fit_result.json"),
-            ("experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --max-iter 50 --out {out}",
+            ("experiment truncation1d --n 200 --out {out}", "summary.json", "fit_result.json"),
+            ("experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --out {out}",
              "results.csv", "summary.json"),
             ("experiment mnchange --d-list 4,5 --n 40 --n-changed 2 --lambda-grid 0.3 --max-iter 20 --out {out}",
              "delta_star_d4.csv", "summary.json"),
@@ -725,8 +742,9 @@ def _typed(kwargs):
     return {k: repr(v) for k, v in kwargs.items()}
 
 
-RUN_FLAGS = ["--seed", "7", "--eta0", "0.5", "--max-iter", "300", "--tol", "1e-06"]
-RUN_KWARGS = {"seed": 7, "eta0": 0.5, "max_iter": 300, "tol": 1e-06}
+# The ascent loop's settings, which fit and mnchange take; the 1-D experiments take none.
+LOOP_FLAGS = ["--eta0", "0.5", "--max-iter", "300"]
+LOOP_KWARGS = {"eta0": 0.5, "max_iter": 300}
 
 
 class TestFlagsReachParameters:
@@ -765,18 +783,18 @@ class TestFlagsReachParameters:
             (
                 "mnchange",
                 ["--d-list", "6,8", "--n", "60", "--n-changed", "4", "--nu", "0.8", "--lambda", "0.05",
-                 "--lambda-grid", "0.1,0.3", "--outlier-value", "8", "--threshold", "1e-05"],
+                 "--lambda-grid", "0.1,0.3", "--outlier-value", "8", "--threshold", "1e-05", *LOOP_FLAGS],
                 {"d_values": [6, 8], "n": 60, "n_changed": 4, "nu": 0.8, "lam_heatmap": 0.05,
-                 "lambda_grid": [0.1, 0.3], "outlier_value": 8.0, "threshold": 1e-05},
+                 "lambda_grid": [0.1, 0.3], "outlier_value": 8.0, "threshold": 1e-05, **LOOP_KWARGS},
             ),
         ],
     )
     def test_every_flag_reaches_its_parameter(self, runner_calls, tmp_path, name, flags, expected):
         out = str(tmp_path / "o")
-        assert main(["experiment", name, *flags, *RUN_FLAGS, "--out", out]) == 0
+        assert main(["experiment", name, *flags, "--seed", "7", "--out", out]) == 0
         [(called, args, kwargs)] = runner_calls
         assert (called, args) == (name, ())
-        assert _typed(kwargs) == _typed({**expected, **RUN_KWARGS})
+        assert _typed(kwargs) == _typed({**expected, "seed": 7})
 
     @pytest.fixture()
     def trim_configs(self, monkeypatch):
@@ -797,11 +815,11 @@ class TestFlagsReachParameters:
     def test_fit_flags_reach_trim_config(self, trim_configs, sample_csvs, tmp_path):
         xp, xq = sample_csvs
         rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8", "--lambda", "0.1",
-                   "--regularizer", "l2sq", *RUN_FLAGS, "--out", str(tmp_path / "o"), "--verify"])
+                   "--regularizer", "l2sq", "--seed", "7", *LOOP_FLAGS, "--out", str(tmp_path / "o"), "--verify"])
         assert rc == 0
         [kwargs] = trim_configs
-        fit_kwargs = {k: v for k, v in RUN_KWARGS.items() if k != "seed"}  # --seed seeds no fit
-        assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **fit_kwargs})
+        # --seed seeds no fit
+        assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **LOOP_KWARGS})
 
 
 class TestParserReuse:

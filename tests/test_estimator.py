@@ -81,17 +81,20 @@ class TestTrimConfig:
     def test_defaults_valid(self):
         cfg = TrimConfig()
         assert cfg.nu == 1.0 and cfg.regularizer == "none"
-        assert len(fields(TrimConfig)) == 6
+        assert len(fields(TrimConfig)) == 5
+
+    def test_window_tolerance_is_not_a_setting(self):
+        with pytest.raises(TypeError, match="tol"):
+            TrimConfig(tol=1e-6)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"nu": 0.0}, {"nu": 1.5}, {"lam": -0.1}, {"regularizer": "ridge"},
-            {"eta0": 0.0}, {"max_iter": 0}, {"tol": 0.0}, {"tol": float("nan")},
-            {"tol": float("inf")},
-            {"nu": True}, {"lam": True, "regularizer": "l1"}, {"eta0": True}, {"tol": True},
+            {"eta0": 0.0}, {"max_iter": 0},
+            {"nu": True}, {"lam": True, "regularizer": "l1"}, {"eta0": True},
             {"nu": np.True_}, {"lam": np.True_, "regularizer": "l1"},
-            {"eta0": np.True_}, {"max_iter": np.True_}, {"tol": np.True_},
+            {"eta0": np.True_}, {"max_iter": np.True_},
             {"lam": 0.5}, {"lam": 0.5, "regularizer": "none"},
             {"nu": float("nan")}, {"lam": float("nan"), "regularizer": "l1"},
             {"lam": float("inf"), "regularizer": "l1"}, {"eta0": float("nan")}, {"eta0": float("inf")},
@@ -116,11 +119,9 @@ class TestTrimConfig:
     def test_numbers_are_stored_as_python_numbers(self):
         cfg = TrimConfig(
             nu=np.float64(0.8), lam=np.float32(0.1), regularizer="l1", eta0=np.float32(0.5),
-            max_iter=np.int32(3), tol=np.float16(1e-3),
+            max_iter=np.int32(3),
         )
-        assert [type(getattr(cfg, n)) for n in ("nu", "lam", "eta0", "max_iter", "tol")] == [
-            float, float, float, int, float
-        ]
+        assert [type(getattr(cfg, n)) for n in ("nu", "lam", "eta0", "max_iter")] == [float, float, float, int]
         assert cfg.lam == float(np.float32(0.1))
         res = fit_featurized(np.ones((4, 1)), np.ones((5, 1)), cfg)
         config = json.loads(json_text(fit_result_to_dict(res, cfg)))["config"]
@@ -386,7 +387,7 @@ class TestFit:
         # maximizer is finite, at |delta| < 4.9. The loop, against the exact solver.
         xp = np.array([[0.5], [1.0], [1.4], [1.9], [2.5]])
         xq = np.array([[-2.0], [-0.9], [0.0], [0.8], [2.2]])
-        cfg = TrimConfig(nu=0.6, max_iter=20000, tol=1e-15)
+        cfg = TrimConfig(nu=0.6, max_iter=20000)
         res = ascend(xp, xq, cfg)
         d_star, oracle = maxmin_1d(xp, xq, cfg)
         assert abs(d_star) < 4.9
@@ -949,7 +950,7 @@ class TestSerialization:
         assert res.converged == (res.stop_reason in ("certified", "window"))
 
     def test_config_echoes_every_trim_config_field(self):
-        cfg = TrimConfig(nu=0.7, lam=0.25, regularizer="l2sq", eta0=0.5, max_iter=60, tol=1e-5)
+        cfg = TrimConfig(nu=0.7, lam=0.25, regularizer="l2sq", eta0=0.5, max_iter=60)
         res = fit_featurized(np.ones((5, 1)), np.ones((5, 1)), cfg)
         config = fit_result_to_dict(res, cfg)["config"]
         names = [f.name for f in fields(TrimConfig)]
@@ -1017,7 +1018,7 @@ def reference_fit(PhiP, PhiQ, cfg):
         iterations = it + 1
         if obj > ceiling:
             break
-        if it >= 50 and best_hist[it] - best_hist[it - 50] < cfg.tol:
+        if it >= 50 and best_hist[it] - best_hist[it - 50] < 1e-7:
             converged = True
             break
         eta = cfg.eta0 / math.sqrt(it + 1.0)
@@ -1172,7 +1173,7 @@ class TestExactOneColumn:
         xp, xq, fmap, cfg = _pinned_cases()["linear_m1_nu0.8"]
         PhiP, PhiQ = featurize(xp, fmap), featurize(xq, fmap)
         bits = TestFitMany.bits([fit_featurized(PhiP, PhiQ, cfg)])
-        assert TestFitMany.bits([fit_featurized(PhiP, PhiQ, replace(cfg, eta0=1e308, max_iter=1, tol=1.0))]) == bits
+        assert TestFitMany.bits([fit_featurized(PhiP, PhiQ, replace(cfg, eta0=1e308, max_iter=1))]) == bits
 
     @pytest.mark.parametrize("cfg", [TrimConfig(nu=0.9), TrimConfig(nu=0.9, lam=0.05, regularizer="l1")])
     def test_unbounded_problem_runs_the_loop(self, cfg):
@@ -1197,14 +1198,15 @@ class TestExactOneColumn:
     def test_maximizer_whose_objective_overflows_runs_the_loop(self):
         # The maximizer, about 8.3e307, is a float, but 2.5 and 3 times it
         # are not: two log-ratios there overflow, so the objective does not
-        # evaluate to a float, and the loop fits instead.
+        # evaluate to a float, and the loop fits instead. The maximum itself,
+        # about 3.5e307, is a float, and maxmin_1d reports it.
         xp, xq = np.array([[2.0], [3.0], [2.5]]), np.array([[-1.0], [1.0], [0.0]])
         cfg = TrimConfig(nu=2.0 / 3.0, lam=5e-309, regularizer="l2sq")
         with np.errstate(over="raise", invalid="raise"):
             d, value = maxmin_1d(xp, xq, cfg)
             res = fit_featurized(xp, xq, cfg)
             loop = ascend(xp, xq, cfg)
-        assert 8e307 < d < math.inf and value == math.inf
+        assert 8e307 < d < math.inf and value == pytest.approx(3.4722e307, rel=1e-4)
         assert TestFitMany.bits([res]) == TestFitMany.bits([loop])
         assert res.stop_reason == "max_iter" and math.isfinite(res.objective_best) and math.isfinite(res.t_hat)
         # The two smallest log-ratios at any delta > 0 are rows 0 and 2.
@@ -1330,8 +1332,8 @@ class TestExactSearch:
             assert slope(d)[0] <= 0.0 < slope(math.nextafter(d, 0.0))[0]
 
     @settings(max_examples=150, deadline=None)
-    # Maximizers near 1e308 at which a log-ratio overflows: maxmin_1d
-    # declines them, with no float warning.
+    # Maximizers near 1e308 at which a log-ratio overflows: the fit declines
+    # them, and maxmin_1d reports the maximum, with no float warning.
     @example(seed=3000, n_p=3000, n_q=3000, shift=3.0, grid=False, nu=1.0, penalty=("l2sq", 1e-310))
     @example(seed=125, n_p=1842, n_q=1842, shift=-2.78125, grid=False, nu=0.5, penalty=("l2sq", 1e-310))
     @given(
@@ -1354,7 +1356,7 @@ class TestExactSearch:
         with pytest.MonkeyPatch.context() as mp:
             calls = _slope_calls(mp)
             d, value = maxmin_1d(PhiP, PhiQ, cfg)
-        # A value is certified finite, or inf where the fit declines.
+        # A value is finite, or inf where no finite maximum exists.
         assert math.isfinite(value) or value == math.inf
         lines = _half_lines(calls)
         with np.errstate(over="ignore"):  # the old search doubles t to 2**1023

@@ -24,17 +24,18 @@ class TestChildSeeds:
 def test_fit_defaults_are_trim_config_defaults(runner):
     params = inspect.signature(runner).parameters
     assert params["seed"].default == synthetic.DEFAULT_SEED
-    names = ["eta0", "max_iter", "tol"]
-    if runner is run_mnchange:
-        names.remove("eta0")  # a documented 0.1: a unit first step overshoots there
-        assert params["eta0"].default == 0.1
-    for name in names:
-        assert params[name].default == getattr(TrimConfig, name), name
+    if runner is not run_mnchange:
+        # One-column fits are solved exactly: they take no loop settings.
+        assert not {"eta0", "max_iter", "tol"} & set(params)
+        return
+    assert "tol" not in params
+    assert params["eta0"].default == 0.1  # a documented 0.1: a unit first step overshoots there
+    assert params["max_iter"].default == TrimConfig.max_iter
 
 
 class TestTruncationRunner:
     def test_summary_fields_and_curve_files(self):
-        summary, files = run_truncation1d(n=500, max_iter=400, seed=5)
+        summary, files = run_truncation1d(n=500, seed=5)
         assert abs(summary["delta_hat"] - summary["delta_star"]) < 0.3
         assert summary["kkt_weight_ok"] is True
         assert 0.5 - 1 / 500 <= summary["kept_fraction"] <= 0.5 + 1 / 500
@@ -51,7 +52,7 @@ class TestTruncationRunner:
 
 
 @pytest.mark.parametrize("runner,kwargs", [
-    (run_outlier1d, dict(n_good=160, n_out=40, n_q=200, b_grid=(0.0, 3.0, 6.0), max_iter=300)),
+    (run_outlier1d, dict(n_good=160, n_out=40, n_q=200, b_grid=(0.0, 3.0, 6.0))),
     (run_mnchange, dict(d_values=(4, 5), n=40, n_changed=2, lambda_grid=(1e-3, 0.1, 0.5), max_iter=100)),
 ])
 def test_files_do_not_depend_on_forking(runner, kwargs, forking):
@@ -83,6 +84,19 @@ class TestOutlierRunner:
         with pytest.raises(ValueError, match="b must be finite"):
             run_outlier1d(n_good=40, n_out=10, n_q=50, b_grid=(1.0, float("inf")))
         assert not any(tmp_path.iterdir())
+
+    def test_rows_record_both_stop_reasons(self):
+        # One x_q: log-mean-exp is linear in delta, so neither fit has a
+        # finite maximizer, and each delta is a point on a ray.
+        summary, files = run_outlier1d(n_good=40, n_out=10, n_q=1, b_grid=[6.0])
+        [row] = summary["rows"]
+        assert (row["stop_reason_trdre"], row["stop_reason_kliep"]) == ("unbounded", "unbounded")
+        assert "stop_reason" not in files["results.csv"]  # the table stays numeric
+
+    def test_default_fits_are_all_certified(self):
+        summary, _ = run_outlier1d()
+        reasons = [row[f"stop_reason_{tag}"] for row in summary["rows"] for tag in ("trdre", "kliep")]
+        assert reasons == ["certified"] * 14
 
 
 class TestMnchangeChecksUpFront:

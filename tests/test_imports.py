@@ -44,7 +44,7 @@ write_csv(out + "/xq.csv", rng.standard_normal((70, 3)))
 assert main(["fit", "--xp", out + "/xp.csv", "--xq", out + "/xq.csv", "--features", "rbf",
              "--max-iter", "50", "--out", out + "/fit"]) == 0
 assert main(["experiment", "outlier1d", "--n-good", "80", "--n-out", "20", "--n-q", "100",
-             "--b-grid", "3", "--max-iter", "50", "--out", out + "/o1"]) == 0
+             "--b-grid", "3", "--out", out + "/o1"]) == 0
 print("run", *loaded())
 try:
     os.waitpid(-1, os.WNOHANG)
