@@ -91,10 +91,11 @@ class TestTrimConfig:
         "kwargs",
         [
             {"nu": 0.0}, {"nu": 1.5}, {"lam": -0.1}, {"regularizer": "ridge"},
-            {"eta0": 0.0}, {"max_iter": 0},
-            {"nu": True}, {"lam": True, "regularizer": "l1"}, {"eta0": True},
+            {"eta0": 0.0}, {"max_iter": 0}, {"nu": -0.5}, {"nu": float("inf")},
+            {"eta0": -1.0},
+            {"nu": True}, {"lam": True, "regularizer": "l1"}, {"eta0": True}, {"max_iter": -1},
             {"nu": np.True_}, {"lam": np.True_, "regularizer": "l1"},
-            {"eta0": np.True_}, {"max_iter": np.True_},
+            {"eta0": np.True_}, {"max_iter": np.True_}, {"lam": float("-inf"), "regularizer": "l2sq"},
             {"lam": 0.5}, {"lam": 0.5, "regularizer": "none"},
             {"nu": float("nan")}, {"lam": float("nan"), "regularizer": "l1"},
             {"lam": float("inf"), "regularizer": "l1"}, {"eta0": float("nan")}, {"eta0": float("inf")},
