@@ -42,7 +42,6 @@ from .ratio_model import (
     LinearFeatures,
     PairwiseQuadraticFeatures,
     as_sample_matrix,
-    feature_map_from_name,
     featurize,
     log_ratios,
     median_pairwise_distance,

@@ -1,12 +1,12 @@
 """Command line interface: fit, experiment, gen.
 
-Every command prints the resolved seed on stdout (default 42), writes
-all its output files or none of them, and is deterministic: identical
-flags and seed give byte-identical files. Exit codes: 0 all requested
-outputs written, 2 bad usage, unreadable input or unwritable output
-(message names the file, and the line of a bad CSV cell), 3 runtime
-failure such as a diverging fit; after 2 or 3 every existing output is
-as it was.
+Every command that draws data prints the resolved seed on stdout
+(default 42). Every command writes all its output files or none of
+them, and is deterministic: identical flags and seed give byte-identical
+files. Exit codes: 0 all requested outputs written, 2 bad usage,
+unreadable input or unwritable output (message names the file, and the
+line of a bad CSV cell), 3 runtime failure such as a diverging fit;
+after 2 or 3 every existing output is as it was.
 
 A flag of fit or experiment left unset takes the library default: the
 TrimConfig field for fit, the keyword default of
@@ -38,7 +38,7 @@ from .estimator import (
     kkt_check,
     unbounded_threshold,
 )
-from .ratio_model import feature_map_from_name, featurize, log_ratios
+from .ratio_model import GaussianKernelFeatures, LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from .storage import commit, csv_text, json_text, read_numeric_csv
 from .synthetic import (
     DEFAULT_SEED,
@@ -69,17 +69,25 @@ def int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v != ""]
 
 
+def seed(text: str) -> int:
+    """A seed for numpy.random.default_rng, which takes no negative one."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trdre", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # An unset flag stays out of the namespace, and each flag's dest names the
     # TrimConfig field or runner keyword it feeds.
     unset = argparse.SUPPRESS
-    # Every command takes --seed and echoes it, so it always has a value.
+    # Every command that draws data, so every one but fit, takes --seed and echoes it.
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    seeded.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     # fit and every experiment write to a directory.
-    run = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--out", required=True, help="output directory")
     # The ascent loop's settings, on the commands whose multi-column fits run
     # it; a one-column fit is solved exactly, so the 1-D experiments take none.
@@ -109,18 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a reference experiment")
     exp_sub = p_exp.add_subparsers(dest="experiment", required=True)
 
-    e_tr = exp_sub.add_parser("truncation1d", argument_default=unset, parents=[run])
+    e_tr = exp_sub.add_parser("truncation1d", argument_default=unset, parents=[seeded, run])
     e_tr.add_argument("--n", type=int)
     e_tr.add_argument("--nu", type=float)
 
-    e_out = exp_sub.add_parser("outlier1d", argument_default=unset, parents=[run])
+    e_out = exp_sub.add_parser("outlier1d", argument_default=unset, parents=[seeded, run])
     e_out.add_argument("--n-good", type=int)
     e_out.add_argument("--n-out", type=int)
     e_out.add_argument("--n-q", type=int)
     e_out.add_argument("--b-grid", type=float_list, help="comma separated outlier locations")
     e_out.add_argument("--nu", type=float)
 
-    e_mn = exp_sub.add_parser("mnchange", argument_default=unset, parents=[looped])
+    e_mn = exp_sub.add_parser("mnchange", argument_default=unset, parents=[seeded, looped])
     e_mn.add_argument("--d-list", dest="d_values", metavar="D_LIST", type=int_list, help="comma separated dimensions")
     e_mn.add_argument("--n", type=int)
     e_mn.add_argument("--n-changed", type=int)
@@ -170,21 +178,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _echo_seed(seed: int) -> None:
-    default_note = " (default)" if seed == DEFAULT_SEED else ""
-    print(f"[trdre] seed={seed}{default_note}")
+def _naming(source, build, *args):
+    """build(*args), with the input file or flag a ValueError stems from named in it."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def cmd_fit(args) -> int:
     cfg = TrimConfig(**{k: v for k, v in vars(args).items() if k in _TRIM_FIELDS})
-    # Built before the inputs are read, so a bad flag exits 2 first; rbf centres on Xq.
-    fmap = None if args.features == "rbf" else feature_map_from_name(args.features, bandwidth=args.rbf_bandwidth)
+    # A flag combination is checked before the inputs are read, so it exits 2 first.
+    bandwidth = args.rbf_bandwidth
+    if bandwidth is not None and args.features != "rbf":
+        raise ValueError(f"--rbf-bandwidth applies only to --features rbf, got --features {args.features}")
     Xp = read_numeric_csv(args.xp)
     Xq = read_numeric_csv(args.xq)
     if Xp.shape[1] != Xq.shape[1]:
         raise ValueError(f"column counts differ: {args.xp} has {Xp.shape[1]}, {args.xq} has {Xq.shape[1]}")
-    fmap = fmap or feature_map_from_name("rbf", basis=Xq, bandwidth=args.rbf_bandwidth)
-    PhiP, PhiQ = featurize(Xp, fmap), featurize(Xq, fmap)
+    if args.features == "rbf":  # kernels centred on the rows of Xq, which a missing bandwidth comes from
+        fmap = _naming(args.xq if bandwidth is None else "--rbf-bandwidth", GaussianKernelFeatures, Xq, bandwidth)
+    else:
+        fmap = LinearFeatures() if args.features == "linear" else PairwiseQuadraticFeatures()
+    PhiP, PhiQ = _naming(args.xp, featurize, Xp, fmap), _naming(args.xq, featurize, Xq, fmap)
     result = fit_featurized(PhiP, PhiQ, cfg)
 
     import hashlib  # imported here, so that `import trdre.cli` does not load it
@@ -336,7 +352,8 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    _echo_seed(args.seed)
+    if "seed" in args:
+        print(f"[trdre] seed={args.seed}{' (default)' if args.seed == DEFAULT_SEED else ''}")
     try:
         if args.command == "fit":
             return cmd_fit(args)

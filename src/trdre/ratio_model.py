@@ -125,13 +125,14 @@ def median_pairwise_distance(points: np.ndarray) -> float:
 
     Equal bit for bit to np.median(scipy.spatial.distance.pdist(points)),
     without importing scipy. Falls back to 1.0 when there are fewer than
-    two rows or all rows coincide, so the result is always a valid
-    bandwidth.
+    two rows or all rows coincide, and is inf when the median distance
+    overflows.
     """
     points = as_sample_matrix(points, "points")
     if points.shape[0] < 2:
         return 1.0
-    med = float(np.median(_pairwise_distances(points)))
+    with np.errstate(over="ignore"):
+        med = float(np.median(_pairwise_distances(points)))
     return med if med > 0.0 else 1.0
 
 
@@ -148,12 +149,10 @@ class GaussianKernelFeatures:
 
     def __post_init__(self) -> None:
         basis = as_sample_matrix(self.basis, "basis")
-        bw = self.bandwidth
-        if bw is None:
-            bw = median_pairwise_distance(basis)
-        bw = float(bw)
-        if not np.isfinite(bw) or bw <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {bw}")
+        bw = median_pairwise_distance(basis) if self.bandwidth is None else float(self.bandwidth)
+        if not 1e-150 <= bw <= 1e150:  # so that 2 * bw**2 is a normal float
+            what = "bandwidth" if self.bandwidth is not None else "median pairwise distance of the basis"
+            raise ValueError(f"{what} must lie in [1e-150, 1e150], got {bw}")
         basis = basis.copy()
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -177,27 +176,13 @@ class GaussianKernelFeatures:
 FeatureMap = LinearFeatures | PairwiseQuadraticFeatures | GaussianKernelFeatures
 
 
-def feature_map_from_name(
-    name: str, basis: np.ndarray | None = None, bandwidth: float | None = None
-) -> FeatureMap:
-    """Build a feature map from its CLI name: linear, quadratic, or rbf (bandwidth: rbf only)."""
-    if bandwidth is not None and name != "rbf":
-        raise ValueError(f"--rbf-bandwidth applies only to --features rbf, got --features {name}")
-    if name == "linear":
-        return LinearFeatures()
-    if name == "quadratic":
-        return PairwiseQuadraticFeatures()
-    if name == "rbf":
-        if basis is None:
-            raise ValueError("rbf features need a basis set")
-        return GaussianKernelFeatures(basis=basis, bandwidth=bandwidth)
-    raise ValueError(f"unknown feature map {name!r} (expected linear, quadratic, or rbf)")
-
-
 def featurize(X, feature_map: FeatureMap) -> np.ndarray:
     """Apply a feature map row-wise: (n, d) samples -> (n, m) features."""
     X = as_sample_matrix(X)
-    Phi = feature_map.transform(X)
+    # An overflow is rejected below as a non-finite value, but for an rbf
+    # distance beyond the largest float, whose kernel value 0 is exact.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Phi = feature_map.transform(X)
     if not np.all(np.isfinite(Phi)):
         raise ValueError("featurization produced non-finite values")
     return Phi

@@ -42,7 +42,7 @@ class TestFitCommand:
         out = tmp_path / "out"
         rc = main(["fit", "--xp", str(x), "--xq", str(x), "--out", str(out)])
         assert rc == 0
-        assert "[trdre] seed=42 (default)" in capsys.readouterr().out
+        assert "seed" not in capsys.readouterr().out  # a fit draws no data
         payload = json.loads((out / "fit_result.json").read_text())
         assert max(abs(v) for v in payload["delta"]) < 1e-3
         assert payload["config"]["nu"] == 1.0
@@ -60,14 +60,6 @@ class TestFitCommand:
         assert sorted(np.concatenate([kept, trimmed])) == list(range(80))
         # integer cells carry no decimal point
         assert (out / "kept_indices.csv").read_text().splitlines()[1].isdigit()
-
-    def test_seed_echo_non_default(self, sample_csvs, tmp_path, capsys):
-        xp, xq = sample_csvs
-        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--seed", "7",
-                    "--out", str(tmp_path / "o")])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "[trdre] seed=7" in out and "(default)" not in out
 
     def test_verify_prints_self_checks(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
@@ -202,6 +194,51 @@ class TestFitCommand:
                    "--features", features, "--rbf-bandwidth", "2.5", "--out", str(out)])
         assert rc == 2
         assert "--rbf-bandwidth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bandwidth", ["nan", "-1", "0", "inf", "1e-200", "1e200"])
+    def test_bad_rbf_bandwidth_exits_2_naming_the_flag(self, sample_csvs, tmp_path, capsys, bandwidth):
+        """A bandwidth whose doubled square is not a normal float is
+        rejected, where it used to divide by zero or overflow."""
+        xp, xq = sample_csvs
+        out = tmp_path / "o"
+        rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--features", "rbf",
+                   "--rbf-bandwidth", bandwidth, "--out", str(out)])
+        assert rc == 2
+        message = f"error: --rbf-bandwidth: bandwidth must lie in [1e-150, 1e150], got {float(bandwidth)}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "features, huge, flags, message",
+        [
+            ("quadratic", "xp", [], "featurization produced non-finite values"),
+            ("rbf", "xq", [], "median pairwise distance of the basis must lie in [1e-150, 1e150], got inf"),
+            ("rbf", "xq", ["--rbf-bandwidth", "1"], "featurization produced non-finite values"),
+        ],
+        ids=["quadratic_xp", "rbf_xq", "rbf_xq_bandwidth"],
+    )
+    def test_overflowing_features_exit_2_naming_the_csv(self, tmp_path, capsys, features, huge, flags, message):
+        """A cell whose square overflows is an input error that names its
+        file, and raises no float warning (the suite makes it an error)."""
+        paths = {"xp": tmp_path / "xp.csv", "xq": tmp_path / "xq.csv"}
+        rows = np.random.default_rng(3).standard_normal((6, 2))
+        for key, path in paths.items():
+            write_csv(path, rows * [1e200, 1.0] if key == huge else rows)
+        out = tmp_path / "o"
+        rc = main(["fit", "--xp", str(paths["xp"]), "--xq", str(paths["xq"]), "--features", features,
+                   *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {paths[huge]}: {message}\n"
+        assert not out.exists()
+
+    def test_rbf_kernel_underflowing_to_zero_fits(self, tmp_path):
+        """A numerator point too far from every centre for its squared
+        distance to be a float has kernel values of exactly 0."""
+        xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"
+        rows = np.random.default_rng(3).standard_normal((6, 2))
+        write_csv(xp, np.vstack([rows, [[1e200, 0.5]]]))
+        write_csv(xq, rows)
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--features", "rbf", "--out", str(tmp_path / "o")]) == 0
 
     def test_lambda_without_penalty_exits_2_before_reading(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
@@ -370,6 +407,15 @@ class TestFitCommand:
 
 
 class TestGenCommand:
+    def test_seed_echo_non_default(self, tmp_path, capsys):
+        argv = ["gen", "truncation1d", "--n", "20", "--out-xp", str(tmp_path / "xp.csv"),
+                "--out-xq", str(tmp_path / "xq.csv")]
+        assert main(argv) == 0
+        assert "[trdre] seed=42 (default)" in capsys.readouterr().out
+        assert main([*argv, "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "[trdre] seed=7" in out and "(default)" not in out
+
     def test_truncation_pair_readable_and_bounded(self, tmp_path):
         xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"
         rc = main(["gen", "truncation1d", "--n", "500", "--nu", "0.5",
@@ -513,9 +559,10 @@ class TestGenCommand:
 
 
 class TestRemovedFlags:
-    """The window tolerance is a constant, and the 1-D experiments, whose
-    one-column fits are solved exactly, take no loop settings: each such
-    flag is a usage error, and the command writes nothing."""
+    """The window tolerance is a constant, the 1-D experiments, whose
+    one-column fits are solved exactly, take no loop settings, and a fit,
+    which draws no data, takes no seed: each such flag is a usage error,
+    and the command writes nothing."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -528,9 +575,10 @@ class TestRemovedFlags:
             "experiment truncation1d --n 200 --max-iter 300",
             "experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --eta0 0.5",
             "experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --max-iter 300",
+            "fit --xp {xp} --xq {xq} --seed 1",
         ],
         ids=["fit_tol", "truncation1d_tol", "outlier1d_tol", "mnchange_tol", "truncation1d_eta0",
-             "truncation1d_max_iter", "outlier1d_eta0", "outlier1d_max_iter"],
+             "truncation1d_max_iter", "outlier1d_eta0", "outlier1d_max_iter", "fit_seed"],
     )
     def test_exits_2_writing_nothing(self, sample_csvs, tmp_path, capsys, argv):
         xp, xq = sample_csvs
@@ -815,10 +863,9 @@ class TestFlagsReachParameters:
     def test_fit_flags_reach_trim_config(self, trim_configs, sample_csvs, tmp_path):
         xp, xq = sample_csvs
         rc = main(["fit", "--xp", str(xp), "--xq", str(xq), "--nu", "0.8", "--lambda", "0.1",
-                   "--regularizer", "l2sq", "--seed", "7", *LOOP_FLAGS, "--out", str(tmp_path / "o"), "--verify"])
+                   "--regularizer", "l2sq", *LOOP_FLAGS, "--out", str(tmp_path / "o"), "--verify"])
         assert rc == 0
         [kwargs] = trim_configs
-        # --seed seeds no fit
         assert _typed(kwargs) == _typed({"nu": 0.8, "lam": 0.1, "regularizer": "l2sq", **LOOP_KWARGS})
 
 
@@ -881,5 +928,21 @@ def test_every_command_defaults_seed_to_default_seed():
     leaves = list(_leaf_parsers(cli.build_parser()))
     assert len(leaves) == 9  # fit, three experiments, five generators
     for leaf in leaves:
-        [seed] = [a for a in leaf._actions if a.dest == "seed"]
-        assert seed.default == synthetic.DEFAULT_SEED, leaf.prog
+        seeds = [a.default for a in leaf._actions if a.dest == "seed"]
+        # a fit draws no data, so it takes no seed
+        assert seeds == ([] if leaf.prog == "trdre fit" else [synthetic.DEFAULT_SEED]), leaf.prog
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["experiment", "truncation1d", "--n", "40", "--out", "o"], ["o"]),
+        (["gen", "truncation1d", "--n", "40", "--out-xp", "xp.csv", "--out-xq", "xq.csv"], ["xp.csv", "xq.csv"]),
+    ],
+    ids=["experiment", "gen"],
+)
+def test_negative_seed_exits_2_writing_nothing(tmp_path, monkeypatch, capsys, argv, written):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in written)

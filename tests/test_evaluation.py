@@ -136,6 +136,12 @@ class TestSupportMetrics:
         with pytest.raises(ValueError):
             support_metrics(np.zeros((2, 2)), np.ones((2, 2)), 0.1)
 
+    @pytest.mark.parametrize("delta_hat_shape", [(3, 3), (2, 3)], ids=["other_size", "not_square"])
+    def test_mismatched_shapes_rejected(self, delta_hat_shape):
+        ds = np.array([[0.0, 0.3], [0.3, 0.0]])
+        with pytest.raises(ValueError, match=r"matrices must be square and same shape, got \(\d, 3\) vs \(2, 2\)"):
+            support_metrics(np.ones(delta_hat_shape), ds, 0.1)
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
     def test_bad_threshold_rejected(self, threshold):
         ds = np.array([[0.0, 0.3], [0.3, 0.0]])

@@ -20,7 +20,6 @@ from trdre.ratio_model import (
     _evaluate,
     _pairwise_distances,
     as_sample_matrix,
-    feature_map_from_name,
     featurize,
     log_ratios,
     median_pairwise_distance,
@@ -50,6 +49,10 @@ class TestSampleMatrix:
             as_sample_matrix([[1.0, np.nan]])
         with pytest.raises(ValueError):
             as_sample_matrix([[np.inf]])
+
+    def test_rejects_3d(self):
+        with pytest.raises(ValueError, match="X must be a 2-D sample matrix, got ndim=3"):
+            as_sample_matrix(np.zeros((2, 2, 2)))
 
 
 class TestFeaturize:
@@ -129,19 +132,6 @@ class TestFeaturize:
             full = featurize(X, fmap)
             perm = rng.permutation(6)
             assert np.array_equal(featurize(X[perm], fmap), full[perm])
-
-    def test_factory_names(self):
-        assert isinstance(feature_map_from_name("linear"), LinearFeatures)
-        assert isinstance(feature_map_from_name("quadratic"), PairwiseQuadraticFeatures)
-        rbf = feature_map_from_name("rbf", basis=np.ones((2, 2)), bandwidth=1.5)
-        assert isinstance(rbf, GaussianKernelFeatures)
-        with pytest.raises(ValueError):
-            feature_map_from_name("cubic")
-        with pytest.raises(ValueError):
-            feature_map_from_name("rbf")
-        for name in ("linear", "quadratic"):
-            with pytest.raises(ValueError, match=f"--rbf-bandwidth applies only to --features rbf, got --features {name}"):
-                feature_map_from_name(name, bandwidth=2.0)
 
 
 def log_normalizer(delta, PhiQ):

@@ -37,6 +37,14 @@ class TestAtomicWrite:
             os.umask(old)
         assert stat.S_IMODE(p.stat().st_mode) == mode
 
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_text("older\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(p, "a lone surrogate \ud800 is not UTF-8\n")
+        assert p.read_text() == "older\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["a.txt"]
+
     def test_identical_content_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         rows = [[1.25, -3.5], [0.1, 2.0]]
