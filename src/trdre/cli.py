@@ -44,6 +44,7 @@ from .synthetic import (
     DEFAULT_SEED,
     OUTLIER_N_GOOD,
     OUTLIER_N_OUT,
+    OUTLIER_N_Q,
     TRUNCATION_N,
     TRUNCATION_NU,
     gen_gaussian_mn_pair,
@@ -57,6 +58,8 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 _TRIM_FIELDS = frozenset(f.name for f in fields(TrimConfig))
+# Appended to a diverged fit's message by the commands that take --eta0: fit and mnchange.
+_ETA0_HINT = "; try a smaller eta0"
 
 
 def float_list(text: str) -> list[float]:
@@ -139,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float_list,
         help="comma separated ascending penalties for the sweep (default: 30 log points in [1e-4, 1])",
     )
-    e_mn.add_argument("--outlier-value", type=float)
-    e_mn.add_argument("--threshold", type=float)
 
     p_gen = sub.add_parser("gen", help="export synthetic datasets")
     gen_sub = p_gen.add_subparsers(dest="generator", required=True)
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_o1.add_argument("--n-good", type=int, default=OUTLIER_N_GOOD)
     g_o1.add_argument("--n-out", type=int, default=OUTLIER_N_OUT)
     g_o1.add_argument("--b", type=float, required=True)
-    g_o1.add_argument("--n-q", type=int, default=None)
+    g_o1.add_argument("--n-q", type=int, default=OUTLIER_N_Q)
     g_o1.add_argument("--out-xp", required=True)
     g_o1.add_argument("--out-xq", required=True)
 
@@ -262,7 +263,7 @@ def cmd_fit(args) -> int:
                 try:
                     loop = ascend(PhiP, PhiQ, cfg)
                 except FitDivergedError as exc:  # a verdict on the loop, not on the fit written
-                    ok, note = False, str(exc)
+                    ok, note = False, f"{exc}{_ETA0_HINT}"
                 else:
                     diff = abs(loop.objective_best - result.objective_best)
                     ok = loop.stop_reason != "unbounded" and diff < 1e-2
@@ -368,7 +369,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # mnchange re-raises a diverged path fit annotated with its lambda.
+        diverged = isinstance(exc.__cause__ or exc, FitDivergedError)
+        takes_eta0 = args.command == "fit" or getattr(args, "experiment", None) == "mnchange"
+        hint = _ETA0_HINT if diverged and takes_eta0 else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -177,10 +177,7 @@ class FitDivergedError(RuntimeError):
     def __init__(self, iteration: int, delta_norm: float):
         self.iteration = iteration
         self.delta_norm = delta_norm
-        super().__init__(
-            f"objective became non-finite at iteration {iteration} "
-            f"(||delta||_inf = {delta_norm:.3g}); try a smaller eta0"
-        )
+        super().__init__(f"objective became non-finite at iteration {iteration} (||delta||_inf = {delta_norm:.3g})")
 
     def __reduce__(self):
         # The default rebuilds from self.args, the message alone.
@@ -402,7 +399,8 @@ class _DotWorker:
     second product; np.dot releases the GIL inside the BLAS. The caller
     starts it, passes pair where a pair function is taken, and stops it.
     Each product runs in a copy of the caller's context at that call, so
-    the caller's np.errstate applies on both threads.
+    the caller's np.errstate (the loop's own, in a fit) applies on both
+    threads.
 
     A worker whose CPU is taken by other work can fall far behind, and a
     caller that waited for it would run at that CPU's speed. So the caller
@@ -482,6 +480,7 @@ def _features(PhiP, PhiQ) -> tuple[np.ndarray, np.ndarray]:
     return PhiP, PhiQ
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, float, FitResult | None]:
     """A one-column fit's maximizer d, to adjacent floats, the maximum, and
     the fit there, evaluated as a loop step would. The fit is None where the
@@ -489,7 +488,9 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
     largest float (d and the maximum are then +-inf and inf), and where the
     objective at d is not a finite float. There the maximum is taken in the
     slope's shifted form, which is inf only where the maximum passes the
-    largest float."""
+    largest float. Float errors raise nothing: dq * dq may overflow, and so
+    may a log-ratio at d, where the fit then declines; a half-line sum that
+    overflows is taken as a mean instead."""
     n_p = PhiP.shape[0]
     p, q = np.sort(PhiP[:, 0]), PhiQ[:, 0]
     k = keep_count(cfg.nu, n_p)
@@ -497,33 +498,34 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
     l1, l2 = (cfg.lam, 0.0) if cfg.regularizer == "l1" else (0.0, cfg.lam)
     d = 0.0
     # delta = s * t with t >= 0 keeps the k smallest entries of s * PhiP.
-    for s, a, qs in ((1.0, p[:k].sum() / n_p, q), (-1.0, -p[-k:].sum() / n_p, -q)):
+    for s, kept, qs in ((1.0, p[:k], q), (-1.0, -p[-k:], -q)):
+        a = kept.sum() / n_p
+        if not math.isfinite(a):  # the sum overflows, and may be inf - inf; the mean does not
+            a = (kept / n_p).sum()
         dq = qs - qs.max()
         # The slope in t tends to limit without l2sq, and equals it once the softmax saturates.
         limit = float(a - nu_eff * qs.max() - l1)
-        # dq * dq may overflow, and then its mean under the softmax is inf or nan:
+        # Where dq * dq overflows, its mean under the softmax is inf or nan:
         # it only steers the search, through a derivative no Newton step takes.
-        with np.errstate(over="ignore", invalid="ignore"):
-            dq2 = dq * dq
-            f0, fp0 = _slope(0.0, dq, dq2, limit, nu_eff, l2)
-            if f0 <= 0.0:
-                continue
-            # Without l2sq, a limit >= 0 leaves the bracket's top open: no finite maximizer.
-            bounded = l2 > 0.0 or limit < 0.0
-            d = s * (_root(lambda t: _slope(t, dq, dq2, limit, nu_eff, l2), f0, fp0) if bounded else math.inf)
+        dq2 = dq * dq
+        f0, fp0 = _slope(0.0, dq, dq2, limit, nu_eff, l2)
+        if f0 <= 0.0:
+            continue
+        # Without l2sq, a limit >= 0 leaves the bracket's top open: no finite maximizer.
+        bounded = l2 > 0.0 or limit < 0.0
+        d = s * (_root(lambda t: _slope(t, dq, dq2, limit, nu_eff, l2), f0, fp0) if bounded else math.inf)
         break
     if not math.isfinite(d):
         return d, math.inf, None
     delta = np.array([d])
     # A log-ratio may overflow at a maximizer past about 1e308 / max|PhiP|.
-    with np.errstate(over="ignore", invalid="ignore"):
-        obj, w, low, _ = _point(delta, PhiP, PhiQ, k, cfg)
-        if not math.isfinite(obj):
-            # d != 0 (at 0 every log-ratio is 0), so the loop above broke out on
-            # d's half-line: F = t (limit - l2 t) + nu_eff (log n_q - log sum exp(t dq)).
-            t = abs(d)
-            tail = math.log(qs.size) - math.log(float(np.exp(t * dq).sum()))
-            return d, float(t * (limit - l2 * t) + nu_eff * tail), None
+    obj, w, low, _ = _point(delta, PhiP, PhiQ, k, cfg)
+    if not math.isfinite(obj):
+        # d != 0 (at 0 every log-ratio is 0), so the loop above broke out on
+        # d's half-line: F = t (limit - l2 t) + nu_eff (log n_q - log sum exp(t dq)).
+        t = abs(d)
+        tail = math.log(qs.size) - math.log(float(np.exp(t * dq).sum()))
+        return d, float(t * (limit - l2 * t) + nu_eff * tail), None
     return d, obj, FitResult(delta, w, obj, float(low[-1]), [(0, obj)], 1, "certified")
 
 
@@ -626,6 +628,9 @@ def maxmin_1d(PhiP, PhiQ, cfg: TrimConfig) -> tuple[float, float]:
     return d, value
 
 
+# A product or sum of a running-away iterate may overflow: the loop reports
+# that as FitDivergedError, on either thread, not as a float error.
+@np.errstate(over="ignore", invalid="ignore")
 def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
     n_p, m = PhiP.shape
     k = keep_count(cfg.nu, n_p)

@@ -49,7 +49,8 @@ def support_metrics(
     is not a finite nonnegative real (NaN detects nothing, a negative
     value everything).
     """
-    validate_threshold(threshold)
+    if not (0.0 <= threshold < np.inf):
+        raise ValueError(f"threshold must be a finite nonnegative real, got {threshold}")
     dh = np.asarray(delta_hat, dtype=float)
     ds = np.asarray(delta_star, dtype=float)
     if dh.shape != ds.shape or dh.ndim != 2 or dh.shape[0] != dh.shape[1]:
@@ -102,12 +103,6 @@ def validate_lambda_grid(lambda_grid) -> list[float]:
     if not grid or any(v <= 0.0 for v in grid) or sorted(grid) != grid:
         raise ValueError("lambda_grid must be nonempty, positive, and ascending")
     return grid
-
-
-def validate_threshold(threshold: float) -> None:
-    """Raise ValueError unless the detection threshold is finite and >= 0."""
-    if not (0.0 <= threshold < np.inf):
-        raise ValueError(f"threshold must be a finite nonnegative real, got {threshold}")
 
 
 def support_curve(

@@ -23,7 +23,6 @@ from .evaluation import (
     support_curve,
     true_gaussian_log_ratio,
     validate_lambda_grid,
-    validate_threshold,
 )
 from .ratio_model import LinearFeatures, PairwiseQuadraticFeatures, featurize, log_ratios
 from .storage import csv_text, json_text
@@ -32,6 +31,7 @@ from .synthetic import (
     OUTLIER_MU_Q,
     OUTLIER_N_GOOD,
     OUTLIER_N_OUT,
+    OUTLIER_N_Q,
     TRUNCATION_MU_Q,
     TRUNCATION_N,
     TRUNCATION_NU,
@@ -96,14 +96,15 @@ def run_truncation1d(
 def run_outlier1d(
     n_good: int = OUTLIER_N_GOOD,
     n_out: int = OUTLIER_N_OUT,
-    n_q: int = 5000,
+    n_q: int = OUTLIER_N_Q,
     b_grid=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
     nu: float = 0.8,
     seed: int = DEFAULT_SEED,
 ) -> tuple[dict, dict[str, str]]:
     """Sweep the outlier location b; trimmed and untrimmed fits per b.
 
-    The denominator is N(OUTLIER_MU_Q, 1), so a clean numerator would
+    The denominator is n_q draws from N(OUTLIER_MU_Q, 1), OUTLIER_N_Q of
+    them by default as in `trdre gen outlier1d`, so a clean numerator would
     give a natural-parameter difference of -OUTLIER_MU_Q = 0.75 under
     identity features. Every b's sample is drawn first, and the
     2 * len(b_grid) fits are one estimator.fit_many batch. Being
@@ -195,6 +196,7 @@ def error_scaling(protocol: str, n_grid, repeats: int, seed: int) -> list[tuple[
 
 DEFAULT_LAMBDA_GRID = tuple(float(v) for v in np.logspace(-4.0, 0.0, 30))
 MN_OUTLIERS = 1  # copies of the outlier point appended to the contaminated numerator
+MN_OUTLIER_VALUE = 10.0  # every coordinate of that point
 
 
 def run_mnchange(
@@ -204,8 +206,6 @@ def run_mnchange(
     nu: float = 0.9,
     lam_heatmap: float = 0.0938,
     lambda_grid=DEFAULT_LAMBDA_GRID,
-    outlier_value: float = 10.0,
-    threshold: float = DETECTION_THRESHOLD,
     seed: int = DEFAULT_SEED,
     eta0: float = 0.1,
     max_iter: int = TrimConfig.max_iter,
@@ -214,7 +214,11 @@ def run_mnchange(
 
     Three conditions per dimension d: the untrimmed fit on contaminated
     data, the trimmed fit on the same data, and the untrimmed fit on
-    clean data as a gold standard. Emits one recovered-difference heat
+    clean data as a gold standard. The protocol is fixed: the contaminated
+    numerator is the clean one plus MN_OUTLIERS copies of the point whose
+    every coordinate is MN_OUTLIER_VALUE, and an edge counts as detected
+    where |delta_hat| > evaluation.DETECTION_THRESHOLD. The config echo
+    records both values. Emits one recovered-difference heat
     map per condition at lam_heatmap and one support curve over
     lambda_grid, plus a summary JSON with the AUCs and, per d and
     condition, the number of the 1 + len(lambda_grid) fits that stopped
@@ -238,7 +242,6 @@ def run_mnchange(
         # Each d names its files and its auc entry: a repeat would overwrite them.
         raise ValueError(f"d_values must not repeat a dimension, got {d_text}")
     grid = validate_lambda_grid(lambda_grid)
-    validate_threshold(threshold)
     if n_changed < 1:
         raise ValueError(f"n_changed must be at least 1 (TPR needs a changed edge), got {n_changed}")
     for d in ds:
@@ -247,8 +250,8 @@ def run_mnchange(
         "experiment": "mnchange", "d_values": d_text, "n": n,
         "n_changed": n_changed, "nu": nu, "lam_heatmap": lam_heatmap,
         "lambda_grid_size": len(grid), "lambda_grid_min": min(grid),
-        "lambda_grid_max": max(grid), "outlier_value": outlier_value,
-        "n_outliers": MN_OUTLIERS, "threshold": threshold, "seed": seed,
+        "lambda_grid_max": max(grid), "outlier_value": MN_OUTLIER_VALUE,
+        "n_outliers": MN_OUTLIERS, "threshold": DETECTION_THRESHOLD, "seed": seed,
         "eta0": eta0, "max_iter": max_iter,
     }
     base = TrimConfig(eta0=eta0, max_iter=max_iter, regularizer="l1", lam=lam_heatmap)
@@ -263,7 +266,7 @@ def run_mnchange(
         pair = gen_gaussian_mn_pair(d, n_changed, seed=s)
         xp_clean = sample_gaussian(pair.theta_p, n, seed=data_seeds[0])
         xq = sample_gaussian(pair.theta_q, n, seed=data_seeds[1])
-        xp_out = inject_outliers(xp_clean, [outlier_value] * d, MN_OUTLIERS)
+        xp_out = inject_outliers(xp_clean, [MN_OUTLIER_VALUE] * d, MN_OUTLIERS)
         PhiQ = featurize(xq, fmap)
         phi_out = featurize(xp_out, fmap)
         conditions = [
@@ -284,7 +287,7 @@ def run_mnchange(
             raise RuntimeError(f"fit failed at lambda={grid[path_index % len(grid)]}: {exc}") from exc
         heats, paths = fits[:len(conditions)], fits[len(conditions):]
         for i, ((name, _, _), heat) in enumerate(zip(conditions, heats)):
-            curve = support_curve(paths[i * len(grid):(i + 1) * len(grid)], grid, pair.delta_star, threshold)
+            curve = support_curve(paths[i * len(grid):(i + 1) * len(grid)], grid, pair.delta_star)
             files[f"delta_hat_{name}_d{d}.csv"] = csv_text(
                 differential_precision_matrix(heat.delta_best, d), comment=comment
             )

@@ -164,11 +164,16 @@ class GaussianKernelFeatures:
                 f"sample dimension {X.shape[1]} does not match basis dimension {self.basis.shape[1]}"
             )
         # ||x - b||^2 expanded; clip tiny negatives from cancellation.
-        sq = (
-            np.sum(X**2, axis=1)[:, None]
-            + np.sum(self.basis**2, axis=1)[None, :]
-            - 2.0 * (X @ self.basis.T)
-        )
+        xx, bb = np.sum(X**2, axis=1), np.sum(self.basis**2, axis=1)
+        sq = xx[:, None] + bb[None, :] - 2.0 * (X @ self.basis.T)
+        # |2 x.b| <= |x|^2 + |b|^2, so no term overflows unless two squared
+        # norms sum past 2**1022. Then the expansion may be inf - inf or +-inf
+        # where the kernel value is a float (1 at a point that is its centre,
+        # 0 far from it): those entries alone are summed from the differences,
+        # so every other entry keeps its bits.
+        if xx.max() + bb.max() > 2.0**1022:
+            i, j = np.nonzero(~np.isfinite(sq))
+            sq[i, j] = np.sum((X[i] - self.basis[j]) ** 2, axis=1)
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-sq / (2.0 * self.bandwidth**2))
 

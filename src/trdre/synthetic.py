@@ -25,7 +25,7 @@ _MAX_PD_TRIES = 100
 # difference is delta_star = -mu_q. The sizes are the paper-scale
 # defaults of the 1-D experiments and of `trdre gen`.
 OUTLIER_MU_Q = -0.75
-OUTLIER_N_GOOD, OUTLIER_N_OUT = 4000, 1000
+OUTLIER_N_GOOD, OUTLIER_N_OUT, OUTLIER_N_Q = 4000, 1000, 5000
 TRUNCATION_MU_Q = -0.5
 TRUNCATION_N, TRUNCATION_NU = 5000, 0.5
 DEFAULT_SEED = 42  # the experiments' and every command's seed default

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -209,15 +210,14 @@ class TestFitCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "features, huge, flags, message",
+        "features, huge, message",
         [
-            ("quadratic", "xp", [], "featurization produced non-finite values"),
-            ("rbf", "xq", [], "median pairwise distance of the basis must lie in [1e-150, 1e150], got inf"),
-            ("rbf", "xq", ["--rbf-bandwidth", "1"], "featurization produced non-finite values"),
+            ("quadratic", "xp", "featurization produced non-finite values"),
+            ("rbf", "xq", "median pairwise distance of the basis must lie in [1e-150, 1e150], got inf"),
         ],
-        ids=["quadratic_xp", "rbf_xq", "rbf_xq_bandwidth"],
+        ids=["quadratic_xp", "rbf_xq"],
     )
-    def test_overflowing_features_exit_2_naming_the_csv(self, tmp_path, capsys, features, huge, flags, message):
+    def test_overflowing_features_exit_2_naming_the_csv(self, tmp_path, capsys, features, huge, message):
         """A cell whose square overflows is an input error that names its
         file, and raises no float warning (the suite makes it an error)."""
         paths = {"xp": tmp_path / "xp.csv", "xq": tmp_path / "xq.csv"}
@@ -226,7 +226,7 @@ class TestFitCommand:
             write_csv(path, rows * [1e200, 1.0] if key == huge else rows)
         out = tmp_path / "o"
         rc = main(["fit", "--xp", str(paths["xp"]), "--xq", str(paths["xq"]), "--features", features,
-                   *flags, "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {paths[huge]}: {message}\n"
         assert not out.exists()
@@ -239,6 +239,19 @@ class TestFitCommand:
         write_csv(xp, np.vstack([rows, [[1e200, 0.5]]]))
         write_csv(xq, rows)
         assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--features", "rbf", "--out", str(tmp_path / "o")]) == 0
+
+    def test_rbf_kernel_on_centres_beyond_a_float_square_fits(self, tmp_path):
+        """Centres whose squared norm is not a float still have float
+        kernel values: 1 at the centre itself, 0 at every other point."""
+        xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"
+        rows = np.random.default_rng(3).standard_normal((6, 2))
+        write_csv(xp, rows)
+        write_csv(xq, rows * [1e200, 1.0])
+        out = tmp_path / "o"
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--features", "rbf", "--rbf-bandwidth", "1",
+                     "--out", str(out)]) == 0
+        # Every numerator feature is 0, so the objective grows without bound.
+        assert json.loads((out / "fit_result.json").read_text())["stop_reason"] == "unbounded"
 
     def test_lambda_without_penalty_exits_2_before_reading(self, sample_csvs, tmp_path, capsys):
         xp, xq = sample_csvs
@@ -263,6 +276,21 @@ class TestFitCommand:
                         "--eta0", "1e308", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_linear_fit_exits_3_without_float_warnings(self, tmp_path, capsys):
+        """The loop's products overflow on a cell of 1e200: that is a
+        diverged fit, reported with the hint at --eta0, not a float error."""
+        xp, xq = tmp_path / "big.csv", tmp_path / "q.csv"
+        xp.write_text("1e200,0.5\n0.1,0.2\n")
+        xq.write_text("0.1,0.2\n-0.3,1.0\n0.7,-0.4\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective became non-finite at iteration 1") and "Warning" not in err
+        assert err.endswith("; try a smaller eta0\n")
+        assert not out.exists()
 
     def test_unbounded_fit_exits_0_with_certificate(self, tmp_path, capsys):
         # Every x_p lies beyond every x_q: no finite maximizer exists.
@@ -435,6 +463,13 @@ class TestGenCommand:
         assert read_numeric_csv(xp).shape == (120, 1)
         assert read_numeric_csv(xq).shape == (150, 1)
 
+    def test_outlier_pair_defaults_to_the_experiments_sizes(self, tmp_path):
+        xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"
+        assert main(["gen", "outlier1d", "--b", "3", "--out-xp", str(xp), "--out-xq", str(xq)]) == 0
+        assert read_numeric_csv(xp).shape == (synthetic.OUTLIER_N_GOOD + synthetic.OUTLIER_N_OUT, 1)
+        assert read_numeric_csv(xq).shape == (synthetic.OUTLIER_N_Q, 1)
+        assert inspect.signature(experiments.run_outlier1d).parameters["n_q"].default == synthetic.OUTLIER_N_Q
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -560,9 +595,10 @@ class TestGenCommand:
 
 class TestRemovedFlags:
     """The window tolerance is a constant, the 1-D experiments, whose
-    one-column fits are solved exactly, take no loop settings, and a fit,
-    which draws no data, takes no seed: each such flag is a usage error,
-    and the command writes nothing."""
+    one-column fits are solved exactly, take no loop settings, a fit,
+    which draws no data, takes no seed, and mnchange's outlier point and
+    detection threshold are fixed by its protocol: each such flag is a
+    usage error, and the command writes nothing."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -576,9 +612,12 @@ class TestRemovedFlags:
             "experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --eta0 0.5",
             "experiment outlier1d --n-good 80 --n-out 20 --n-q 100 --b-grid 3 --max-iter 300",
             "fit --xp {xp} --xq {xq} --seed 1",
+            "experiment mnchange --d-list 4 --n 40 --n-changed 2 --lambda-grid 0.3 --outlier-value 8",
+            "experiment mnchange --d-list 4 --n 40 --n-changed 2 --lambda-grid 0.3 --threshold 1e-5",
         ],
         ids=["fit_tol", "truncation1d_tol", "outlier1d_tol", "mnchange_tol", "truncation1d_eta0",
-             "truncation1d_max_iter", "outlier1d_eta0", "outlier1d_max_iter", "fit_seed"],
+             "truncation1d_max_iter", "outlier1d_eta0", "outlier1d_max_iter", "fit_seed",
+             "mnchange_outlier_value", "mnchange_threshold"],
     )
     def test_exits_2_writing_nothing(self, sample_csvs, tmp_path, capsys, argv):
         xp, xq = sample_csvs
@@ -663,13 +702,9 @@ class TestExperimentCommand:
             (["--d-list", "6,3"], "n_changed must lie in [0, 3] for d=3, got 4"),
             (["--d-list", ""], "d_values must be nonempty"),
             (["--d-list", "4,4"], "d_values must not repeat a dimension, got 4,4"),
-            (["--d-list", "6", "--threshold", "nan"], "threshold must be a finite nonnegative real"),
-            (["--d-list", "6", "--threshold", "inf"], "threshold must be a finite nonnegative real"),
-            (["--d-list", "6", "--threshold", "-1"], "threshold must be a finite nonnegative real"),
             (["--d-list", "6", "--n-changed", "0"], "n_changed must be at least 1"),
         ],
-        ids=["nu", "nu_keeps_none", "d", "n_changed_over_d", "empty", "d_repeated", "threshold_nan",
-             "threshold_inf", "threshold_negative", "n_changed_0"],
+        ids=["nu", "nu_keeps_none", "d", "n_changed_over_d", "empty", "d_repeated", "n_changed_0"],
     )
     def test_bad_mnchange_args_exit_2_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "mn"
@@ -704,6 +739,21 @@ class TestExperimentCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("b", ["1e300", "1e308"])
+    def test_diverged_outlier_fit_exits_3_naming_no_flag_it_lacks(self, tmp_path, capsys, b):
+        """The loop's sums overflow at such a b: a diverged fit, reported
+        with no float warning and with no hint at an --eta0 that
+        outlier1d does not take."""
+        out = tmp_path / "o1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["experiment", "outlier1d", "--n-good", "10", "--n-out", "2", "--n-q", "5",
+                       "--b-grid", b, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: objective became non-finite at iteration 1 \(\|\|delta\|\|_inf = \S+\)\n", err)
+        assert not out.exists()
 
 
 class TestAllFilesOrNone:
@@ -780,7 +830,9 @@ class TestAllFilesOrNone:
         rc = main(["experiment", "mnchange", "--d-list", "4,5", "--n", "40", "--n-changed", "2",
                    "--lambda-grid", "0.3", "--max-iter", "20", "--out", str(out)])
         assert rc == 3
-        assert "fit failed at lambda=0.3: objective became non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fit failed at lambda=0.3: objective became non-finite" in err
+        assert err.endswith("; try a smaller eta0\n")  # mnchange takes --eta0
         assert calls == [6, 6]
         assert not out.exists()
 
@@ -831,9 +883,9 @@ class TestFlagsReachParameters:
             (
                 "mnchange",
                 ["--d-list", "6,8", "--n", "60", "--n-changed", "4", "--nu", "0.8", "--lambda", "0.05",
-                 "--lambda-grid", "0.1,0.3", "--outlier-value", "8", "--threshold", "1e-05", *LOOP_FLAGS],
+                 "--lambda-grid", "0.1,0.3", *LOOP_FLAGS],
                 {"d_values": [6, 8], "n": 60, "n_changed": 4, "nu": 0.8, "lam_heatmap": 0.05,
-                 "lambda_grid": [0.1, 0.3], "outlier_value": 8.0, "threshold": 1e-05, **LOOP_KWARGS},
+                 "lambda_grid": [0.1, 0.3], **LOOP_KWARGS},
             ),
         ],
     )

@@ -688,6 +688,18 @@ class TestOverlapBitIdentity:
         assert ran
         assert [w.message for w in caught] == []
 
+    @pytest.mark.parametrize("threaded", [False, True])
+    @pytest.mark.parametrize("errors", ["warn", "raise"])
+    def test_diverged_fit_raises_fit_diverged_under_any_errstate(self, data, overlap, threaded, errors):
+        # The loop ignores its own overflows on both threads, and its check
+        # reports them, whatever the caller's errstate.
+        ran = overlap(threaded)
+        with warnings.catch_warnings(), np.errstate(over=errors, invalid=errors):
+            warnings.simplefilter("error")
+            with pytest.raises(FitDivergedError):
+                fit_featurized(*data, replace(self.CONFIGS[0], eta0=1e308))
+        assert bool(ran) == threaded
+
     def test_mismatched_weights_still_raise(self, data, overlap):
         PhiP, PhiQ = data
         delta = np.full(PhiP.shape[1], 0.01)
@@ -1212,6 +1224,22 @@ class TestExactOneColumn:
         assert res.stop_reason == "max_iter" and math.isfinite(res.objective_best) and math.isfinite(res.t_hat)
         # The two smallest log-ratios at any delta > 0 are rows 0 and 2.
         assert res.kept_indices.tolist() == [0, 2]
+
+    def test_half_line_sum_past_the_largest_float_is_taken_as_a_mean(self):
+        # The sum of PhiP is inf - inf, its mean 0: the objective is that of
+        # PhiP = 0, whose maximizer lies on the negative half-line. The
+        # log-ratios there overflow in the trimmed sum, so the fit is not
+        # certified, and the loop reports its divergence.
+        xq = np.array([[0.0], [1.0], [2.0]])
+        huge = np.array([[-1e308]] * 4 + [[1e308]] * 4)
+        cfg = TrimConfig(lam=0.1, regularizer="l2sq")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, value = maxmin_1d(huge, xq, cfg)
+            with pytest.raises(FitDivergedError):
+                fit_featurized(huge, xq, cfg)
+        d0, value0 = maxmin_1d(np.zeros((8, 1)), xq, cfg)
+        assert d == d0 < 0.0 and value == pytest.approx(value0, rel=1e-12)
 
 
 def _slope_calls(mp):

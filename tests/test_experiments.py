@@ -167,6 +167,24 @@ class TestMnchangeBatches:
             run_mnchange(lam_heatmap=1e3, lambda_grid=(1e-3, 1e-2, 1e3), **self.DIVERGING)
 
 
+class TestMnchangeProtocol:
+    """The contamination and the detection threshold are the protocol's
+    constants, not parameters, and every file still records them."""
+
+    def test_files_echo_the_outlier_value_and_threshold(self):
+        summary, files = run_mnchange(d_values=(4,), n=40, n_changed=2, lambda_grid=(0.3,), max_iter=20)
+        config = json.loads(files["summary.json"])["config"]
+        assert (config["outlier_value"], config["threshold"], config["n_outliers"]) == (10.0, 1e-06, 1)
+        for name, text in files.items():
+            if name.endswith(".csv"):
+                assert {"outlier_value=10.0", "threshold=1e-06"} <= set(text.splitlines()[0].split()), name
+
+    def test_neither_is_a_parameter(self):
+        params = inspect.signature(run_mnchange).parameters
+        assert not {"outlier_value", "threshold"} & set(params) and len(params) == 9
+        assert experiments.MN_OUTLIER_VALUE == 10.0
+
+
 class TestMnchangeFeaturizesOnce:
     def test_three_featurize_calls_per_d(self, monkeypatch):
         # xq, the contaminated and the clean numerator: each featurized once

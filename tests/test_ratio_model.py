@@ -74,6 +74,18 @@ class TestFeaturize:
         Phi = featurize(np.array([[1.0, 2.0]]), fmap)
         assert Phi.shape == (1, 1) and Phi[0, 0] == 1.0
 
+    def test_gaussian_kernel_past_a_float_square(self):
+        # Squared norms beyond the largest float: the kernel values 1 at a
+        # point that is its centre and 0 elsewhere are exact, and every
+        # entry between ordinary points keeps the bits it has without them.
+        rows = np.random.default_rng(3).standard_normal((6, 2))
+        far = np.array([[1e200, 0.5], [-3e200, 2e155]])
+        Phi = featurize(np.vstack([rows, far]), GaussianKernelFeatures(np.vstack([rows, far]), 1.0))
+        small = featurize(rows, GaussianKernelFeatures(rows, 1.0))
+        assert Phi[:6, :6].tobytes() == small.tobytes()
+        assert np.array_equal(Phi[6:, 6:], np.eye(2))
+        assert not Phi[6:, :6].any() and not Phi[:6, 6:].any()
+
     def test_gaussian_kernel_decays(self):
         fmap = GaussianKernelFeatures(basis=np.array([[0.0]]), bandwidth=1.0)
         Phi = featurize(np.array([[0.0], [1.0], [2.0]]), fmap)
