@@ -27,7 +27,6 @@ from .estimator import (
     objective,
 )
 from .evaluation import (
-    SupportCurve,
     auc_tnr_tpr,
     differential_precision_matrix,
     ratio_curve_error,

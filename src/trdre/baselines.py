@@ -1,10 +1,8 @@
 """Brute-force oracle used to cross-check the main estimator.
 
-The exact one-column solver, maxmin_1d, lives in the estimator. A
-one-column fit is solved with it unless it declines: where no finite
-maximizer exists, where the maximizer lies beyond the largest float, or
-where the objective there does not evaluate to a finite float. Those
-fits run the ascent loop.
+enumerate_weight_vertices lists every vertex of the inner problem's weight
+polytope for a tiny n_p, so a test can take the inner minimum over all of
+them and compare it with the estimator's assign_weights.
 """
 
 from __future__ import annotations

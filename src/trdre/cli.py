@@ -34,7 +34,6 @@ from .estimator import (
     ascend,
     fit_featurized,
     fit_result_to_dict,
-    keep_count,
     kkt_check,
     unbounded_threshold,
 )
@@ -222,10 +221,10 @@ def cmd_fit(args) -> int:
     print(f"[trdre] stop_reason={result.stop_reason} after {result.iterations_run} iterations")
 
     if args.verify:
+        n_q = PhiQ.shape[0]
+        ceiling = unbounded_threshold(cfg, PhiP.shape[0], n_q)
         unbounded = result.stop_reason == "unbounded"
         if unbounded:
-            n_p, n_q = PhiP.shape[0], PhiQ.shape[0]
-            ceiling = unbounded_threshold(keep_count(cfg.nu, n_p) / n_p, n_q)
             print(
                 f"[verify] no finite maximizer: objective {result.objective_best!r} exceeds"
                 f" nu*log(n_q) + {UNBOUNDED_SLACK:g} = {ceiling!r} (n_q = {n_q}),"
@@ -251,13 +250,12 @@ def cmd_fit(args) -> int:
         gap = abs(float(np.mean(ratios)) - 1.0)
         print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1:
-            # An uncertified fit already is the ascent loop's result. A positive l2sq
-            # penalty bounds the objective, so its maximizer, or the objective there,
-            # lies beyond the largest float; otherwise no maximizer is finite, and the
-            # loop's own result must prove it. A certified fit must agree with the
-            # loop, a second solver.
-            beyond = cfg.regularizer == "l2sq" and cfg.lam > 0.0
-            why = "maximizer or its objective beyond the largest float" if beyond else "no finite maximizer"
+            # An uncertified fit already is the ascent loop's result. Where no ceiling
+            # applies the objective is bounded, so its maximizer, or the objective
+            # there, lies beyond the largest float; otherwise no maximizer is finite,
+            # and the loop's own result must prove it. A certified fit must agree
+            # with the loop, a second solver.
+            why = "no finite maximizer" if ceiling < np.inf else "maximizer or its objective beyond the largest float"
             ok, note = unbounded, f"loop delta {float(result.delta_best[0])!r}, {why}"
             if result.stop_reason == "certified":
                 try:
@@ -303,10 +301,7 @@ def cmd_gen(args) -> int:
             source, theta, note = args.precision, read_numeric_csv(args.precision), ""
         else:
             with open(args.pair, encoding="utf-8") as fh:
-                try:
-                    pair = json.load(fh)
-                except ValueError as exc:  # not JSON, or not UTF-8
-                    raise ValueError(f"{args.pair}: {exc}") from exc
+                pair = _naming(args.pair, json.load, fh)  # not JSON, or not UTF-8
             key = "theta_p" if args.which == "p" else "theta_q"
             if not isinstance(pair, dict) or key not in pair:
                 raise ValueError(f"{args.pair}: missing key {key!r}")
@@ -317,15 +312,13 @@ def cmd_gen(args) -> int:
             if theta.ndim != 2:
                 raise ValueError(f"{args.pair}: {key} is not a numeric matrix: shape {theta.shape}")
             source, note = f"{args.pair}: {key}", f"which={args.which} "
-        try:
-            X = sample_gaussian(theta, args.n, args.seed)
-        except ValueError as exc:  # not square, not symmetric or not positive definite
-            raise ValueError(f"{source}: {exc}") from exc
+        # not square, not symmetric or not positive definite
+        X = _naming(source, sample_gaussian, theta, args.n, args.seed)
         files = [(args.out, csv_text(X, comment=f"{note}n={args.n} seed={args.seed}"))]
     else:
         if args.generator == "outlier1d":
             xp, xq = gen_outlier_1d(args.n_good, args.n_out, args.b, args.seed, n_q=args.n_q)
-            note = f"b={args.b} n_good={args.n_good} n_out={args.n_out} seed={args.seed}"
+            note = f"b={args.b} n_good={args.n_good} n_out={args.n_out} n_q={args.n_q} seed={args.seed}"
         else:
             xp, xq = gen_truncation_1d(args.n, args.nu, args.seed)
             note = f"n={args.n} nu={args.nu} seed={args.seed}"

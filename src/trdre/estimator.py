@@ -20,8 +20,8 @@ adjacent floats lo < hi with computed slope > 0 at lo and <= 0 at hi, and
 hi is the maximizer (see _root), in 9.1 slope evaluations per fit on the
 14 default outlier1d fits. Every other fit, and a one-column fit
 with no finite maximizer, one beyond the largest float or one where the
-objective does not evaluate to a finite float, runs the ascent loop
-(ascend), which alternates, per iteration:
+objective or its slope at 0 does not evaluate to a finite float, runs the
+ascent loop (ascend), which alternates, per iteration:
 
     1. rank X_p by log-ratio under the current delta;
     2. assign the extreme-point weights w;
@@ -352,10 +352,15 @@ def gradient(delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarra
     return _data_gradient(PhiP, PhiQ, w, softmax_weights(delta, PhiQ), float(np.sum(w)))
 
 
-def unbounded_threshold(nu_eff: float, n_q: int) -> float:
-    """nu_eff * log n_q plus UNBOUNDED_SLACK: an objective above it proves
-    that no finite maximizer exists (see the module docstring)."""
-    return nu_eff * math.log(n_q) + UNBOUNDED_SLACK
+def unbounded_threshold(cfg: TrimConfig, n_p: int, n_q: int) -> float:
+    """The loop's ceiling on n_p and n_q samples: nu_eff * log n_q plus
+    UNBOUNDED_SLACK, with nu_eff = keep_count(cfg.nu, n_p) / n_p. An
+    objective above it proves that no finite maximizer exists (see the
+    module docstring). inf for l2sq with lam > 0: that penalty does not
+    scale linearly along a ray, and the objective always has a maximizer."""
+    if cfg.regularizer == "l2sq" and cfg.lam > 0.0:
+        return math.inf
+    return keep_count(cfg.nu, n_p) / n_p * math.log(n_q) + UNBOUNDED_SLACK
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -467,16 +472,12 @@ def ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
 
 
 def _features(PhiP, PhiQ) -> tuple[np.ndarray, np.ndarray]:
-    """PhiP and PhiQ as float matrices, checked as fit_featurized says."""
-    PhiP = np.asarray(PhiP, dtype=float)
-    PhiQ = np.asarray(PhiQ, dtype=float)
-    if PhiP.ndim != 2 or PhiQ.ndim != 2 or PhiP.shape[1] != PhiQ.shape[1]:
-        raise ValueError("PhiP and PhiQ must be 2-D with matching feature dimension")
-    for name, Phi in (("PhiP", PhiP), ("PhiQ", PhiQ)):
-        if Phi.shape[0] == 0:
-            raise ValueError(f"{name} has no rows")
-    if not (np.all(np.isfinite(PhiP)) and np.all(np.isfinite(PhiQ))):
-        raise ValueError("PhiP and PhiQ must be finite")
+    """PhiP and PhiQ as sample matrices (as_sample_matrix: a vector is one
+    column, and an empty or non-finite matrix is refused) with one feature
+    count."""
+    PhiP, PhiQ = as_sample_matrix(PhiP, "PhiP"), as_sample_matrix(PhiQ, "PhiQ")
+    if PhiP.shape[1] != PhiQ.shape[1]:
+        raise ValueError(f"PhiP and PhiQ disagree on feature count: {PhiP.shape[1]} vs {PhiQ.shape[1]}")
     return PhiP, PhiQ
 
 
@@ -485,7 +486,8 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
     """A one-column fit's maximizer d, to adjacent floats, the maximum, and
     the fit there, evaluated as a loop step would. The fit is None where the
     objective grows without bound that way or its maximizer lies beyond the
-    largest float (d and the maximum are then +-inf and inf), and where the
+    largest float (d and the maximum are then +-inf and inf), where the
+    slope at 0 is not a finite float (both are then nan), and where the
     objective at d is not a finite float. There the maximum is taken in the
     slope's shifted form, which is inf only where the maximum passes the
     largest float. Float errors raise nothing: dq * dq may overflow, and so
@@ -509,6 +511,8 @@ def _exact(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> tuple[float, 
         # it only steers the search, through a derivative no Newton step takes.
         dq2 = dq * dq
         f0, fp0 = _slope(0.0, dq, dq2, limit, nu_eff, l2)
+        if not math.isfinite(f0):  # finite for finite inputs: an overflow, and no bracket
+            return math.nan, math.nan, None
         if f0 <= 0.0:
             continue
         # Without l2sq, a limit >= 0 leaves the bracket's top open: no finite maximizer.
@@ -620,11 +624,13 @@ def maxmin_1d(PhiP, PhiQ, cfg: TrimConfig) -> tuple[float, float]:
     tiny l2sq penalty). Where the maximizer delta is a float but a
     log-ratio there overflows, value is the maximum taken in the slope's
     shifted form (see _exact): inf only where the maximum passes the
-    largest float."""
-    p, q = as_sample_matrix(PhiP, "PhiP"), as_sample_matrix(PhiQ, "PhiQ")
-    if p.shape[1] != 1 or q.shape[1] != 1:
-        raise ValueError(f"maxmin_1d needs one feature column, got {p.shape[1]} and {q.shape[1]}")
+    largest float. Raises ValueError where the slope at 0 overflows."""
+    p, q = _features(PhiP, PhiQ)
+    if p.shape[1] != 1:
+        raise ValueError(f"maxmin_1d needs one feature column, got {p.shape[1]}")
     d, value, _ = _exact(p, q, cfg)
+    if math.isnan(d):
+        raise ValueError("the objective's slope at delta = 0 overflows: no bracket starts there")
     return d, value
 
 
@@ -646,9 +652,7 @@ def _ascend(PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig) -> FitResult:
     w_best = np.zeros(n_p)
     t_hat = np.nan
     stop_reason = "max_iter"
-    # The certificate needs a penalty that scales linearly along a ray.
-    linear = cfg.regularizer != "l2sq" or cfg.lam == 0.0
-    ceiling = unbounded_threshold(nu_eff, PhiQ.shape[0]) if linear else math.inf
+    ceiling = unbounded_threshold(cfg, n_p, PhiQ.shape[0])
 
     # This fit's worker thread, where the rule in the module docstring holds.
     worker = _DotWorker() if _large(PhiP, PhiQ) and _cpus() >= 2 else None

@@ -7,8 +7,6 @@ true log-ratios on one grid (the fitted ones from ratio_model.log_ratios).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DETECTION_THRESHOLD = 1e-6  # |delta_hat| above it counts as a detected edge
@@ -83,16 +81,6 @@ def auc_tnr_tpr(points) -> float:
     return float(np.trapezoid(ys, xs))
 
 
-@dataclass(frozen=True)
-class SupportCurve:
-    """Sweep results: one (tnr, tpr, lambda) triple and one fit stop
-    reason per grid point."""
-
-    points: tuple[tuple[float, float, float], ...]
-    auc: float
-    stop_reasons: tuple[str, ...]
-
-
 def validate_lambda_grid(lambda_grid) -> list[float]:
     """The penalty grid as floats; raises ValueError unless it is
     finite, nonempty, positive and ascending."""
@@ -105,30 +93,25 @@ def validate_lambda_grid(lambda_grid) -> list[float]:
     return grid
 
 
-def support_curve(
-    fits, lambda_grid, delta_star: np.ndarray, threshold: float = DETECTION_THRESHOLD
-) -> SupportCurve:
-    """Score support recovery along an ascending l1 penalty grid.
+def support_curve(fits, lambda_grid, delta_star: np.ndarray) -> tuple[list[tuple[float, float, float]], float]:
+    """Score support recovery along an ascending l1 penalty grid: one
+    (lambda, tnr, tpr) row per grid point, the curve CSV's columns, and
+    the area under the TNR-TPR curve.
 
     fits[i] is the l1 fit at lambda_grid[i] on pairwise quadratic features
     (PairwiseQuadraticFeatures), so each fitted delta reads as a precision
-    difference. Each is scored against delta_star at the fixed detection
-    threshold, and its stop reason is recorded.
+    difference. Each is scored against delta_star at DETECTION_THRESHOLD.
     """
     grid = validate_lambda_grid(lambda_grid)
     fits = list(fits)
     if len(fits) != len(grid):
         raise ValueError(f"got {len(fits)} fits for {len(grid)} lambdas")
     d = np.asarray(delta_star).shape[0]
-    points = []
+    rows = []
     for lam, res in zip(grid, fits):
-        tpr, tnr = support_metrics(differential_precision_matrix(res.delta_best, d), delta_star, threshold)
-        points.append((tnr, tpr, lam))
-    return SupportCurve(
-        points=tuple(points),
-        auc=auc_tnr_tpr([(t, p) for t, p, _ in points]),
-        stop_reasons=tuple(res.stop_reason for res in fits),
-    )
+        tpr, tnr = support_metrics(differential_precision_matrix(res.delta_best, d), delta_star, DETECTION_THRESHOLD)
+        rows.append((lam, tnr, tpr))
+    return rows, auc_tnr_tpr([(tnr, tpr) for _, tnr, tpr in rows])
 
 
 def ratio_curve_error(log_ratio_hat, log_ratio_true, norm: str = "sup") -> float:

@@ -287,14 +287,13 @@ def run_mnchange(
             raise RuntimeError(f"fit failed at lambda={grid[path_index % len(grid)]}: {exc}") from exc
         heats, paths = fits[:len(conditions)], fits[len(conditions):]
         for i, ((name, _, _), heat) in enumerate(zip(conditions, heats)):
-            curve = support_curve(paths[i * len(grid):(i + 1) * len(grid)], grid, pair.delta_star)
+            path = paths[i * len(grid):(i + 1) * len(grid)]
+            rows, aucs[str(d)][name] = support_curve(path, grid, pair.delta_star)
             files[f"delta_hat_{name}_d{d}.csv"] = csv_text(
                 differential_precision_matrix(heat.delta_best, d), comment=comment
             )
-            points = [[lam, tnr, tpr] for tnr, tpr, lam in curve.points]
-            files[f"curve_{name}_d{d}.csv"] = csv_text(points, header=["lambda", "tnr", "tpr"], comment=comment)
-            aucs[str(d)][name] = curve.auc
-            unbounded[str(d)][name] = [heat.stop_reason, *curve.stop_reasons].count("unbounded")
+            files[f"curve_{name}_d{d}.csv"] = csv_text(rows, header=["lambda", "tnr", "tpr"], comment=comment)
+            unbounded[str(d)][name] = sum(res.stop_reason == "unbounded" for res in [heat, *path])
 
     summary = {"config": config, "auc": aucs, "unbounded_fits": unbounded}
     files["summary.json"] = json_text(summary)

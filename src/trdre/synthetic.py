@@ -135,20 +135,18 @@ def inject_outliers(X, point, count: int) -> np.ndarray:
     return np.vstack([X, np.tile(point, (count, 1))])
 
 
-def gen_outlier_1d(
-    n_good: int, n_out: int, b: float, seed: int, n_q: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def gen_outlier_1d(n_good: int, n_out: int, b: float, seed: int, n_q: int) -> tuple[np.ndarray, np.ndarray]:
     """Contaminated 1-D pair: Xp mixes inliers with a uniform blob at b.
 
     Xp shuffles n_good draws from N(0, 1) with n_out draws from
-    U(b - 0.4, b + 0.4); Xq holds draws from N(OUTLIER_MU_Q, 1) =
-    N(-0.75, 1), n_good of them unless n_q is given. Against this q the
-    clean numerator has analytic natural-parameter difference
-    -OUTLIER_MU_Q = 0.75 under identity features.
+    U(b - 0.4, b + 0.4); Xq holds n_q draws from N(OUTLIER_MU_Q, 1) =
+    N(-0.75, 1). Against this q the clean numerator has analytic
+    natural-parameter difference -OUTLIER_MU_Q = 0.75 under identity
+    features.
     """
     if n_good < 1 or n_out < 0:
         raise ValueError("need n_good >= 1 and n_out >= 0")
-    if n_q is not None and n_q < 1:
+    if n_q < 1:
         raise ValueError(f"n_q must be at least 1, got {n_q}")
     if not np.isfinite(b):
         raise ValueError(f"outlier location b must be finite, got {b}")
@@ -156,7 +154,7 @@ def gen_outlier_1d(
     good = rng.standard_normal(n_good)
     bad = rng.uniform(b - 0.4, b + 0.4, size=n_out)
     xp = rng.permutation(np.concatenate([good, bad]))
-    xq = rng.normal(OUTLIER_MU_Q, 1.0, size=n_good if n_q is None else n_q)
+    xq = rng.normal(OUTLIER_MU_Q, 1.0, size=n_q)
     return xp[:, None], xq[:, None]
 
 

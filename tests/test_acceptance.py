@@ -220,7 +220,7 @@ def test_08_mn_change_detection():
     fits = fit_many(tasks)
     aucs = {name: [] for name, _ in paths}
     for i, (name, delta_star) in enumerate(paths):
-        aucs[name].append(support_curve(fits[i * len(grid):(i + 1) * len(grid)], grid, delta_star).auc)
+        aucs[name].append(support_curve(fits[i * len(grid):(i + 1) * len(grid)], grid, delta_star)[1])
     med = {k: float(np.median(v)) for k, v in aucs.items()}
     margin = med["trdre_outlier"] - med["dre_outlier"]
     gap = med["dre_gold"] - med["trdre_outlier"]

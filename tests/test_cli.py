@@ -292,6 +292,19 @@ class TestFitCommand:
         assert err.endswith("; try a smaller eta0\n")
         assert not out.exists()
 
+    def test_one_column_fit_whose_start_slope_overflows_exits_3(self, tmp_path, capsys):
+        """x_q - max x_q overflows, so no exact fit is certified: the loop
+        runs and diverges. Before, the fit was certified at delta = 5e-324."""
+        xp, xq = tmp_path / "p.csv", tmp_path / "q.csv"
+        xp.write_text("0\n1\n2\n")
+        xq.write_text("-1e308\n1e308\n0\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: objective became non-finite")
+        assert not out.exists()
+
     def test_unbounded_fit_exits_0_with_certificate(self, tmp_path, capsys):
         # Every x_p lies beyond every x_q: no finite maximizer exists.
         rng = np.random.default_rng(3)
@@ -462,6 +475,13 @@ class TestGenCommand:
         assert rc == 0
         assert read_numeric_csv(xp).shape == (120, 1)
         assert read_numeric_csv(xq).shape == (150, 1)
+
+    def test_outlier_pair_records_n_q(self, tmp_path):
+        xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"
+        assert main(["gen", "outlier1d", "--n-good", "10", "--n-out", "2", "--n-q", "15", "--b", "6",
+                     "--out-xp", str(xp), "--out-xq", str(xq)]) == 0
+        for path in (xp, xq):
+            assert path.read_text().splitlines()[0] == "# b=6.0 n_good=10 n_out=2 n_q=15 seed=42"
 
     def test_outlier_pair_defaults_to_the_experiments_sizes(self, tmp_path):
         xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"

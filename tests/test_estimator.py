@@ -18,6 +18,7 @@ from trdre import estimator, experiments
 from trdre.baselines import enumerate_weight_vertices
 from trdre.estimator import (
     STOP_REASONS,
+    UNBOUNDED_SLACK,
     FitDivergedError,
     TrimConfig,
     _penalty,
@@ -447,7 +448,7 @@ class TestFit:
         rng = np.random.default_rng(21)
         PhiP, PhiQ = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
         (PhiP if side == "p" else PhiQ)[3, 1] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=f"Phi{side.upper()} contains non-finite entries"):
             fit_featurized(PhiP, PhiQ, TrimConfig(nu=0.8))
 
     @pytest.mark.parametrize("side", ["PhiP", "PhiQ"])
@@ -455,8 +456,22 @@ class TestFit:
         # An empty PhiQ failed inside the loop with "math domain error".
         Phi = {"PhiP": np.ones((4, 2)), "PhiQ": np.ones((5, 2))}
         Phi[side] = np.empty((0, 2))
-        with pytest.raises(ValueError, match=f"{side} has no rows"):
+        with pytest.raises(ValueError, match=f"{side} must contain at least one sample and one column"):
             fit_featurized(Phi["PhiP"], Phi["PhiQ"], TrimConfig())
+
+    @pytest.mark.parametrize("solver", [fit_featurized, ascend, maxmin_1d])
+    def test_matrices_without_columns_rejected(self, solver):
+        # fit_featurized ran the loop on them, and stopped "window" with an empty delta.
+        with pytest.raises(ValueError, match=r"PhiP must contain .* one column, got shape \(5, 0\)"):
+            solver(np.zeros((5, 0)), np.zeros((3, 0)), TrimConfig())
+
+    def test_vector_features_are_one_column(self):
+        rng = np.random.default_rng(22)
+        xp, xq = rng.standard_normal(40) + 0.5, rng.standard_normal(50)
+        cfg = TrimConfig(nu=0.8)
+        res = fit_featurized(xp, xq, cfg)
+        assert res.stop_reason == "certified"
+        assert TestFitMany.bits([res]) == TestFitMany.bits([fit_featurized(xp[:, None], xq[:, None], cfg)])
 
 
 def _unbounded_1d(seed=33):
@@ -478,8 +493,11 @@ class TestUnboundedStop:
         res = fit_featurized(PhiP, PhiQ, cfg)
         assert res.stop_reason == "unbounded" and not res.converged
         assert res.iterations_run <= 5
-        nu_eff = keep_count(cfg.nu, PhiP.shape[0]) / PhiP.shape[0]
-        assert res.objective_best > unbounded_threshold(nu_eff, PhiQ.shape[0])
+        # The loop stops at its first objective above the ceiling, and at no earlier one.
+        ceiling = unbounded_threshold(cfg, 80, 120)
+        assert ceiling == keep_count(cfg.nu, 80) / 80 * math.log(120) + UNBOUNDED_SLACK
+        *before, (_, last) = res.trace
+        assert res.objective_best == last > ceiling >= max(v for _, v in before)
         # The certificate's ray: the objective keeps growing along delta_best.
         delta = res.delta_best
         values = []
@@ -493,6 +511,7 @@ class TestUnboundedStop:
     def test_l2sq_penalty_is_never_unbounded(self, lam):
         PhiP, PhiQ = _unbounded_1d()
         cfg = TrimConfig(nu=0.9, lam=lam, regularizer="l2sq")
+        assert unbounded_threshold(cfg, 80, 120) == math.inf
         assert fit_featurized(PhiP, PhiQ, cfg).stop_reason == "certified"
         assert ascend(PhiP, PhiQ, cfg).stop_reason in ("window", "max_iter")
 
@@ -1240,6 +1259,19 @@ class TestExactOneColumn:
                 fit_featurized(huge, xq, cfg)
         d0, value0 = maxmin_1d(np.zeros((8, 1)), xq, cfg)
         assert d == d0 < 0.0 and value == pytest.approx(value0, rel=1e-12)
+
+    # x_q - max x_q overflows to -inf, so the slope at delta = 0 is nan. The
+    # search took that for a positive slope and certified delta = 5e-324,
+    # whose objective, -5.0e-17, lies below the 0 at delta = 0.
+    OVERFLOWED_SLOPE = np.array([0.0, 1.0, 2.0]), np.array([-1e308, 1e308, 0.0])
+
+    def test_overflowed_start_slope_runs_the_loop(self):
+        with pytest.raises(FitDivergedError):
+            fit_featurized(*self.OVERFLOWED_SLOPE, TrimConfig())
+
+    def test_maxmin_1d_rejects_an_overflowed_start_slope(self):
+        with pytest.raises(ValueError, match="slope at delta = 0 overflows"):
+            maxmin_1d(*self.OVERFLOWED_SLOPE, TrimConfig())
 
 
 def _slope_calls(mp):

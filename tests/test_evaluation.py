@@ -190,14 +190,12 @@ class TestSupportCurve:
         pair, PhiP, PhiQ = mn_data
         grid = [1e-3, 1e-1, 10.0]
         fits = _l1_path(PhiP, PhiQ, grid, eta0=0.1, max_iter=400)
-        curve = support_curve(fits, grid, pair.delta_star)
-        assert len(curve.points) == 3
-        assert [lam for _, _, lam in curve.points] == [1e-3, 1e-1, 10.0]
-        assert curve.stop_reasons == tuple(res.stop_reason for res in fits)
+        rows, auc = support_curve(fits, grid, pair.delta_star)
+        assert [lam for lam, _, _ in rows] == [1e-3, 1e-1, 10.0]
         # a crushing penalty zeroes delta: nothing detected
-        tnr, tpr, _ = curve.points[-1]
+        _, tnr, tpr = rows[-1]
         assert (tnr, tpr) == (1.0, 0.0)
-        assert 0.0 <= curve.auc <= 1.0
+        assert 0.0 <= auc <= 1.0
 
     def test_grid_validation(self, mn_data):
         pair, PhiP, PhiQ = mn_data

@@ -8,6 +8,7 @@ import pytest
 
 from trdre import experiments, ratio_model, synthetic
 from trdre.estimator import FitDivergedError, TrimConfig
+from trdre.evaluation import support_curve
 from trdre.experiments import _child_seeds, run_mnchange, run_outlier1d, run_truncation1d
 
 
@@ -154,7 +155,7 @@ class TestMnchangeBatches:
             return real(tasks[:3] + [(P, Q[:, :-1], cfg) for P, Q, cfg in tasks[3:]])
 
         monkeypatch.setattr(experiments, "fit_many", mismatched_paths)
-        with pytest.raises(ValueError, match="matching feature dimension"):
+        with pytest.raises(ValueError, match="PhiP and PhiQ disagree on feature count"):
             run_mnchange(**self.SMALL)
 
     @pytest.mark.parametrize("on", [True, False])
@@ -165,6 +166,27 @@ class TestMnchangeBatches:
         with pytest.raises(RuntimeError, match=r"fit failed at lambda=0\.001: objective became non-finite"), \
                 np.errstate(over="ignore", invalid="ignore"):
             run_mnchange(lam_heatmap=1e3, lambda_grid=(1e-3, 1e-2, 1e3), **self.DIVERGING)
+
+
+class TestMnchangeCurves:
+    def test_curve_files_hold_support_curves_rows(self, monkeypatch):
+        real, batches = experiments.fit_many, []
+
+        def kept(tasks):
+            batches.append(real(tasks))
+            return batches[-1]
+
+        monkeypatch.setattr(experiments, "fit_many", kept)
+        grid = (1e-3, 0.1, 0.5)
+        summary, files = run_mnchange(d_values=(4,), n=40, n_changed=2, lambda_grid=grid, max_iter=100)
+        [fits] = batches
+        delta_star = np.loadtxt(io.StringIO(files["delta_star_d4.csv"]), delimiter=",", ndmin=2)
+        for i, name in enumerate(("dre_outlier", "trdre_outlier", "dre_gold")):
+            rows, auc = support_curve(fits[3 + 3 * i:6 + 3 * i], grid, delta_star)
+            text = files[f"curve_{name}_d4.csv"].splitlines()
+            assert text[1] == "lambda,tnr,tpr"
+            assert [tuple(float(v) for v in line.split(",")) for line in text[2:]] == rows
+            assert summary["auc"]["4"][name] == auc
 
 
 class TestMnchangeProtocol:

@@ -109,7 +109,7 @@ class TestInjectOutliers:
 
 class TestGenOutlier1d:
     def test_sizes_and_blob_location(self):
-        xp, xq = gen_outlier_1d(400, 100, b=5.0, seed=0)
+        xp, xq = gen_outlier_1d(400, 100, b=5.0, seed=0, n_q=400)
         assert xp.shape == (500, 1) and xq.shape == (400, 1)
         in_blob = np.sum((xp >= 4.6) & (xp <= 5.4))
         # all 100 blob draws land in [b - 0.4, b + 0.4]; a few of the 400
@@ -125,8 +125,8 @@ class TestGenOutlier1d:
         assert abs(float(xq.mean()) + 0.75) < 0.02
 
     def test_deterministic_and_shuffled(self):
-        a_p, a_q = gen_outlier_1d(100, 25, b=6.0, seed=9)
-        b_p, b_q = gen_outlier_1d(100, 25, b=6.0, seed=9)
+        a_p, a_q = gen_outlier_1d(100, 25, b=6.0, seed=9, n_q=100)
+        b_p, b_q = gen_outlier_1d(100, 25, b=6.0, seed=9, n_q=100)
         assert np.array_equal(a_p, b_p) and np.array_equal(a_q, b_q)
         # shuffle means the blob is not simply appended at the end
         tail = a_p[-25:, 0]
@@ -134,9 +134,9 @@ class TestGenOutlier1d:
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            gen_outlier_1d(0, 5, b=1.0, seed=0)
+            gen_outlier_1d(0, 5, b=1.0, seed=0, n_q=5)
         with pytest.raises(ValueError):
-            gen_outlier_1d(5, -1, b=1.0, seed=0)
+            gen_outlier_1d(5, -1, b=1.0, seed=0, n_q=5)
 
 
 class TestTruncatedGaussian:
