@@ -26,6 +26,8 @@ import numpy as np
 
 from . import experiments
 from .estimator import (
+    CROSS_CHECK_TOL,
+    NORMALIZATION_TOL,
     REGULARIZERS,
     STATIONARITY_TOL,
     UNBOUNDED_SLACK,
@@ -248,7 +250,7 @@ def cmd_fit(args) -> int:
             )
         ratios = np.exp(log_ratios(result.delta_best, PhiQ, PhiQ))
         gap = abs(float(np.mean(ratios)) - 1.0)
-        print(f"[verify] self-normalization {'PASS' if gap < 1e-10 else 'FAIL'} (|mean-1| = {gap:.3g})")
+        print(f"[verify] self-normalization {'PASS' if gap < NORMALIZATION_TOL else 'FAIL'} (|mean-1| = {gap:.3g})")
         if PhiP.shape[1] == 1:
             # An uncertified fit already is the ascent loop's result. Where no ceiling
             # applies the objective is bounded, so its maximizer, or the objective
@@ -264,7 +266,7 @@ def cmd_fit(args) -> int:
                     ok, note = False, f"{exc}{_ETA0_HINT}"
                 else:
                     diff = abs(loop.objective_best - result.objective_best)
-                    ok = loop.stop_reason != "unbounded" and diff < 1e-2
+                    ok = loop.stop_reason != "unbounded" and diff < CROSS_CHECK_TOL
                     note = f"loop delta {float(loop.delta_best[0])!r}, |objective gap| = {diff:.3g}"
             print(f"[verify] ascent loop cross-check {'PASS' if ok else 'FAIL'} ({note})")
     return EXIT_OK

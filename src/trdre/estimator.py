@@ -128,6 +128,10 @@ UNBOUNDED_SLACK = 1e-6
 STATIONARITY_TOL = 1e-2  # kkt_check's pass mark for the stationarity residual
 WINDOW_TOL = 1e-7  # the least gain of the best objective over 50 iterations that keeps the loop going
 RATIO_TOL = 1e-2  # half-width of kkt_check's band around t_hat
+# fit --verify's pass marks: |mean ratio over X_q - 1|, and the objective gap
+# between a certified one-column fit and the ascent loop run on its data
+NORMALIZATION_TOL = 1e-10
+CROSS_CHECK_TOL = 1e-2
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ class PairwiseQuadraticFeatures:
         return X[:, rows] * X[:, cols]
 
 
-_PAIR_BLOCK = 1 << 16  # pairs per block of rows: temporaries of about 0.5 MB
+_PAIR_BLOCK = 1 << 16  # pairs (of points, or of a point and a centre) per block of rows: about 0.5 MB
 
 
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
@@ -141,7 +141,10 @@ class GaussianKernelFeatures:
     """Gaussian kernels f_k(x) = exp(-||x - b_k||^2 / (2 * bandwidth^2)).
 
     ``basis`` holds one centre per row. A missing bandwidth is filled in
-    with the median pairwise distance of the basis.
+    with the median pairwise distance of the basis. transform writes the
+    kernel values over the cross products, a block of rows at a time: at
+    its peak it holds one n-by-m float buffer, its output, and a block of
+    about 0.5 MB.
     """
 
     basis: np.ndarray
@@ -165,17 +168,30 @@ class GaussianKernelFeatures:
             )
         # ||x - b||^2 expanded; clip tiny negatives from cancellation.
         xx, bb = np.sum(X**2, axis=1), np.sum(self.basis**2, axis=1)
-        sq = xx[:, None] + bb[None, :] - 2.0 * (X @ self.basis.T)
         # |2 x.b| <= |x|^2 + |b|^2, so no term overflows unless two squared
         # norms sum past 2**1022. Then the expansion may be inf - inf or +-inf
         # where the kernel value is a float (1 at a point that is its centre,
         # 0 far from it): those entries alone are summed from the differences,
         # so every other entry keeps its bits.
-        if xx.max() + bb.max() > 2.0**1022:
-            i, j = np.nonzero(~np.isfinite(sq))
-            sq[i, j] = np.sum((X[i] - self.basis[j]) ** 2, axis=1)
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        far = xx.max() + bb.max() > 2.0**1022
+        K = X @ self.basis.T
+        K *= 2.0
+        # (-sq) / c and sq / (-c) are the same IEEE quotient
+        scale = -(2.0 * self.bandwidth**2)
+        # A block of rows at a time, so that each pass over it stays in cache
+        step = max(1, _PAIR_BLOCK // K.shape[1])
+        buf = np.empty((min(step, K.shape[0]), K.shape[1]))
+        for a in range(0, K.shape[0], step):
+            rows = K[a:a + step]
+            sq = np.add(xx[a:a + step, None], bb, out=buf[: rows.shape[0]])
+            sq -= rows
+            if far:
+                i, j = np.nonzero(~np.isfinite(sq))
+                sq[i, j] = np.sum((X[a + i] - self.basis[j]) ** 2, axis=1)
+            np.maximum(sq, 0.0, out=sq)
+            sq /= scale
+            np.exp(sq, out=rows)
+        return K
 
 
 FeatureMap = LinearFeatures | PairwiseQuadraticFeatures | GaussianKernelFeatures

@@ -4,6 +4,11 @@ Dialect: comma separated, '.' decimal, UTF-8 with or without a leading
 byte-order mark (files are written without one), finite numeric cells
 only. Leading lines whose first token is not a number (column headers,
 '#' comment lines carrying the resolved config) are skipped on read.
+A read parses the numeric lines in one bulk call; a line loop, which
+gives the same bits for every file that call takes, runs only when it
+cannot take the file whole, to name the bad line or to parse what the
+bulk call does not (digit underscores, non-ASCII digits, lines of
+whitespace alone).
 Floats are written with repr, the shortest round-tripping form; integer
 cells are written without a decimal point. csv_text and json_text render
 a file's text; commit writes a command's files all or none, each through
@@ -13,7 +18,6 @@ a temp-file-plus-rename. Identical content yields byte-identical files.
 from __future__ import annotations
 
 import codecs
-import io
 import json
 import math
 import os
@@ -95,8 +99,11 @@ def csv_text(rows, header: list[str] | None = None, comment: str | None = None) 
         lines.append("# " + comment)
     if header is not None:
         lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        # tolist gives Python floats: repr of each is what _fmt writes
+        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
+    else:
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -119,23 +126,48 @@ def read_numeric_csv(path) -> np.ndarray:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # bytes.splitlines breaks at \n, \r and \r\n, as the line loop does.
+        # bytes.splitlines breaks at \n, \r and \r\n, as the lines below do.
         line_no = len(data[: exc.start + 1].splitlines())
         raise CsvParseError(path, line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
+    # Universal newlines: \r\n and \r end a line as \n does, and nothing else
+    # does (str.splitlines would also break at \f, \v, \x1c, ...).
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    start = 0
+    while start < len(lines) and not _is_number(lines[start].split(",", 1)[0]):
+        start += 1  # blank, header or comment line
+    if start == len(lines):
+        raise CsvParseError(path, 1, "no numeric rows found")
+    # loadtxt parses a subset of what float() takes (ASCII, no underscores),
+    # to the same bits; anything else, a non-finite cell included, is left
+    # to the line loop.
+    try:
+        X = np.loadtxt(lines[start:], dtype=float, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(X).all():
+            return X
+    return _parse_lines(path, lines, start)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell.strip())  # float() strips less whitespace than str.strip()
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_lines(path: Path, lines: list[str], start: int) -> np.ndarray:
+    """lines[start:] as a 2-D array, one line at a time; lines[start] is
+    the first data line, so a row or an error comes of it."""
     rows: list[list[float]] = []
     width = None
-    in_prefix = True
-    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+    for line_no, line in enumerate(lines[start:], start=start + 1):
         line = line.strip()
         if not line:
             continue
         cells = [c.strip() for c in line.split(",")]
-        if in_prefix:
-            try:
-                float(cells[0])
-            except ValueError:
-                continue  # header or comment line
-            in_prefix = False
         try:
             row = [float(c) for c in cells]
         except ValueError as exc:
@@ -147,6 +179,4 @@ def read_numeric_csv(path) -> np.ndarray:
         elif len(row) != width:
             raise CsvParseError(path, line_no, f"expected {width} columns, got {len(row)}")
         rows.append(row)
-    if not rows:
-        raise CsvParseError(path, 1, "no numeric rows found")
     return np.asarray(rows, dtype=float)

@@ -2,6 +2,8 @@ import math
 import os
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 
-from trdre import estimator
+from trdre import estimator, ratio_model
 from trdre.estimator import _cpus, _data_gradient, _DotWorker
 from trdre.ratio_model import (
     GaussianKernelFeatures,
@@ -144,6 +146,63 @@ class TestFeaturize:
             full = featurize(X, fmap)
             perm = rng.permutation(6)
             assert np.array_equal(featurize(X[perm], fmap), full[perm])
+
+
+def reference_rbf(X, basis, bandwidth):
+    """GaussianKernelFeatures.transform as it was before it worked in
+    place by blocks of rows, with three n-by-m buffers: frozen as the
+    reference."""
+    xx, bb = np.sum(X**2, axis=1), np.sum(basis**2, axis=1)
+    sq = xx[:, None] + bb[None, :] - 2.0 * (X @ basis.T)
+    if xx.max() + bb.max() > 2.0**1022:
+        i, j = np.nonzero(~np.isfinite(sq))
+        sq[i, j] = np.sum((X[i] - basis[j]) ** 2, axis=1)
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * bandwidth**2))
+
+
+class TestGaussianKernelTransform:
+    @given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 30),
+        d=st.integers(1, 6),
+        log10_scale=st.sampled_from([-150, -3, 0, 2, 153, 154, 200]),
+        bandwidth=st.sampled_from([1e-150, 1e-3, 0.7, 1.0, 3.3, 1e150]),
+        block=st.sampled_from([1, 7, 40, 1 << 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_frozen_reference(self, n, m, d, log10_scale, bandwidth, block, seed):
+        # scales from 1e153 on take the overflow fix-up; shared rows put
+        # points at their centres; small blocks split the rows unevenly
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * 10.0**log10_scale
+        basis = np.vstack([X[: m // 2], rng.standard_normal((m - m // 2, d)) * 10.0**log10_scale])
+        fmap = GaussianKernelFeatures(basis, bandwidth)
+        with mock.patch.object(ratio_model, "_PAIR_BLOCK", block), np.errstate(over="ignore", invalid="ignore"):
+            got = fmap.transform(X)
+            want = reference_rbf(X, basis, bandwidth)
+        assert got.tobytes() == want.tobytes()
+
+    def test_bitwise_equal_to_frozen_reference_at_fit_scale(self):
+        # 1500 rows against 1200 centres: 28 blocks of 54 rows
+        rng = np.random.default_rng(7)
+        X, basis = rng.standard_normal((1500, 5)), rng.standard_normal((1200, 5))
+        fmap = GaussianKernelFeatures(basis)
+        assert fmap.transform(X).tobytes() == reference_rbf(X, basis, fmap.bandwidth).tobytes()
+
+    def test_peak_is_one_buffer_and_a_block(self):
+        rng = np.random.default_rng(5)
+        X, basis = rng.standard_normal((1500, 5)), rng.standard_normal((1200, 5))
+        fmap = GaussianKernelFeatures(basis, 1.0)
+        buffer = X.shape[0] * basis.shape[0] * 8
+        tracemalloc.start()
+        try:
+            fmap.transform(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffer + 2**20
 
 
 def log_normalizer(delta, PhiQ):

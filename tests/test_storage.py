@@ -1,17 +1,63 @@
+import codecs
+import io
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from trdre.storage import (
     CsvParseError,
+    _fmt,
     commit,
+    csv_text,
     json_text,
     read_numeric_csv,
     write_csv,
     write_text_atomic,
 )
+
+
+def reference_read(path) -> np.ndarray:
+    """read_numeric_csv as a line loop over every line, frozen as it was
+    before reads parsed in bulk: the reference the bulk parse must match."""
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len(data[: exc.start + 1].splitlines())
+        raise CsvParseError(path, line_no, f"not UTF-8: byte {data[exc.start]:#04x}") from None
+    rows: list[list[float]] = []
+    width = None
+    in_prefix = True
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if in_prefix:
+            try:
+                float(cells[0])
+            except ValueError:
+                continue
+            in_prefix = False
+        try:
+            row = [float(c) for c in cells]
+        except ValueError as exc:
+            raise CsvParseError(path, line_no, f"non-numeric cell: {exc}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise CsvParseError(path, line_no, "non-finite cell (nan or inf)")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise CsvParseError(path, line_no, f"expected {width} columns, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise CsvParseError(path, 1, "no numeric rows found")
+    return np.asarray(rows, dtype=float)
 
 
 class TestAtomicWrite:
@@ -89,10 +135,23 @@ class TestCsvRoundTrip:
         assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.25]])
 
     def test_floats_round_trip_exactly(self, tmp_path):
-        p = tmp_path / "f.csv"
-        vals = [[1 / 3, 0.1, -1e-17], [np.pi, 2**-52, 1e300]]
+        p, q = tmp_path / "f.csv", tmp_path / "g.csv"
+        vals = [[1 / 3, 0.1, -1e-17, -0.0], [np.pi, 2**-52, 1e300, 5e-324],
+                [1e-5, 1e16, 1.7976931348623157e308, -2.2250738585072014e-308]]
         write_csv(p, vals)
-        assert np.array_equal(read_numeric_csv(p), np.array(vals))
+        write_csv(q, np.array(vals))
+        assert p.read_bytes() == q.read_bytes()
+        assert read_numeric_csv(p).tobytes() == np.array(vals).tobytes()
+
+    def test_float_array_text_is_per_value_fmt(self):
+        # A float64 array is rendered by repr over its tolist() rows; a list
+        # of its np.float64 rows goes through _fmt value by value.
+        X = np.array([[-0.0, 5e-324, 1e-5], [1e16, 1.7976931348623157e308, np.nan],
+                      [np.inf, -np.inf, 0.1], [1 / 3, -2.0, 1e-300]])
+        per_value = "\n".join(",".join(_fmt(v) for v in row) for row in X) + "\n"
+        assert csv_text(X) == per_value
+        assert csv_text(X, header=["a", "b", "c"], comment="n=4") == "# n=4\na,b,c\n" + per_value
+        assert csv_text(X[:, :0]) == csv_text([[]] * 4)
 
     def test_integer_cells_written_without_decimal(self, tmp_path):
         p = tmp_path / "i.csv"
@@ -182,3 +241,61 @@ class TestReadErrors:
         p = tmp_path / "blank.csv"
         p.write_text("\n# c\n\nx\n1.5\n\n2.5\n")
         assert np.array_equal(read_numeric_csv(p), [[1.5], [2.5]])
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+_CELL_FORMS = [repr, "{:e}".format, "{:.17E}".format, "{:+.3g}".format, "{:.0f}".format]
+# Cells the line loop rejects, or that float() takes and a bulk parse may not
+_ODD_CELLS = ["", " ", "nan", "-inf", "Infinity", "1e400", "1_0", "1__0", "x", "#1", "\u0663", "0x1p3",
+              "1d5", '"1"', "1\x00", "\x0c", "\x0b", "\x1c", "\x85", "\u2028", "2\x0c3"]
+# Whitespace a cell may be padded with; none of it ends a line
+_PADS = ["", " ", "\t", "\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\u3000"]
+
+
+@st.composite
+def csv_files(draw):
+    """UTF-8 bytes of a CSV: a float matrix in several number forms, with
+    optional BOM, header, comment and blank lines, any of three line ends,
+    padded cells and, unless clean, ragged rows and odd cells."""
+    clean = draw(st.booleans())
+    n, width = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+    cell = st.builds(lambda v, form, pad: f"{pad}{form(v)}{pad}", values, st.sampled_from(_CELL_FORMS),
+                     st.sampled_from(_PADS) if not clean else st.just(""))
+    if not clean:
+        cell = cell | st.sampled_from(_ODD_CELLS)
+    lines = draw(st.lists(st.sampled_from(["x,y", "# a=1 b=2", "", "  ", "\x0c", "index", "a,1"]), max_size=3))
+    for _ in range(n):
+        k = width if clean else draw(st.sampled_from([width, width, width, width - 1, width + 1]))
+        lines.append(",".join(draw(st.lists(cell, min_size=max(k, 1), max_size=max(k, 1)))))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x0c", "\x0b"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from(["", ends[-1]]))
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return bom + "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def _outcome(read, path):
+    try:
+        X = read(path)
+    except CsvParseError as exc:
+        return type(exc), str(exc), exc.line_no
+    return X.shape, X.strides, X.dtype, X.tobytes()
+
+
+class TestReadMatchesFrozenReference:
+    """The bulk parse and its line loop give the frozen loop's array, bit
+    for bit, or its error, with the same message and line number."""
+
+    @given(data=csv_files())
+    @example(data=b"x,y\n1.5,2\x0c3\n")  # a form feed inside a line breaks no line
+    @example(data=b"1,2\x0b\n3\x0b,4\r\n\x0c\n5,6\r")
+    @example(data=b"\xef\xbb\xbf# c\r\nx\r\n1_0,2\r\n3,4\r\n")
+    @example(data=b"1,2\n \n3,4\n")  # a whitespace-only line between data lines
+    @example(data=b"# only\nx,y\n")
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_array_or_same_error(self, tmp_path, data):
+        p = tmp_path / "f.csv"
+        p.write_bytes(data)
+        assert _outcome(read_numeric_csv, p) == _outcome(reference_read, p)
