@@ -209,15 +209,14 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     payload = fit_result_to_dict(result, cfg)
     payload["inputs"] = {"features": args.features, "rbf_bandwidth": getattr(fmap, "bandwidth", None)}
-    for key, path in (("xp", args.xp), ("xq", args.xq)):
-        data = Path(path).read_bytes()
-        payload["inputs"][key] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-    kept = result.kept_indices
-    trimmed = np.setdiff1d(np.arange(PhiP.shape[0]), kept)
+    for key, X in (("xp", Xp), ("xq", Xq)):  # the matrices fit: a second read could see other bytes
+        data = np.ascontiguousarray(X, dtype="<f8").tobytes()
+        payload["inputs"][key] = {"sha256": hashlib.sha256(data).hexdigest(), "shape": list(X.shape)}
+    kept, trimmed = result.kept_indices, np.flatnonzero(result.w_best == 0.0)
     commit([
         (out / "fit_result.json", json_text(payload)),
-        (out / "kept_indices.csv", csv_text([[int(i)] for i in kept], header=["index"])),
-        (out / "trimmed_indices.csv", csv_text([[int(i)] for i in trimmed], header=["index"])),
+        (out / "kept_indices.csv", csv_text(kept[:, None], header=["index"])),
+        (out / "trimmed_indices.csv", csv_text(trimmed[:, None], header=["index"])),
     ])
     print(f"[trdre] wrote {out / 'fit_result.json'} (objective_best={result.objective_best!r})")
     print(f"[trdre] stop_reason={result.stop_reason} after {result.iterations_run} iterations")
@@ -302,7 +301,7 @@ def cmd_gen(args) -> int:
         if args.generator == "gaussian":
             source, theta, note = args.precision, read_numeric_csv(args.precision), ""
         else:
-            with open(args.pair, encoding="utf-8") as fh:
+            with open(args.pair, encoding="utf-8-sig") as fh:  # a leading BOM is dropped, as on a CSV read
                 pair = _naming(args.pair, json.load, fh)  # not JSON, or not UTF-8
             key = "theta_p" if args.which == "p" else "theta_q"
             if not isinstance(pair, dict) or key not in pair:

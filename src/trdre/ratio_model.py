@@ -266,8 +266,8 @@ def log_ratios(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> np.ndarr
     The one evaluator of a fitted ratio outside the ascent loop, and the
     first output of the loop's own kernel _evaluate; Phi holds the
     features of the points to evaluate, PhiQ those of the sample from q
-    the fit was normalized over.
+    the fit was normalized over. Both are checked as the fits check theirs.
     """
-    delta, PhiQ = _checked(delta, PhiQ)
-    lr, _ = _evaluate(delta, Phi, PhiQ)
+    delta, PhiQ = _checked(delta, as_sample_matrix(PhiQ, "PhiQ"))
+    lr, _ = _evaluate(delta, as_sample_matrix(Phi, "Phi"), PhiQ)
     return lr

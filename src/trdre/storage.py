@@ -9,10 +9,11 @@ gives the same bits for every file that call takes, runs only when it
 cannot take the file whole, to name the bad line or to parse what the
 bulk call does not (digit underscores, non-ASCII digits, lines of
 whitespace alone).
-Floats are written with repr, the shortest round-tripping form; integer
-cells are written without a decimal point. csv_text and json_text render
-a file's text; commit writes a command's files all or none, each through
-a temp-file-plus-rename. Identical content yields byte-identical files.
+A table is written as repr over the cells of np.asarray(rows).tolist():
+floats in the shortest round-tripping form, integers without a decimal
+point (a table that mixes the two is all float). csv_text and json_text
+render a file's text; commit writes a command's files all or none, each
+through a temp-file-plus-rename. Identical content yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ class CsvParseError(ValueError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -99,11 +94,8 @@ def csv_text(rows, header: list[str] | None = None, comment: str | None = None) 
         lines.append("# " + comment)
     if header is not None:
         lines.append(",".join(header))
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
-        # tolist gives Python floats: repr of each is what _fmt writes
-        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
-    else:
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    # tolist gives Python floats or ints, whose reprs are the cells
+    lines.extend(",".join(map(repr, row)) for row in np.asarray(rows).tolist())
     return "\n".join(lines) + "\n"
 
 

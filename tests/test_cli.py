@@ -116,9 +116,44 @@ class TestFitCommand:
         for name in ("fit_result.json", "kept_indices.csv", "trimmed_indices.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
         inputs = json.loads((a / "fit_result.json").read_text())["inputs"]
-        data = xp.read_bytes()
-        assert inputs["xp"] == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        assert inputs["xq"]["bytes"] == xq.stat().st_size
+        assert inputs["xp"] == {"sha256": hashlib.sha256(read_numeric_csv(xp).tobytes()).hexdigest(), "shape": [80, 1]}
+        assert inputs["xq"]["shape"] == [90, 1]
+
+    def test_inputs_record_the_numbers_fit(self, sample_csvs, tmp_path, monkeypatch):
+        # The file is replaced once it has been parsed: the record names the
+        # numbers that were fit, not the new bytes.
+        xp, xq = sample_csvs
+        fitted = read_numeric_csv(xp)
+        read = cli.read_numeric_csv
+
+        def read_then_replace(path):
+            X = read(path)
+            if Path(path) == xp:
+                write_csv(xp, fitted + 1.0)
+            return X
+
+        monkeypatch.setattr(cli, "read_numeric_csv", read_then_replace)
+        assert main(["fit", "--xp", str(xp), "--xq", str(xq), "--out", str(tmp_path / "o")]) == 0
+        inputs = json.loads((tmp_path / "o" / "fit_result.json").read_text())["inputs"]
+        assert inputs["xp"]["sha256"] == hashlib.sha256(fitted.tobytes()).hexdigest()
+        assert inputs["xp"]["sha256"] != hashlib.sha256(read_numeric_csv(xp).tobytes()).hexdigest()
+
+    def test_line_endings_and_bom_do_not_change_the_result(self, sample_csvs, tmp_path):
+        xp, xq = sample_csvs
+        outputs = []
+        for name, edit in (("plain", bytes), ("crlf", lambda b: b.replace(b"\n", b"\r\n")),
+                           ("bom", lambda b: b"\xef\xbb\xbf" + b)):
+            copies = []
+            for path in (xp, xq):
+                copy = tmp_path / name / path.name
+                copy.parent.mkdir(exist_ok=True)
+                copy.write_bytes(edit(path.read_bytes()))
+                copies.append(str(copy))
+            out = tmp_path / name / "out"
+            assert main(["fit", "--xp", copies[0], "--xq", copies[1], "--nu", "0.9", "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("fit_result.json", "kept_indices.csv",
+                                                              "trimmed_indices.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_missing_input_exits_2_naming_file(self, tmp_path, capsys):
         rc = main(["fit", "--xp", str(tmp_path / "absent.csv"),
@@ -521,6 +556,13 @@ class TestGenCommand:
                     "--n", "40", "--out", str(samples)])
         assert rc == 0
         assert read_numeric_csv(samples).shape == (40, 6)
+        # a pair file with a byte-order mark gives the same samples
+        bom_path = tmp_path / "bom.json"
+        bom_path.write_bytes(b"\xef\xbb\xbf" + pair_path.read_bytes())
+        rc = main(["gen", "mnsamples", "--pair", str(bom_path), "--which", "q",
+                   "--n", "40", "--out", str(tmp_path / "bom.csv")])
+        assert rc == 0
+        assert (tmp_path / "bom.csv").read_bytes() == samples.read_bytes()
 
     def test_mnsamples_missing_theta_exits_2(self, tmp_path, capsys):
         pair_path = tmp_path / "pair.json"

@@ -251,6 +251,14 @@ class TestLogRatio:
         assert abs(lr - (LN2 - HAND_LOGN)) < 1e-12
         assert abs(lr - 0.4700036292) < 1e-9
 
+    @pytest.mark.parametrize("name", ["Phi", "PhiQ"])
+    def test_rejects_non_finite_matrices(self, name):
+        # a nan in the normalizer sample would otherwise turn every log ratio nan
+        args = {"Phi": [[1.0], [2.0]], "PhiQ": [[0.0], [1.0]]}
+        args[name] = [[np.nan], [0.0]]
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            log_ratios([1.0], args["Phi"], args["PhiQ"])
+
     def test_zero_delta_gives_zero(self):
         rng = np.random.default_rng(2)
         PhiQ = featurize(rng.standard_normal((5, 3)), LinearFeatures())

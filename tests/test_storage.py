@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from trdre.storage import (
     CsvParseError,
-    _fmt,
     commit,
     csv_text,
     json_text,
@@ -144,14 +143,28 @@ class TestCsvRoundTrip:
         assert read_numeric_csv(p).tobytes() == np.array(vals).tobytes()
 
     def test_float_array_text_is_per_value_fmt(self):
-        # A float64 array is rendered by repr over its tolist() rows; a list
-        # of its np.float64 rows goes through _fmt value by value.
+        # Every table is rendered by repr over np.asarray(rows).tolist(): the
+        # bytes of the former per-value formatter, frozen here, on each kind
+        # of table the package writes.
+        def fmt(value) -> str:
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            return repr(float(value))
+
         X = np.array([[-0.0, 5e-324, 1e-5], [1e16, 1.7976931348623157e308, np.nan],
-                      [np.inf, -np.inf, 0.1], [1 / 3, -2.0, 1e-300]])
-        per_value = "\n".join(",".join(_fmt(v) for v in row) for row in X) + "\n"
-        assert csv_text(X) == per_value
-        assert csv_text(X, header=["a", "b", "c"], comment="n=4") == "# n=4\na,b,c\n" + per_value
-        assert csv_text(X[:, :0]) == csv_text([[]] * 4)
+                      [np.inf, -np.inf, 0.1], [1 / 3, -2.0, 0.0]])
+        tables = [
+            X, list(X), X[:, :0], [],
+            np.array([[0, 17], [-3, 2**62]]), np.array([[7], [1]], dtype=np.int32),
+            np.flatnonzero([0.0, 0.5, 0.0, 0.25])[:, None],  # fit's index column
+            [[0, 17], [3, 4]], [[np.int64(5), np.int64(-1)]],
+            [(0.5, 1e-300, -0.0), (np.float64(2.0), 1 / 3, 5e-324)],
+        ]
+        for rows in tables:
+            per_value = "\n".join(",".join(fmt(v) for v in row) for row in rows) + "\n"
+            assert csv_text(rows) == per_value, rows
+        assert csv_text(X, header=["a", "b", "c"], comment="n=4") == "# n=4\na,b,c\n" + csv_text(X)
+        assert csv_text(X[:, :0]) == csv_text([[]] * 4) == "\n" * 4
 
     def test_integer_cells_written_without_decimal(self, tmp_path):
         p = tmp_path / "i.csv"
