@@ -116,7 +116,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .ratio_model import FeatureMap, _dot_pair, _evaluate, as_sample_matrix, featurize, softmax_weights
+from .ratio_model import FeatureMap, _checked, _dot_pair, _evaluate, as_sample_matrix, featurize, softmax_weights
 
 REGULARIZERS = ("none", "l1", "l2sq")
 STOP_REASONS = ("certified", "window", "max_iter", "unbounded")
@@ -335,7 +335,7 @@ def objective(
     delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarray, cfg: TrimConfig
 ) -> float:
     """sum_i w_i * log rhat(x_p_i; delta) - lam * R(delta)."""
-    delta = np.asarray(delta, dtype=float)
+    delta, PhiP, PhiQ = _checked(delta, PhiP=PhiP, PhiQ=PhiQ)
     w = np.asarray(w, dtype=float)
     lr, _ = _evaluate(delta, PhiP, PhiQ)
     return float(w @ lr - _penalty(delta, cfg))
@@ -348,11 +348,8 @@ def gradient(delta: np.ndarray, w: np.ndarray, PhiP: np.ndarray, PhiQ: np.ndarra
     the regularizer term is not included. The softmax is the loop's, from
     np.dot(PhiQ, delta) alone.
     """
-    delta = np.asarray(delta, dtype=float)
+    delta, PhiP, PhiQ = _checked(delta, PhiP=PhiP, PhiQ=PhiQ)
     w = np.asarray(w, dtype=float)
-    if PhiP.shape[1:] != delta.shape:
-        # PhiP^T w has PhiP's column count, and one column would broadcast.
-        raise ValueError(f"delta has shape {delta.shape}, expected ({PhiP.shape[1]},)")
     return _data_gradient(PhiP, PhiQ, w, softmax_weights(delta, PhiQ), float(np.sum(w)))
 
 

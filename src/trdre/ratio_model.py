@@ -223,15 +223,22 @@ def _log_mean_exp_and_softmax(z: np.ndarray) -> tuple[float, np.ndarray]:
     return m + np.log(s / z.size), w
 
 
-def _checked(delta, PhiQ) -> tuple[np.ndarray, np.ndarray]:
-    """delta and PhiQ as float arrays, once they are known to fit together."""
+def _checked(delta, **matrices) -> tuple[np.ndarray, ...]:
+    """delta and each named matrix as float arrays, once every matrix is
+    known to be nonempty 2-D with a column per entry of delta; shapes
+    only, so the check costs nothing next to a product."""
     delta = np.asarray(delta, dtype=float)
-    PhiQ = np.asarray(PhiQ, dtype=float)
-    if PhiQ.ndim != 2 or PhiQ.shape[0] < 1:
-        raise ValueError("PhiQ must be a nonempty 2-D feature matrix")
-    if delta.shape != (PhiQ.shape[1],):
-        raise ValueError(f"delta has shape {delta.shape}, expected ({PhiQ.shape[1]},)")
-    return delta, PhiQ
+    arrays = [delta]
+    for name, M in matrices.items():
+        M = np.asarray(M, dtype=float)
+        if M.ndim != 2 or M.shape[0] < 1:
+            raise ValueError(f"{name} must be a nonempty 2-D feature matrix")
+        if delta.shape != (M.shape[1],):
+            raise ValueError(
+                f"delta has shape {delta.shape}, expected ({M.shape[1]},) for {name} of shape {M.shape}"
+            )
+        arrays.append(M)
+    return tuple(arrays)
 
 
 def _dot_pair(A, x, B, y) -> tuple[np.ndarray, np.ndarray]:
@@ -255,7 +262,7 @@ def _evaluate(
 
 def softmax_weights(delta: np.ndarray, PhiQ: np.ndarray) -> np.ndarray:
     """softmax_j(<delta, PhiQ_j>): nonnegative, sums to 1, overflow-safe."""
-    delta, PhiQ = _checked(delta, PhiQ)
+    delta, PhiQ = _checked(delta, PhiQ=PhiQ)
     _, w = _log_mean_exp_and_softmax(np.dot(PhiQ, delta))
     return w
 
@@ -268,6 +275,6 @@ def log_ratios(delta: np.ndarray, Phi: np.ndarray, PhiQ: np.ndarray) -> np.ndarr
     features of the points to evaluate, PhiQ those of the sample from q
     the fit was normalized over. Both are checked as the fits check theirs.
     """
-    delta, PhiQ = _checked(delta, as_sample_matrix(PhiQ, "PhiQ"))
-    lr, _ = _evaluate(delta, as_sample_matrix(Phi, "Phi"), PhiQ)
+    Phi, PhiQ = as_sample_matrix(Phi, "Phi"), as_sample_matrix(PhiQ, "PhiQ")
+    lr, _ = _evaluate(*_checked(delta, Phi=Phi, PhiQ=PhiQ))
     return lr

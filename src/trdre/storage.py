@@ -13,7 +13,8 @@ A table is written as repr over the cells of np.asarray(rows).tolist():
 floats in the shortest round-tripping form, integers without a decimal
 point (a table that mixes the two is all float). csv_text and json_text
 render a file's text; commit writes a command's files all or none, each
-through a temp-file-plus-rename. Identical content yields byte-identical files.
+created once as a temp file beside its target and renamed once onto it.
+Identical content yields byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import codecs
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,30 +37,14 @@ class CsvParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file and a rename. mkstemp creates the file with mode
-    0600, so it gets the mode open() would give, 0666 minus the umask."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        umask = os.umask(0)  # os.umask is the only portable way to read it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def commit(files) -> None:
     """Write every file of `files` ((path, text) pairs) or none of them:
-    reject a target that is a directory or the same file as another, stage
-    each text beside its target, rename the stages in once all are
-    written, and remove the stages on a failure."""
+    reject a target that is a directory or the same file as another,
+    create a temp file of a random name beside each target exclusively
+    (so it gets open()'s mode, 0666 minus the umask, and a file or symlink
+    already at that name is refused, not written through), rename them in
+    once all are written, and remove them on a failure. A failed rename
+    leaves the targets renamed before it new."""
     paths = [Path(p) for p, _ in files]
     seen = set()
     for path in paths:
@@ -70,16 +54,25 @@ def commit(files) -> None:
         if real in seen:
             raise ValueError(f"two outputs name the same file: {real}")
         seen.add(real)
-    stages = [path.with_name(f".{path.name}.{i}.stage") for i, path in enumerate(paths)]
+    temps = []
     try:
-        for stage, (_, text) in zip(stages, files):
-            write_text_atomic(stage, text)
-        for stage, path in zip(stages, paths):
-            os.replace(stage, path)
-    finally:
-        for stage in stages:
-            if os.path.exists(stage):
-                os.unlink(stage)
+        for path, (_, text) in zip(paths, files):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            with open(temp, "x", encoding="utf-8") as fh:
+                temps.append(temp)
+                fh.write(text)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write one file through commit."""
+    commit([(path, text)])
 
 
 def json_text(obj) -> str:

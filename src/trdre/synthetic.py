@@ -112,6 +112,8 @@ def sample_gaussian(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     P = np.asarray(precision, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError(f"precision must be square, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("precision matrix contains non-finite entries")
     if not np.allclose(P, P.T, rtol=1e-10, atol=1e-12):
         raise ValueError("precision matrix is not symmetric")
     if n < 1:
@@ -196,6 +198,8 @@ def gen_truncation_1d(n: int, nu: float, seed: int) -> tuple[np.ndarray, np.ndar
 
     if not (0.0 < nu < 1.0):
         raise ValueError(f"nu must lie in (0, 1) for a proper truncation, got {nu}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     xp = np.random.default_rng(seed).standard_normal(n)[:, None]
     upper = float(ndtri(nu))
     xq = sample_truncated_gaussian(TRUNCATION_MU_Q, 1.0, upper, n, seed + 1)

@@ -543,6 +543,12 @@ class TestGenCommand:
         assert message in capsys.readouterr().err
         assert not xp.exists() and not xq.exists()
 
+    def test_bad_truncation_size_exits_2_before_writing(self, tmp_path, capsys):
+        xp, xq = tmp_path / "xp.csv", tmp_path / "xq.csv"
+        assert main(["gen", "truncation1d", "--n", "-3", "--out-xp", str(xp), "--out-xq", str(xq)]) == 2
+        assert capsys.readouterr().err == "error: n must be at least 1, got -3\n"
+        assert not xp.exists() and not xq.exists()
+
     def test_mnpair_then_samples(self, tmp_path):
         pair_path = tmp_path / "pair.json"
         rc = main(["gen", "mnpair", "--d", "6", "--n-changed", "3",
@@ -592,8 +598,9 @@ class TestGenCommand:
             ('{"theta_q": "abc"}', "theta_q is not a numeric matrix: could not convert string to float"),
             ('{"theta_q": {"a": 1}}', "theta_q is not a numeric matrix: float() argument"),
             ('{"theta_q": [1.0, 2.0]}', "theta_q is not a numeric matrix: shape (2,)"),
+            ('{"theta_q": [[1.0, NaN], [NaN, 1.0]]}', "theta_q: precision matrix contains non-finite entries"),
         ],
-        ids=["empty", "string", "object", "vector"],
+        ids=["empty", "string", "object", "vector", "nan"],
     )
     def test_mnsamples_bad_pair_exits_2_naming_it(self, tmp_path, capsys, text, message):
         pair_path = tmp_path / "pair.json"

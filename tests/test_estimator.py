@@ -296,11 +296,19 @@ class TestGradient:
         want = np.dot(PhiP.T, w) - float(np.sum(w)) * np.dot(PhiQ.T, sm)
         assert gradient(delta, w, PhiP, PhiQ).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("m_p", [1, 3])
-    def test_features_not_matching_delta_raise(self, m_p):
-        # PhiP^T w of one column would broadcast against two coefficients.
-        with pytest.raises(ValueError, match="delta has shape"):
-            gradient(np.zeros(2), np.full(4, 0.25), np.ones((4, m_p)), np.ones((3, 2)))
+    @pytest.mark.parametrize("oracle", ["gradient", "objective"])
+    @pytest.mark.parametrize(
+        "m_p, m_q, named",
+        [(1, 2, r"\(1,\) for PhiP of shape \(3, 1\)"), (3, 2, r"\(3,\) for PhiP of shape \(3, 3\)"),
+         (2, 1, r"\(1,\) for PhiQ of shape \(3, 1\)")],
+        ids=["PhiP_1", "PhiP_3", "PhiQ_1"],
+    )
+    def test_features_not_matching_delta_raise(self, oracle, m_p, m_q, named):
+        # PhiP^T w of one column would broadcast against two coefficients;
+        # objective shares gradient's check.
+        args = (np.zeros(2), np.full(3, 1 / 3), np.ones((3, m_p)), np.ones((3, m_q)))
+        with pytest.raises(ValueError, match=rf"^delta has shape \(2,\), expected {named}$"):
+            gradient(*args) if oracle == "gradient" else objective(*args, TrimConfig())
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(14)

@@ -35,6 +35,10 @@ def test_fit_defaults_are_trim_config_defaults(runner):
 
 
 class TestTruncationRunner:
+    def test_rejects_a_bad_size_by_name(self):
+        with pytest.raises(ValueError, match="^n must be at least 1, got -3$"):
+            run_truncation1d(n=-3)
+
     def test_summary_fields_and_curve_files(self):
         summary, files = run_truncation1d(n=500, seed=5)
         assert abs(summary["delta_hat"] - summary["delta_star"]) < 0.3

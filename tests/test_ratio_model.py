@@ -259,6 +259,15 @@ class TestLogRatio:
         with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
             log_ratios([1.0], args["Phi"], args["PhiQ"])
 
+    @pytest.mark.parametrize(
+        "Phi, PhiQ, named",
+        [([[1.0]], [[1.0, 2.0]], r"Phi of shape \(1, 1\)"), ([[1.0, 2.0]], [[1.0]], r"PhiQ of shape \(1, 1\)")],
+        ids=["Phi", "PhiQ"],
+    )
+    def test_rejects_a_matrix_not_matching_delta_by_name(self, Phi, PhiQ, named):
+        with pytest.raises(ValueError, match=rf"^delta has shape \(2,\), expected \(1,\) for {named}$"):
+            log_ratios([1.0, 2.0], Phi, PhiQ)
+
     def test_zero_delta_gives_zero(self):
         rng = np.random.default_rng(2)
         PhiQ = featurize(rng.standard_normal((5, 3)), LinearFeatures())

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,13 +106,65 @@ class TestCommit:
         assert (tmp_path / "sub" / "b.txt").read_text() == "two\n"
         assert sorted(f.name for f in tmp_path.rglob("*")) == ["a.txt", "b.txt", "sub"]
 
-    def test_failure_while_staging_writes_nothing(self, tmp_path):
-        (tmp_path / "a.txt").write_text("older\n")
-        (tmp_path / "blocker").write_text("a file, so blocker/b.txt cannot be staged\n")
-        with pytest.raises(OSError):
-            commit([(tmp_path / "a.txt", "new\n"), (tmp_path / "blocker" / "b.txt", "x\n")])
-        assert (tmp_path / "a.txt").read_text() == "older\n"
-        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.txt", "blocker"]
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("step", ["mkdir", "create", "write", "rename"])
+    def test_failure_at_file_k_leaves_the_targets_and_no_temp_file(self, tmp_path, monkeypatch, step, k):
+        targets = [tmp_path / "a.txt", tmp_path / "sub" / "b.txt", tmp_path / "c.txt"]
+        texts = ["new a\n", "new b\n", "new c\n"]
+        targets[0].write_text("older a\n")
+        targets[2].write_text("older c\n")
+        if step == "mkdir":  # a file where file k's directory would be made
+            (tmp_path / "blocker").write_text("a file\n")
+            targets[k] = tmp_path / "blocker" / "x.txt"
+        elif step == "create":  # a symlink at file k's temp name, which is not followed
+            monkeypatch.setattr(os, "urandom", lambda size: bytes(size))
+            targets[k].parent.mkdir(exist_ok=True)
+            victim = tmp_path / "victim.txt"
+            victim.write_text("victim\n")
+            targets[k].with_name(f".{targets[k].name}.{bytes(6).hex()}.tmp").symlink_to(victim)
+        elif step == "write":
+            texts[k] = "a lone surrogate \ud800 is not UTF-8\n"
+        else:
+            replace = os.replace
+
+            def replace_but_k(src, dst):
+                if Path(dst) == targets[k]:
+                    raise PermissionError(f"cannot rename onto {dst}")
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace_but_k)
+        before = {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()}
+        with pytest.raises((OSError, UnicodeEncodeError)):
+            commit(list(zip(targets, texts)))
+        # A rename is the one step after which another can fail: the targets
+        # renamed before it hold their new text.
+        renamed = k if step == "rename" else 0
+        want = before | {target: text.encode() for target, text in zip(targets[:renamed], texts)}
+        assert {f: f.read_bytes() for f in tmp_path.rglob("*") if f.is_file()} == want
+
+    def test_interleaved_commits_of_the_same_targets_both_succeed(self, tmp_path, monkeypatch):
+        targets = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        replace = os.replace
+
+        def second_commit_first(src, dst):
+            # the whole second commit runs between the first's writes and its renames
+            if Path(dst) in targets:
+                monkeypatch.setattr(os, "replace", replace)
+                commit([(target, "second\n") for target in targets])
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_commit_first)
+        commit([(target, "first\n") for target in targets])
+        assert [target.read_text() for target in targets] == ["first\n", "first\n"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
+    def test_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        def set_umask(mask):
+            raise AssertionError(f"commit set the process umask to {mask:#o}")
+
+        monkeypatch.setattr(os, "umask", set_umask)
+        commit([(tmp_path / "a.txt", "one\n"), (tmp_path / "b.txt", "two\n")])
+        assert (tmp_path / "b.txt").read_text() == "two\n"
 
 
 class TestJson:

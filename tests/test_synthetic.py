@@ -85,6 +85,9 @@ class TestSampleGaussian:
             sample_gaussian(np.array([[1.0, 2.0], [0.0, 1.0]]), 5, seed=0)
         with pytest.raises(ValueError):
             sample_gaussian(-np.eye(2), 5, seed=0)
+        # a NaN is no asymmetry: it is named as what it is
+        with pytest.raises(ValueError, match="^precision matrix contains non-finite entries$"):
+            sample_gaussian(np.array([[1.0, np.nan], [np.nan, 1.0]]), 5, seed=0)
 
 
 class TestInjectOutliers:
@@ -188,3 +191,7 @@ class TestGenTruncation1d:
         for nu in (0.0, 1.0):
             with pytest.raises(ValueError):
                 gen_truncation_1d(100, nu, seed=0)
+
+    def test_rejects_a_bad_size_by_name(self):
+        with pytest.raises(ValueError, match="^n must be at least 1, got -3$"):
+            gen_truncation_1d(-3, 0.5, seed=0)
